@@ -100,15 +100,6 @@ def left_mul_d(nf: NormalForm) -> NormalForm:
     return NormalForm.from_dict(nf.relation, acc)
 
 
-def nf_add(x: NormalForm, y: NormalForm) -> NormalForm:
-    if x.relation != y.relation:
-        raise RelationMismatchError("cannot add forms built under different relations")
-    acc = x.as_dict()
-    for k, c in y.table:
-        _accumulate(acc, k, c)
-    return NormalForm.from_dict(x.relation, acc)
-
-
 def nf_scale(nf: NormalForm, factor: Poly) -> NormalForm:
     if factor.is_zero:
         return NormalForm.from_dict(nf.relation, {})

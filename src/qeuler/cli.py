@@ -1,7 +1,8 @@
 """Command-line front end: value tables, verification suites, path dumps.
 
 Exit codes: 0 on success, 1 when a verification suite reports an identity
-failure, 2 on usage errors or budget violations.  Data output is byte
+failure, 2 on usage errors or budget violations, including a check that a
+budget refused (reported as REFUSED).  Data output is byte
 deterministic; timing lines are segregated behind a comment marker.
 """
 
@@ -88,7 +89,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_reports(reports))
-    return 0 if all(r.passed for r in reports) else 1
+    statuses = {r.status for r in reports}
+    if "REFUSED" in statuses:
+        return 2
+    return 1 if "FAIL" in statuses else 0
 
 
 def cmd_bijection(args: argparse.Namespace) -> int:

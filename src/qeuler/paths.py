@@ -1,19 +1,20 @@
 """Weighted lattice-path engines and continued-fraction coefficient extraction.
 
-Closed-family sums are computed by transfer recurrences over (position,
-height) with polynomial-valued state; explicit enumeration of the weighted
-paths is kept as an independent oracle for small sizes.  Schroeder flat
-steps span two length units so that "length 2k" matches the t-degree
-accounting of the associated T-fractions.
+One table, FAMILIES, gives each path family's admissible step weights per
+direction and start height.  Path validation, the transfer recurrence behind
+every closed-family sum, and the explicit enumeration oracle for small sizes
+all read it.  Schroeder flat steps span two length units so that "length 2k"
+matches the t-degree accounting of the associated T-fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Iterator
 
 from .errors import check_budget
-from .poly import ONE, Poly, binom_safe, one_minus_q, poly_sum, q_integer
+from .poly import ONE, Poly, binom_safe, poly_sum, q_integer
 
 PATH_BOUND = 8
 
@@ -60,94 +61,91 @@ class Step:
         return self.direction + self.weight.dump()
 
 
-# Per-family step admissibility: family -> (flat unit length, rule).
-# The rule receives (direction, start height, weight) and enforces the
-# family's exponent ceiling for that direction and height.
-def _laguerre_rule(d: str, h: int, w: Weight) -> bool:
-    if w.sign != 1:
-        return False
-    if d == "U":
-        return w.ypow == 1 and w.qpow <= h
-    if d == "D":
-        return w.ypow == 0 and w.qpow <= h - 1
-    return (w.ypow == 1 and w.qpow <= h) or (w.ypow == 0 and w.qpow <= h - 1)
+# -- the family table ---------------------------------------------------------
 
 
-def _large_laguerre_rule(d: str, h: int, w: Weight) -> bool:
-    if w.sign != 1 or w.qpow > h:
-        return False
-    if d == "U":
-        return w.ypow == 1
-    if d == "D":
-        return w.ypow == 0
-    return True
+def _qint(n: int, ypow: int = 0, shift: int = 0) -> tuple[Weight, ...]:
+    """The monomials of y**ypow q**shift [n]: y**ypow q**(shift+i) for i < n."""
+    return tuple(Weight(1, ypow, shift + i) for i in range(n))
 
 
-def _euler_rule(delta: int) -> Callable[[str, int, Weight], bool]:
-    def rule(d: str, h: int, w: Weight) -> bool:
-        if w.sign != 1 or w.ypow != 0 or d == "F":
-            return False
-        return w.qpow <= (h if d == "U" else h - 1 + delta)
-    return rule
+def _signed(qpow: int) -> tuple[Weight, ...]:
+    """A signed-core step: weight 1 or -q**qpow."""
+    return (UNIT_WEIGHT, Weight(-1, 0, qpow))
 
 
-def _touchard_rule(d: str, h: int, w: Weight) -> bool:
-    if w.sign != 1 or w.ypow != 0 or d == "F":
-        return False
-    return w.qpow == 0 if d == "U" else w.qpow <= h - 1
+def _no_steps(h: int) -> tuple[Weight, ...]:
+    return ()
 
 
-def _signed_core_rule(down_shift: int) -> Callable[[str, int, Weight], bool]:
-    # Up steps carry 1 or -q**(h+1); down steps 1 or -q**(h+down_shift).
-    def rule(d: str, h: int, w: Weight) -> bool:
-        if w.ypow != 0 or d == "F":
-            return False
-        if w.sign == 1:
-            return w.qpow == 0
-        return w.qpow == (h + 1 if d == "U" else h + down_shift)
-    return rule
+@dataclass(frozen=True)
+class Family:
+    """One path family: the weights allowed on each step from height h.
+
+    up, down and flat map the start height to the admissible weights, in
+    enumeration order.  Flat steps span flat_length units (2 in the
+    Schroeder families, so that length 2k matches the T-fraction t-degree);
+    paths of a closed family return to height 0.
+    """
+
+    up: Callable[[int], tuple[Weight, ...]]
+    down: Callable[[int], tuple[Weight, ...]]
+    flat: Callable[[int], tuple[Weight, ...]] = _no_steps
+    flat_length: int = 1
+    closed: bool = True
 
 
-def _schroder_rule(core: Callable[[str, int, Weight], bool]) -> Callable[[str, int, Weight], bool]:
-    def rule(d: str, h: int, w: Weight) -> bool:
-        if d == "F":
-            return w == Weight(-1, 0, 0)
-        return core(d, h, w)
-    return rule
+def _euler_dyck(delta: int) -> Family:
+    return Family(up=lambda h: _qint(h + 1), down=lambda h: _qint(h + delta))
 
 
-def _derangement_motzkin_rule(d: str, h: int, w: Weight) -> bool:
-    if w.sign != 1:
-        return False
-    if d == "U":
-        return w.ypow == 1 and w.qpow <= h
-    if d == "D":
-        return w.ypow == 0 and w.qpow <= h - 1
-    # flat choices expand (1 + y q) [h]: plain q**i or y q**(i+1), i < h
-    if w.ypow == 0:
-        return w.qpow <= h - 1
-    return 1 <= w.qpow <= h
+def _signed_core(down_shift: int) -> Family:
+    return Family(up=lambda h: _signed(h + 1), down=lambda h: _signed(h + down_shift))
 
 
-def _left_factor_rule(d: str, h: int, w: Weight) -> bool:
-    return d != "F" and w.is_unit
+def _schroder(core: Family) -> Family:
+    return replace(core, flat=lambda h: (Weight(-1, 0, 0),), flat_length=2)
 
 
-FAMILY_RULES: dict[str, tuple[int, Callable[[str, int, Weight], bool]]] = {
-    "laguerre": (1, _laguerre_rule),
-    "large_laguerre": (1, _large_laguerre_rule),
-    "euler_dyck_0": (1, _euler_rule(0)),
-    "euler_dyck_1": (1, _euler_rule(1)),
-    "touchard_dyck": (1, _touchard_rule),
-    "derangement_motzkin": (1, _derangement_motzkin_rule),
-    "secant_core": (1, _signed_core_rule(0)),
-    "tangent_core": (1, _signed_core_rule(1)),
-    "schroder_secant": (2, _schroder_rule(_signed_core_rule(0))),
-    "schroder_tangent": (2, _schroder_rule(_signed_core_rule(1))),
-    "left_factor": (1, _left_factor_rule),
+# Laguerre histories: up y[h+1], flat [h] + y[h+1], down [h] (Francon-Viennot);
+# the signed cores and their Schroeder forms follow Penaud.
+FAMILIES: dict[str, Family] = {
+    "laguerre": Family(
+        up=lambda h: _qint(h + 1, 1),
+        down=lambda h: _qint(h),
+        flat=lambda h: _qint(h) + _qint(h + 1, 1),
+    ),
+    "large_laguerre": Family(
+        up=lambda h: _qint(h + 1, 1),
+        down=lambda h: _qint(h + 1),
+        flat=lambda h: _qint(h + 1) + _qint(h + 1, 1),
+    ),
+    "euler_dyck_0": _euler_dyck(0),
+    "euler_dyck_1": _euler_dyck(1),
+    "touchard_dyck": Family(up=lambda h: (UNIT_WEIGHT,), down=lambda h: _qint(h)),
+    "derangement_motzkin": Family(
+        up=lambda h: _qint(h + 1, 1),
+        down=lambda h: _qint(h),
+        flat=lambda h: _qint(h) + _qint(h, 1, 1),
+    ),
+    "secant_core": _signed_core(0),
+    "tangent_core": _signed_core(1),
+    "schroder_secant": _schroder(_signed_core(0)),
+    "schroder_tangent": _schroder(_signed_core(1)),
+    "left_factor": Family(up=lambda h: (UNIT_WEIGHT,), down=lambda h: (UNIT_WEIGHT,), closed=False),
 }
 
-_OPEN_FAMILIES = {"left_factor"}
+
+@cache
+def _options(family: str, direction: str, h: int) -> tuple[Weight, ...]:
+    """The weights a step of the family may carry from height h."""
+    fam = FAMILIES[family]
+    return {"U": fam.up, "D": fam.down, "F": fam.flat}[direction](h)
+
+
+@cache
+def _allowed(family: str, direction: str, h: int) -> frozenset[Weight]:
+    return frozenset(_options(family, direction, h))
 
 
 @dataclass(frozen=True)
@@ -156,19 +154,18 @@ class WeightedPath:
     family: str
 
     def validate(self) -> WeightedPath:
-        if self.family not in FAMILY_RULES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown path family {self.family!r}")
-        flat_len, rule = FAMILY_RULES[self.family]
         h = 0
         for s in self.steps:
             if s.start_height != h:
                 raise ValueError(f"inconsistent heights at {s}")
-            if not rule(s.direction, h, s.weight):
+            if s.weight not in _allowed(self.family, s.direction, h):
                 raise ValueError(f"step {s} violates {self.family} weight rule")
             h += _DELTA[s.direction]
             if h < 0:
                 raise ValueError("path dips below height 0")
-        if h != 0 and self.family not in _OPEN_FAMILIES:
+        if h != 0 and FAMILIES[self.family].closed:
             raise ValueError(f"closed family path ends at height {h}")
         return self
 
@@ -179,7 +176,7 @@ class WeightedPath:
     @property
     def length(self) -> int:
         """Length in units; flat steps count double in Schroeder families."""
-        flat_len = FAMILY_RULES[self.family][0]
+        flat_len = FAMILIES[self.family].flat_length
         return sum(flat_len if s.direction == "F" else 1 for s in self.steps)
 
     def weight(self) -> Poly:
@@ -208,25 +205,51 @@ def path_from_steps(family: str, items: list[tuple[str, Weight]]) -> WeightedPat
     return WeightedPath(tuple(steps), family).validate()
 
 
-# -- transfer-recurrence sums -------------------------------------------------
+# -- the transfer sum -----------------------------------------------------------
 
 
-def _dyck_transfer(length: int, up_w: Callable[[int], Poly], down_w: Callable[[int], Poly]) -> Poly:
-    state: dict[int, Poly] = {0: ONE}
-    for pos in range(length):
-        remaining = length - pos
-        new: dict[int, Poly] = {}
-        for h, val in state.items():
-            if h + 1 <= remaining - 1:
-                w = up_w(h)
-                if not w.is_zero:
-                    new[h + 1] = new.get(h + 1, Poly.zero()) + val * w
-            if h >= 1:
-                w = down_w(h)
-                if not w.is_zero:
-                    new[h - 1] = new.get(h - 1, Poly.zero()) + val * w
-        state = new
-    return state.get(0, Poly.zero())
+@cache
+def _step_sums(family: str, direction: str, h: int, restricted: bool) -> tuple[tuple[Poly, bool], ...]:
+    """Summed weights of the steps from height h, as (polynomial, is unit) pairs.
+
+    When restricted, the unit weight is split off from the others so that the
+    transfer can forbid a unit down step right after a unit up step.
+    """
+    opts = _options(family, direction, h)
+    if restricted:
+        parts = [
+            (poly_sum(w.monomial() for w in opts if w.is_unit), True),
+            (poly_sum(w.monomial() for w in opts if not w.is_unit), False),
+        ]
+    else:
+        parts = [(poly_sum(w.monomial() for w in opts), False)]
+    return tuple((p, unit) for p, unit in parts if not p.is_zero)
+
+
+def family_sum(family: str, length: int, restricted: bool = False) -> Poly:
+    """Total weight of the closed paths of a family, length in units.
+
+    Layer u holds the paths of u units keyed by (height, last step was a unit
+    up step).  With restricted=True a unit down step never follows a unit up
+    step (the core-family condition).
+    """
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    flat_length = FAMILIES[family].flat_length
+    layers: list[dict[tuple[int, bool], Poly]] = [{} for _ in range(length + 1)]
+    layers[0][(0, False)] = ONE
+    for u in range(length):
+        for (h, unit_up), val in layers[u].items():
+            for d, nh, ln in (("U", h + 1, 1), ("D", h - 1, 1), ("F", h, flat_length)):
+                if nh < 0 or nh > length - u - ln:
+                    continue
+                layer = layers[u + ln]
+                for w, unit in _step_sums(family, d, h, restricted):
+                    if unit and unit_up and d == "D":
+                        continue
+                    key = (nh, unit and d == "U")
+                    layer[key] = layer.get(key, Poly.zero()) + val * w
+    return layers[length].get((0, False), Poly.zero())
 
 
 def euler_dyck_sum(n: int, delta: int) -> Poly:
@@ -239,100 +262,42 @@ def euler_dyck_sum(n: int, delta: int) -> Poly:
         raise ValueError("delta must be 0 or 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _dyck_transfer(2 * n, lambda h: q_integer(h + 1), lambda h: q_integer(h + delta))
+    return family_sum(f"euler_dyck_{delta}", 2 * n)
 
 
 def touchard_dyck_sum(n: int) -> Poly:
     """Dyck paths of length 2n with unit up steps and down steps q**i, i < h."""
-    return _dyck_transfer(2 * n, lambda h: ONE, lambda h: q_integer(h))
-
-
-def _motzkin_transfer(
-    steps: int,
-    up_w: Callable[[int], Poly],
-    flat_w: Callable[[int], Poly],
-    down_w: Callable[[int], Poly],
-) -> Poly:
-    state: dict[int, Poly] = {0: ONE}
-    for pos in range(steps):
-        remaining = steps - pos
-        new: dict[int, Poly] = {}
-        for h, val in state.items():
-            for nh, w in ((h + 1, up_w(h)), (h, flat_w(h)), (h - 1, down_w(h) if h else Poly.zero())):
-                if 0 <= nh <= remaining - 1 and not w.is_zero:
-                    new[nh] = new.get(nh, Poly.zero()) + val * w
-        state = new
-    return state.get(0, Poly.zero())
+    return family_sum("touchard_dyck", 2 * n)
 
 
 def laguerre_sum(n: int) -> Poly:
     """Total weight of all Laguerre histories of size n (n Motzkin steps)."""
-    y = Poly.var_y()
-    return _motzkin_transfer(
-        n,
-        lambda h: y * q_integer(h + 1),
-        lambda h: y * q_integer(h + 1) + q_integer(h),
-        lambda h: q_integer(h),
-    )
+    return family_sum("laguerre", n)
 
 
 def large_laguerre_sum(n: int) -> Poly:
     """Total weight of large Laguerre histories of size n (n - 1 steps)."""
     if n < 1:
         raise ValueError("large Laguerre histories have size >= 1")
-    y = Poly.var_y()
-    return _motzkin_transfer(
-        n - 1,
-        lambda h: y * q_integer(h + 1),
-        lambda h: (y + ONE) * q_integer(h + 1),
-        lambda h: q_integer(h + 1),
-    )
+    return family_sum("large_laguerre", n - 1)
 
 
 def derangement_motzkin_sum(n: int) -> Poly:
     """Motzkin paths of length n with up y[h+1], flat (1+yq)[h], down [h]."""
-    y = Poly.var_y()
-    yq1 = ONE + Poly.monomial(1, 1, 1)
-    return _motzkin_transfer(
-        n,
-        lambda h: y * q_integer(h + 1),
-        lambda h: yq1 * q_integer(h),
-        lambda h: q_integer(h),
-    )
-
-
-def _restricted_signed_sum(k: int, down_shift: int, bound: int | None) -> Poly:
-    """Signed Dyck paths of length 2k, no up-down pair both weighted 1.
-
-    Up steps from height h weigh 1 or -q**(h+1); down steps 1 or
-    -q**(h+down_shift).  State tracks whether the previous step was an up
-    step with weight 1, which forbids a following unit-weight down step.
-    """
-    check_budget(k, PATH_BOUND if bound is None else bound, "k")
-    state: dict[tuple[int, bool], Poly] = {(0, False): ONE}
-    for pos in range(2 * k):
-        new: dict[tuple[int, bool], Poly] = {}
-        def put(key: tuple[int, bool], val: Poly) -> None:
-            new[key] = new.get(key, Poly.zero()) + val
-        for (h, unit_up), val in state.items():
-            put((h + 1, True), val)
-            put((h + 1, False), val * Poly.monomial(-1, 0, h + 1))
-            if h >= 1:
-                if not unit_up:
-                    put((h - 1, False), val)
-                put((h - 1, False), val * Poly.monomial(-1, 0, h + down_shift))
-        state = new
-    return state.get((0, False), Poly.zero())
+    return family_sum("derangement_motzkin", n)
 
 
 def secant_core_path_sum(k: int, bound: int | None = None) -> Poly:
-    """Restricted signed Dyck sum with down weights 1 or -q**h."""
-    return _restricted_signed_sum(k, 0, bound)
+    """Signed Dyck paths of length 2k, up 1 or -q**(h+1), down 1 or -q**h,
+    with no unit up step followed by a unit down step."""
+    check_budget(k, PATH_BOUND if bound is None else bound, "k")
+    return family_sum("secant_core", 2 * k, restricted=True)
 
 
 def tangent_core_path_sum(k: int, bound: int | None = None) -> Poly:
-    """Restricted signed Dyck sum with down weights 1 or -q**(h+1)."""
-    return _restricted_signed_sum(k, 1, bound)
+    """As secant_core_path_sum with down weights 1 or -q**(h+1)."""
+    check_budget(k, PATH_BOUND if bound is None else bound, "k")
+    return family_sum("tangent_core", 2 * k, restricted=True)
 
 
 def schroder_signed_sum(k: int, variant: str, bound: int | None = None) -> Poly:
@@ -340,20 +305,7 @@ def schroder_signed_sum(k: int, variant: str, bound: int | None = None) -> Poly:
     if variant not in ("secant", "tangent"):
         raise ValueError("variant must be 'secant' or 'tangent'")
     check_budget(k, PATH_BOUND if bound is None else bound, "k")
-    down_shift = 0 if variant == "secant" else 1
-    units = 2 * k
-    layers: list[dict[int, Poly]] = [dict() for _ in range(units + 1)]
-    layers[0][0] = ONE
-    for u in range(units):
-        for h, val in layers[u].items():
-            def put(layer: int, nh: int, w: Poly) -> None:
-                layers[layer][nh] = layers[layer].get(nh, Poly.zero()) + val * w
-            put(u + 1, h + 1, ONE - Poly.var_q(h + 1))
-            if h >= 1:
-                put(u + 1, h - 1, ONE - Poly.var_q(h + down_shift))
-            if u + 2 <= units:
-                put(u + 2, h, Poly.const(-1))
-    return layers[units].get(0, Poly.zero())
+    return family_sum(f"schroder_{variant}", 2 * k)
 
 
 # -- continued fractions -------------------------------------------------------
@@ -461,41 +413,25 @@ def enumerate_dyck_shapes(length: int, final_height: int = 0) -> Iterator[str]:
     yield from rec([], 0, length)
 
 
-def _weight_options(family: str, direction: str, h: int) -> list[Weight]:
-    opts: list[Weight] = []
-    flat_len, rule = FAMILY_RULES[family]
-    if direction == "F" and flat_len == 2:
-        cand = [Weight(-1, 0, 0)]
-    else:
-        cand = [
-            Weight(sign, ypow, qpow)
-            for sign in (1, -1)
-            for ypow in (0, 1)
-            for qpow in range(0, h + 2)
-        ]
-    return [w for w in cand if rule(direction, h, w)]
-
-
 def enumerate_family(family: str, length: int, restricted: bool = False) -> Iterator[WeightedPath]:
     """Materialize every weighted path of a closed family, length in units.
 
     With restricted=True, paths containing an up-down pair of consecutive
     steps both weighted 1 are skipped (the core-family condition).
     """
-    flat_len = FAMILY_RULES[family][0]
-    directions = "UDF" if family.startswith(("laguerre", "large", "derangement", "schroder")) else "UD"
+    flat_len = FAMILIES[family].flat_length
 
     def rec(acc: list[tuple[str, Weight]], h: int, rem: int) -> Iterator[list[tuple[str, Weight]]]:
         if rem == 0:
             if h == 0:
                 yield list(acc)
             return
-        for d in directions:
+        for d in "UDF":
             ln = flat_len if d == "F" else 1
             nh = h + _DELTA[d]
             if ln > rem or nh < 0 or nh > rem - ln:
                 continue
-            for w in _weight_options(family, d, h):
+            for w in _options(family, d, h):
                 if (
                     restricted
                     and d == "D"
@@ -506,7 +442,7 @@ def enumerate_family(family: str, length: int, restricted: bool = False) -> Iter
                 ):
                     continue
                 acc.append((d, w))
-                yield from rec(acc, h + _DELTA[d], rem - ln)
+                yield from rec(acc, nh, rem - ln)
                 acc.pop()
 
     for items in rec([], 0, length):

@@ -202,10 +202,6 @@ def derangements(n: int) -> Iterator[tuple[int, ...]]:
     return (p for p in all_permutations(n) if is_derangement(p))
 
 
-def alternating_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    return (p for p in all_permutations(n) if is_alternating(p))
-
-
 def fpf_involutions(n: int) -> Iterator[tuple[int, ...]]:
     """Fixed-point-free involutions of {1..n}; empty for odd n."""
     if n % 2:

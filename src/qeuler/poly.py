@@ -172,12 +172,6 @@ class Poly:
         """The q-polynomial multiplying y**k."""
         return Poly({(0, qe): c for (ye, qe), c in self._terms.items() if ye == k})
 
-    def y_exponents(self) -> list[int]:
-        return sorted({ye for ye, _ in self._terms})
-
-    def q_exponents(self) -> list[int]:
-        return sorted({qe for _, qe in self._terms})
-
     def substitute_y(self, sign: int, qexp: int = 0) -> Poly:
         """Replace y by the signed monomial sign*q**qexp (sign is +1 or -1)."""
         if sign not in (1, -1):

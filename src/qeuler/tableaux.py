@@ -36,10 +36,6 @@ class Shape:
     def cols(self) -> int:
         return self.rows[0] if self.rows else 0
 
-    @property
-    def half_perimeter(self) -> int:
-        return len(self.rows) + self.cols
-
     def column_heights(self) -> tuple[int, ...]:
         return tuple(sum(1 for r in self.rows if r >= j + 1) for j in range(self.cols))
 

@@ -22,6 +22,7 @@ from . import closedforms as cf
 from . import paths as pa
 from . import permutations as pm
 from . import tableaux as tb
+from .errors import BudgetExceededError
 from .poly import ONE, Poly, binom_safe, one_minus_q, poly_sum
 
 SUITES = (
@@ -82,7 +83,7 @@ class Check:
 class CheckResult:
     suite: str
     check_id: str
-    passed: bool
+    status: str  # "PASS", "FAIL", or "REFUSED" when a budget refused the work
     detail: str
     elapsed: float
 
@@ -93,12 +94,13 @@ class SuiteReport:
     checks: list[CheckResult] = field(default_factory=list)
 
     @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def _euler_number(n: int) -> Poly:
-    return cf.q_tangent_closed(n // 2) if n % 2 else cf.q_secant_closed(n // 2)
+    def status(self) -> str:
+        """FAIL if any check failed, else REFUSED if any was refused, else PASS."""
+        statuses = {c.status for c in self.checks}
+        for status in ("FAIL", "REFUSED"):
+            if status in statuses:
+                return status
+        return "PASS"
 
 
 # -- individual checks (top-level and picklable) --------------------------------
@@ -124,7 +126,7 @@ def _chk_signed_wex_sum(n: int) -> tuple[bool, str]:
     if n % 2 == 0:
         ok = value.is_zero
         return ok, "vanishes" if ok else f"got {value}"
-    expect = Poly.const((-1) ** ((n + 1) // 2)) * _euler_number(n)
+    expect = Poly.const((-1) ** ((n + 1) // 2)) * cf.q_euler_closed(n)
     ok = value == expect
     return ok, "matches q-tangent value" if ok else f"got {value}, want {expect}"
 
@@ -144,7 +146,7 @@ def _chk_reduced_path_sum(n: int) -> tuple[bool, str]:
     if n % 2 == 0:
         ok = value.is_zero
         return ok, "vanishes" if ok else f"got {value}"
-    expect = Poly.const((-1) ** ((n - 1) // 2)) * _euler_number(n)
+    expect = Poly.const((-1) ** ((n - 1) // 2)) * cf.q_euler_closed(n)
     ok = value == expect
     return ok, "matches q-tangent value" if ok else f"got {value}, want {expect}"
 
@@ -156,7 +158,7 @@ def _chk_signed_derangement_sum(n: int) -> tuple[bool, str]:
         ok = value.is_zero
         return ok, "vanishes" if ok else f"got {value}"
     half = n // 2
-    expect = Poly.monomial((-1) ** half, 0, -half) * _euler_number(n)
+    expect = Poly.monomial((-1) ** half, 0, -half) * cf.q_euler_closed(n)
     ok = value == expect
     return ok, "matches q-secant value" if ok else f"got {value}, want {expect}"
 
@@ -420,7 +422,7 @@ def _chk_rearrangement(n: int) -> tuple[bool, str]:
 
 def _chk_parity_free(n: int) -> tuple[bool, str]:
     value = cf.parity_free_euler_closed(n)  # raises if odd s-powers survive
-    if value != _euler_number(n):
+    if value != cf.q_euler_closed(n):
         return False, "formula value differs from E_n"
     if n >= 1:
         if n % 2 == 0 and not cf.parity_free_wex_sum(n).is_zero:
@@ -549,21 +551,28 @@ def run_check(check: Check) -> CheckResult:
     start = time.perf_counter()
     try:
         passed, detail = _CHECK_FUNCS[check.func](**check.kwargs)
+        status = "PASS" if passed else "FAIL"
+    except BudgetExceededError as exc:  # a refusal is not an identity failure
+        status, detail = "REFUSED", f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # identity errors are data, not crashes
-        passed, detail = False, f"{type(exc).__name__}: {exc}"
-    return CheckResult(check.suite, check.check_id, passed, detail, time.perf_counter() - start)
+        status, detail = "FAIL", f"{type(exc).__name__}: {exc}"
+    return CheckResult(check.suite, check.check_id, status, detail, time.perf_counter() - start)
 
 
 def run_suites(
     suites: list[str], n_max: int | None = None, seed: int = 0, jobs: int = 1
 ) -> list[SuiteReport]:
+    """Run the suites' checks; jobs is clamped to the CPU and check counts."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     all_checks: list[Check] = []
     for s in suites:
         all_checks.extend(build_suite(s, n_max, seed))
-    if jobs > 1:
+    workers = min(jobs, os.cpu_count() or 1, len(all_checks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_check, all_checks))
     else:
         results = [run_check(c) for c in all_checks]
@@ -578,10 +587,8 @@ def render_reports(reports: list[SuiteReport]) -> str:
     lines: list[str] = []
     for rep in reports:
         for c in rep.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"{rep.suite:<9} {c.check_id:<42} {status}  {c.detail}")
-        status = "PASS" if rep.passed else "FAIL"
-        lines.append(f"{rep.suite:<9} {'suite result':<42} {status}  {len(rep.checks)} checks")
+            lines.append(f"{rep.suite:<9} {c.check_id:<42} {c.status}  {c.detail}")
+        lines.append(f"{rep.suite:<9} {'suite result':<42} {rep.status}  {len(rep.checks)} checks")
     lines.append("# timing (informational, excluded from determinism guarantees)")
     total = 0.0
     for rep in reports:

@@ -153,3 +153,47 @@ def test_verify_exit_code_on_identity_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "section6", "--n-max", "2")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_budget_refusal_exits_2(capsys):
+    code, out, _ = run_cli(capsys, "verify", "tableaux", "--n-max", "8")
+    assert code == 2
+    refused = [l for l in out.splitlines() if "REFUSED" in l]
+    assert any("n=8 exceeds bound 7" in l for l in refused)
+    assert "tableaux  suite result" in refused[-1]
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_is_usage_error(capsys, jobs):
+    code, out, err = run_cli(capsys, "verify", "th1", "--jobs", jobs)
+    assert code == 2 and out == "" and "--jobs" in err
+
+
+def test_verify_jobs_clamped(capsys, monkeypatch):
+    import concurrent.futures
+    import os
+
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, _, _ = run_cli(capsys, "verify", "section6", "--n-max", "3", "--jobs", "1000")
+    assert code == 0 and workers == [3]  # CPU count caps the request
+    code, _, _ = run_cli(capsys, "verify", "section6", "--n-max", "1", "--jobs", "1000")
+    assert code == 0 and workers == [3, 2]  # so does the number of checks
+    code, _, _ = run_cli(capsys, "verify", "section6", "--n-max", "0", "--jobs", "1000")
+    assert code == 0 and workers == [3, 2]  # one check runs in-process

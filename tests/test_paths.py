@@ -6,6 +6,7 @@ import pytest
 
 from qeuler.errors import BudgetExceededError
 from qeuler.paths import (
+    FAMILIES,
     CFSpec,
     UNIT_WEIGHT,
     Weight,
@@ -36,7 +37,7 @@ from qeuler.permutations import (
     q_derangement_poly,
     q_eulerian_poly,
 )
-from qeuler.poly import ONE, Poly, Q, Y, poly_sum
+from qeuler.poly import ONE, Poly, Q, Y, poly_sum, q_integer
 
 
 def test_euler_dyck_values():
@@ -146,6 +147,36 @@ def test_enumeration_oracle_matches_transfer():
         assert family_sum_by_enumeration("schroder_tangent", 2 * k) == tangent_core_path_sum(k)
 
 
+def test_family_table_step_sums():
+    """Each family's options sum to its q-integer step weight (heights 0..6)."""
+    def summed(family, direction, h):
+        fam = FAMILIES[family]
+        options = {"U": fam.up, "D": fam.down, "F": fam.flat}[direction](h)
+        return poly_sum(w.monomial() for w in options)
+
+    zero, qi = Poly.zero(), q_integer
+    for h in range(7):
+        core_up = ONE - Q ** (h + 1)
+        expected = {
+            "laguerre": (Y * qi(h + 1), qi(h), Y * qi(h + 1) + qi(h)),
+            "large_laguerre": (Y * qi(h + 1), qi(h + 1), (ONE + Y) * qi(h + 1)),
+            "derangement_motzkin": (Y * qi(h + 1), qi(h), (ONE + Y * Q) * qi(h)),
+            "euler_dyck_0": (qi(h + 1), qi(h), zero),
+            "euler_dyck_1": (qi(h + 1), qi(h + 1), zero),
+            "touchard_dyck": (ONE, qi(h), zero),
+            "secant_core": (core_up, ONE - Q**h, zero),
+            "tangent_core": (core_up, ONE - Q ** (h + 1), zero),
+            "schroder_secant": (core_up, ONE - Q**h, -ONE),
+            "schroder_tangent": (core_up, ONE - Q ** (h + 1), -ONE),
+            "left_factor": (ONE, ONE, zero),
+        }
+        assert set(expected) == set(FAMILIES)
+        for family, sums in expected.items():
+            assert tuple(summed(family, d, h) for d in "UDF") == sums, (family, h)
+    assert {f for f, fam in FAMILIES.items() if fam.flat_length == 2} == {"schroder_secant", "schroder_tangent"}
+    assert {f for f, fam in FAMILIES.items() if not fam.closed} == {"left_factor"}
+
+
 def test_path_validation_and_dump():
     p = path_from_steps("laguerre", [("U", Weight(1, 1, 0)), ("D", Weight(1, 0, 0))])
     assert p.dump() == "U[+1,1,0] D[+1,0,0]"
@@ -156,6 +187,17 @@ def test_path_validation_and_dump():
         path_from_steps("laguerre", [("U", Weight(1, 1, 0)), ("D", Weight(1, 0, 1))])
     with pytest.raises(ValueError):  # closed family must end at zero
         path_from_steps("laguerre", [("U", Weight(1, 1, 0))])
+    # tangent down steps from height 2 carry q**i for i <= 2
+    dyck = [("U", UNIT_WEIGHT), ("U", Weight(1, 0, 1)), ("D", Weight(1, 0, 2)), ("D", UNIT_WEIGHT)]
+    assert path_from_steps("euler_dyck_1", dyck).weight() == Q**3
+    dyck[2] = ("D", Weight(1, 0, 3))
+    with pytest.raises(ValueError):
+        path_from_steps("euler_dyck_1", dyck)
+    with pytest.raises(ValueError):  # a signed secant core step is 1 or -q**(h+1), never +q
+        path_from_steps("secant_core", [("U", Weight(1, 0, 1)), ("D", UNIT_WEIGHT)])
+    with pytest.raises(ValueError):  # Schroeder flat steps weigh exactly -1
+        path_from_steps("schroder_tangent", [("F", UNIT_WEIGHT)])
+    assert path_from_steps("schroder_tangent", [("F", Weight(-1, 0, 0))]).length == 2
 
 
 def test_penaud_examples():
