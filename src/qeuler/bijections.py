@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .paths import Step, Weight, WeightedPath, path_from_steps
+from .paths import UNIT_WEIGHT, Weight, WeightedPath, path_from_steps, step_weight
 from .permutations import Permutation, ascents, pattern_31_2, _images
 from .poly import Poly
 
@@ -54,7 +54,7 @@ def francon_viennot(p: Sequence[int] | Permutation) -> FVImage:
             direction = "F"
         delta = 1 if k < after else 0
         exp = sum(1 for u in range(1, j - 1) if t[u - 1] > k > t[u])
-        items.append((direction, Weight(1, delta, exp)))
+        items.append((direction, step_weight(1, delta, exp)))
     path = path_from_steps("laguerre", items)
     if path.weight() != Poly.monomial(1, ascents(t), pattern_31_2(t)):
         raise AssertionError(f"weight property failed for {t}")
@@ -86,9 +86,9 @@ def lifted_francon_viennot(p: Sequence[int] | Permutation) -> tuple[FVImage, Wei
     full = francon_viennot(lift_append_one(t))
     steps = full.path.steps
     first, last = steps[0], steps[-1]
-    if first.direction != "U" or first.weight != Weight(1, 1, 0):
+    if first.direction != "U" or first.weight != step_weight(1, 1, 0):
         raise AssertionError("lifted image must open with an up step of weight y")
-    if last.direction != "D" or last.weight != Weight(1, 0, 0):
+    if last.direction != "D" or last.weight != UNIT_WEIGHT:
         raise AssertionError("lifted image must close with a down step of weight 1")
     reduced = path_from_steps(
         "large_laguerre", [(s.direction, s.weight) for s in steps[1:-1]]
@@ -102,11 +102,12 @@ def saturated_step_free(p: Sequence[int] | Permutation) -> bool:
     This path condition characterizes the permutations whose last position
     holds the value 1.
     """
-    image = francon_viennot(p)
-    for s in image.path.steps[1:]:
-        if s.weight.ypow == 1 and s.weight.qpow == s.start_height:
-            return False
-    return True
+    return path_saturated_step_free(francon_viennot(p).path)
+
+
+def path_saturated_step_free(path: WeightedPath) -> bool:
+    """The step test of saturated_step_free on an already encoded path."""
+    return not any(s.weight.ypow == 1 and s.weight.qpow == s.start_height for s in path.steps[1:])
 
 
 def returns_to_zero_early(path: WeightedPath) -> bool:

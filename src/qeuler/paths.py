@@ -21,7 +21,7 @@ PATH_BOUND = 8
 _DELTA = {"U": 1, "D": -1, "F": 0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weight:
     """A monomial step weight: sign * y**ypow * q**qpow."""
 
@@ -44,10 +44,14 @@ class Weight:
         return f"[{self.sign:+d},{self.ypow},{self.qpow}]"
 
 
-UNIT_WEIGHT = Weight(1, 0, 0)
+# The interning constructor: every weight of the family table and of the
+# Francon-Viennot encoding is built here, so validation finds it by identity.
+step_weight = cache(Weight)
+
+UNIT_WEIGHT = step_weight(1, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     direction: str  # "U", "D", or "F"
     start_height: int
@@ -66,12 +70,12 @@ class Step:
 
 def _qint(n: int, ypow: int = 0, shift: int = 0) -> tuple[Weight, ...]:
     """The monomials of y**ypow q**shift [n]: y**ypow q**(shift+i) for i < n."""
-    return tuple(Weight(1, ypow, shift + i) for i in range(n))
+    return tuple(step_weight(1, ypow, shift + i) for i in range(n))
 
 
 def _signed(qpow: int) -> tuple[Weight, ...]:
     """A signed-core step: weight 1 or -q**qpow."""
-    return (UNIT_WEIGHT, Weight(-1, 0, qpow))
+    return (UNIT_WEIGHT, step_weight(-1, 0, qpow))
 
 
 def _no_steps(h: int) -> tuple[Weight, ...]:
@@ -104,7 +108,7 @@ def _signed_core(down_shift: int) -> Family:
 
 
 def _schroder(core: Family) -> Family:
-    return replace(core, flat=lambda h: (Weight(-1, 0, 0),), flat_length=2)
+    return replace(core, flat=lambda h: (step_weight(-1, 0, 0),), flat_length=2)
 
 
 # Laguerre histories: up y[h+1], flat [h] + y[h+1], down [h] (Francon-Viennot);
@@ -180,10 +184,14 @@ class WeightedPath:
         return sum(flat_len if s.direction == "F" else 1 for s in self.steps)
 
     def weight(self) -> Poly:
-        w = ONE
+        """The product of the step monomials, by adding their exponents."""
+        sign, ypow, qpow = 1, 0, 0
         for s in self.steps:
-            w = w * s.weight.monomial()
-        return w
+            w = s.weight
+            sign *= w.sign
+            ypow += w.ypow
+            qpow += w.qpow
+        return Poly.monomial(sign, ypow, qpow)
 
     def shape(self) -> str:
         return "".join(s.direction for s in self.steps)

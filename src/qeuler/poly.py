@@ -25,7 +25,7 @@ class Poly:
 
     def __init__(self, terms: Mapping[_TermKey, int] | Iterable[tuple[_TermKey, int]] = ()):
         data: dict[_TermKey, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if hasattr(terms, "items") else terms
         for (ye, qe), c in items:
             if c:
                 k = (ye, qe)

@@ -12,6 +12,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations as _itperms
 from itertools import product
 from typing import Callable
@@ -56,7 +57,10 @@ BUDGET_ENV_VAR = "QEULER_BUDGET_OVERRIDE"
 
 
 def budget_for(suite: str, override: int | None = None) -> int:
-    """Default budget, then the environment variable, then the explicit flag."""
+    """Default budget, then the environment variable, then the explicit flag.
+
+    A negative bound is a usage error (ValueError), whichever source set it.
+    """
     value = DEFAULT_BUDGETS[suite]
     raw = os.environ.get(BUDGET_ENV_VAR, "")
     for pair in raw.replace(",", " ").split():
@@ -68,6 +72,8 @@ def budget_for(suite: str, override: int | None = None) -> int:
                 raise ValueError(f"bad {BUDGET_ENV_VAR} entry: {pair!r}") from None
     if override is not None:
         value = override
+    if value < 0:
+        raise ValueError(f"the bound of suite {suite} must be nonnegative, got {value}")
     return value
 
 
@@ -351,7 +357,7 @@ def _chk_bijection_size(n: int) -> tuple[bool, str]:
         if key in seen:
             return False, f"image collision at {p}"
         seen.add(key)
-        if bj.saturated_step_free(p) != (p[-1] == 1):
+        if bj.path_saturated_step_free(image.path) != (p[-1] == 1):
             return False, f"path criterion mismatch at {p}"
         if p[-1] == 1 and n > 1 and bj.returns_to_zero_early(image.path):
             return False, f"early return to zero at {p}"
@@ -384,6 +390,12 @@ def _chk_core_sums(k: int) -> tuple[bool, str]:
     return ok, "closed = paths = Schroeder = T-fraction" if ok else "routes disagree"
 
 
+@cache
+def _restricted_core_count(family: str, length: int) -> int:
+    """Number of restricted core paths of a family; every Penaud check reuses it."""
+    return sum(1 for _ in pa.enumerate_family(family, length, restricted=True))
+
+
 def _chk_penaud(n: int) -> tuple[bool, str]:
     for family in ("secant_core", "tangent_core"):
         pairs = set()
@@ -398,8 +410,7 @@ def _chk_penaud(n: int) -> tuple[bool, str]:
             pairs.add(key)
             count += 1
         expected = sum(
-            pa.left_factor_count(2 * n, 2 * k)
-            * sum(1 for _ in pa.enumerate_family(family, 2 * k, restricted=True))
+            pa.left_factor_count(2 * n, 2 * k) * _restricted_core_count(family, 2 * k)
             for k in range(n + 1)
         )
         if count != expected:
@@ -594,6 +605,8 @@ def render_reports(reports: list[SuiteReport]) -> str:
     for rep in reports:
         suite_time = sum(c.elapsed for c in rep.checks)
         total += suite_time
-        lines.append(f"# {rep.suite}: {suite_time:.2f}s")
+        slowest = max(rep.checks, key=lambda c: c.elapsed, default=None)
+        worst = f" (slowest {slowest.check_id} {slowest.elapsed:.2f}s)" if slowest else ""
+        lines.append(f"# {rep.suite}: {suite_time:.2f}s{worst}")
     lines.append(f"# total: {total:.2f}s")
     return "\n".join(lines)

@@ -9,10 +9,11 @@ from qeuler.bijections import (
     francon_viennot,
     lift_append_one,
     lifted_francon_viennot,
+    path_saturated_step_free,
     returns_to_zero_early,
     saturated_step_free,
 )
-from qeuler.paths import euler_dyck_sum, laguerre_sum
+from qeuler.paths import euler_dyck_sum, laguerre_sum, step_weight
 from qeuler.permutations import ascents, is_alternating, pattern_31_2
 from qeuler.poly import Poly, poly_sum
 
@@ -77,8 +78,28 @@ def test_saturated_step_criterion():
     for n in range(1, 7):
         for p in itperms(range(1, n + 1)):
             assert saturated_step_free(p) == (p[-1] == 1)
+            assert path_saturated_step_free(francon_viennot(p).path) == (p[-1] == 1)
             if n > 1 and p[-1] == 1:
                 assert not returns_to_zero_early(francon_viennot(p).path)
+
+
+def test_encoding_multiplies_no_polynomials(monkeypatch):
+    """The weight check of a size-8 encoding adds exponents; it makes no Poly product."""
+    calls = []
+    original = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    monkeypatch.setattr(Poly, "__rmul__", counting)
+    p = (4, 8, 3, 7, 1, 2, 6, 5)
+    image = francon_viennot(p)
+    assert image.path.weight() == Poly.monomial(1, ascents(p), pattern_31_2(p))
+    assert calls == []
+    for s in image.path.steps:
+        assert s.weight is step_weight(s.weight.sign, s.weight.ypow, s.weight.qpow)
 
 
 def test_alternating_characterizations():

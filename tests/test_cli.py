@@ -1,6 +1,7 @@
 """Command-line behavior: formats, determinism, exit codes, budgets."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -115,6 +116,8 @@ def test_verify_report_data_is_deterministic(capsys):
     data2 = [l for l in out2.splitlines() if not l.startswith("#")]
     assert data1 == data2
     assert any(l.startswith("# timing") for l in out1.splitlines())
+    suite_line = re.compile(r"# section6: \d+\.\d\ds \(slowest parity_free/n=[0-4] \d+\.\d\ds\)")
+    assert sum(1 for l in out1.splitlines() if suite_line.fullmatch(l)) == 1
 
 
 def test_verify_jobs(capsys):
@@ -132,6 +135,21 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("QEULER_BUDGET_OVERRIDE", "th1=x")
     with pytest.raises(ValueError):
         budget_for("th1")
+
+
+@pytest.mark.parametrize("argv", [("th1", "--n-max", "-1"), ("section5", "--n-max", "-2")])
+def test_verify_negative_bound_flag_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == "" and "nonnegative" in err
+
+
+def test_verify_negative_bound_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QEULER_BUDGET_OVERRIDE", "th1=-1")
+    with pytest.raises(ValueError):
+        budget_for("th1")
+    assert budget_for("th2") == 9
+    code, out, err = run_cli(capsys, "verify", "th1")
+    assert code == 2 and out == "" and "nonnegative" in err
 
 
 def test_console_script_entry_point():

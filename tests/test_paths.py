@@ -25,6 +25,7 @@ from qeuler.paths import (
     schroder_signed_sum,
     secant_core_cf_spec,
     secant_core_path_sum,
+    step_weight,
     tangent_cf_spec,
     secant_cf_spec,
     tangent_core_cf_spec,
@@ -175,6 +176,31 @@ def test_family_table_step_sums():
             assert tuple(summed(family, d, h) for d in "UDF") == sums, (family, h)
     assert {f for f, fam in FAMILIES.items() if fam.flat_length == 2} == {"schroder_secant", "schroder_tangent"}
     assert {f for f, fam in FAMILIES.items() if not fam.closed} == {"left_factor"}
+
+
+def test_path_weight_is_product_of_step_monomials():
+    """weight() adds exponents; a plain Poly product of the step monomials is the oracle."""
+    for family, fam in FAMILIES.items():
+        if not fam.closed:
+            continue
+        for length in range(7):  # length 0 yields the empty path
+            for restricted in (False, True) if family.endswith("_core") else (False,):
+                for path in enumerate_family(family, length, restricted):
+                    product = ONE
+                    for s in path.steps:
+                        product = product * s.weight.monomial()
+                    assert path.weight() == product, (family, path.dump())
+    assert WeightedPath((), "laguerre").weight() == ONE
+
+
+def test_step_weights_are_interned():
+    assert step_weight(1, 0, 0) is UNIT_WEIGHT and step_weight(1, 0, 0) == Weight()
+    for family, fam in FAMILIES.items():
+        for h in range(5):
+            for w in fam.up(h) + fam.down(h) + fam.flat(h):
+                assert w is step_weight(w.sign, w.ypow, w.qpow), (family, h, w)
+    with pytest.raises(ValueError):
+        step_weight(1, 2, 0)
 
 
 def test_path_validation_and_dump():

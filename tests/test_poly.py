@@ -2,6 +2,8 @@
 
 import json
 import random
+import types
+from collections import Counter
 
 import pytest
 
@@ -75,6 +77,18 @@ def test_canonical_form_idempotent_and_duplicate_folding():
         keys = [(ye, qe) for ye, qe, _ in p.terms()]
         assert keys == sorted(keys) and len(keys) == len(set(keys))
         assert again == p
+
+
+def test_construction_from_any_mapping_or_pairs():
+    pairs = [((0, 0), 2), ((1, -1), 3), ((0, 0), -2), ((2, 1), 0), ((1, -1), 1)]
+    folded = {(1, -1): 4}
+    expected = ((1, -1, 4),)
+    assert Poly(pairs).terms() == expected
+    assert Poly(folded).terms() == expected
+    assert Poly(Counter({(1, -1): 4, (0, 0): 0})).terms() == expected
+    assert Poly(types.MappingProxyType(folded)).terms() == expected
+    assert Poly(iter(pairs)).terms() == expected
+    assert Poly().is_zero and Poly({}).is_zero and Poly(Counter()).is_zero
 
 
 def test_ring_axioms_on_random_triples():
