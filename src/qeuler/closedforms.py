@@ -225,17 +225,6 @@ def alternating_binom_convolution_closed(n: int, k: int) -> int:
     return (-1) ** (n + i) * binom_safe(2 * n + 1, n - i)
 
 
-def g_sum(n: int, k: int) -> int:
-    """The direct alternating sum, asserted against its evaluated form."""
-    if not 0 <= k <= 2 * n + 1:
-        raise ValueError("need 0 <= k <= 2n+1")
-    direct = alternating_binom_convolution(n, k)
-    closed = alternating_binom_convolution_closed(n, k)
-    if direct != closed:
-        raise ArithmeticError(f"binomial-sum evaluation mismatch at (n={n}, k={k})")
-    return direct
-
-
 # -- the parity-independent formula -------------------------------------------------
 
 

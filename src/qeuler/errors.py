@@ -6,7 +6,8 @@ class QEulerError(Exception):
 
 
 class BudgetExceededError(QEulerError):
-    """An exhaustive computation was requested above its configured bound."""
+    """A computation was requested outside its bounds: above what it may enumerate,
+    or below the least size that can witness what it checks."""
 
 
 class NotDivisibleError(QEulerError, ArithmeticError):

@@ -172,30 +172,11 @@ def is_fpf_involution(p: Sequence[int] | Permutation) -> bool:
     return all(v != i + 1 and t[v - 1] == i + 1 for i, v in enumerate(t))
 
 
-@dataclass(frozen=True)
-class ClassFlags:
-    is_alternating: bool
-    is_derangement: bool
-    is_fpf_involution: bool
-
-
-def classify(p: Sequence[int] | Permutation) -> ClassFlags:
-    t = _images(p)
-    return ClassFlags(is_alternating(t), is_derangement(t), is_fpf_involution(t))
-
-
 # -- generators -------------------------------------------------------------
 
 
 def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
     return _itperms(range(1, n + 1))
-
-
-def permutations_with_first(n: int, first: int) -> Iterator[tuple[int, ...]]:
-    """The block {sigma : sigma(1) = first}; used to partition enumerations."""
-    rest = [v for v in range(1, n + 1) if v != first]
-    for tail in _itperms(rest):
-        yield (first, *tail)
 
 
 def derangements(n: int) -> Iterator[tuple[int, ...]]:
@@ -343,25 +324,3 @@ def inversion_check(n: int, bound: int | None = None) -> bool:
         for k in range(n + 1)
     )
     return lhs_a == a_n and lhs_b == b_n
-
-
-def q_eulerian_poly_partitioned(n: int, parts: int, bound: int | None = None) -> Poly:
-    """q_eulerian_poly computed over groups of first-image-value blocks, then summed.
-
-    The enumeration space is split by sigma(1); blocks are assigned to the
-    requested number of groups round-robin.  The reduction is additive and
-    order-independent, so the result is bit-identical for every parts value.
-    """
-    check_budget(n, DEFAULT_BOUND if bound is None else bound, "n")
-    if parts < 1:
-        raise ValueError("parts must be positive")
-    if n == 0:
-        return Poly.one()
-    group_polys: list[Poly] = []
-    for g in range(parts):
-        counts: Counter = Counter()
-        for first in range(g + 1, n + 1, parts):
-            for p in permutations_with_first(n, first):
-                counts[(weak_exceedances(p), crossings(p))] += 1
-        group_polys.append(_counts_to_poly(counts))
-    return poly_sum(group_polys)

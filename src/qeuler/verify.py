@@ -2,8 +2,11 @@
 
 Each suite bundles the cross-checks of one part of the library into a list
 of independent named checks; checks are pure and picklable so the runner
-may execute them in worker processes.  Report ordering follows declaration
-order (suite, then index), never completion order.
+may execute them in worker processes.  One table, PLAN, declares every
+suite's default bound and its index loops, with the caps and floors that
+override the bound; the report states those that bind.  Report ordering
+follows declaration order (suite, then row, then index), never completion
+order.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations as _itperms
 from itertools import product
-from typing import Callable
+from typing import NamedTuple
 
 from . import ansatz as az
 from . import bijections as bj
@@ -25,56 +28,6 @@ from . import permutations as pm
 from . import tableaux as tb
 from .errors import BudgetExceededError
 from .poly import ONE, Poly, binom_safe, one_minus_q, poly_sum
-
-SUITES = (
-    "th1",
-    "th2",
-    "th3",
-    "th4",
-    "tableaux",
-    "paths",
-    "ansatz",
-    "bijection",
-    "section5",
-    "section6",
-)
-
-# Default bounds keep a full run of every suite below ten desktop minutes.
-DEFAULT_BUDGETS = {
-    "th1": 9,
-    "th2": 9,
-    "th3": 10,
-    "th4": 12,
-    "tableaux": 7,
-    "paths": 9,
-    "ansatz": 12,
-    "bijection": 7,
-    "section5": 8,
-    "section6": 10,
-}
-
-BUDGET_ENV_VAR = "QEULER_BUDGET_OVERRIDE"
-
-
-def budget_for(suite: str, override: int | None = None) -> int:
-    """Default budget, then the environment variable, then the explicit flag.
-
-    A negative bound is a usage error (ValueError), whichever source set it.
-    """
-    value = DEFAULT_BUDGETS[suite]
-    raw = os.environ.get(BUDGET_ENV_VAR, "")
-    for pair in raw.replace(",", " ").split():
-        name, _, num = pair.partition("=")
-        if name == suite:
-            try:
-                value = int(num)
-            except ValueError:
-                raise ValueError(f"bad {BUDGET_ENV_VAR} entry: {pair!r}") from None
-    if override is not None:
-        value = override
-    if value < 0:
-        raise ValueError(f"the bound of suite {suite} must be nonnegative, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -98,6 +51,7 @@ class CheckResult:
 class SuiteReport:
     suite: str
     checks: list[CheckResult] = field(default_factory=list)
+    limits: list[str] = field(default_factory=list)  # limit_notes at the run's bound
 
     @property
     def status(self) -> str:
@@ -118,6 +72,9 @@ def _chk_equidistribution(n: int) -> tuple[bool, str]:
 
 
 def _chk_non_equidistribution_derangements(n_max: int) -> tuple[bool, str]:
+    """The derangement distributions split; n=3 is the least size that shows it."""
+    if n_max < 3:
+        raise BudgetExceededError(f"n_max={n_max} is below 3, the least size where they split")
     for n in range(1, n_max + 1):
         if pm.wex_cr_multiset(n, derangements_only=True) != pm.asc_312_multiset(
             n, derangements_only=True
@@ -126,15 +83,21 @@ def _chk_non_equidistribution_derangements(n_max: int) -> tuple[bool, str]:
     return False, f"no splitting found for n <= {n_max}"
 
 
+def _zero_or_euler(value: Poly, zero: bool, factor: Poly, n: int, what: str) -> tuple[bool, str]:
+    """A signed sum that vanishes for one parity of n and is factor * E_n(q) for the other."""
+    if zero:
+        ok = value.is_zero
+        return ok, "vanishes" if ok else f"got {value}"
+    expect = factor * cf.q_euler_closed(n)
+    ok = value == expect
+    return ok, f"matches {what} value" if ok else f"got {value}, want {expect}"
+
+
 def _chk_signed_wex_sum(n: int) -> tuple[bool, str]:
     """Signed (wex, cr) sum: 0 for even n, (-1)^((n+1)/2) E_n(q) for odd n."""
     value = pm.q_eulerian_poly(n).substitute_y(-1)
-    if n % 2 == 0:
-        ok = value.is_zero
-        return ok, "vanishes" if ok else f"got {value}"
-    expect = Poly.const((-1) ** ((n + 1) // 2)) * cf.q_euler_closed(n)
-    ok = value == expect
-    return ok, "matches q-tangent value" if ok else f"got {value}, want {expect}"
+    sign = Poly.const((-1) ** ((n + 1) // 2))
+    return _zero_or_euler(value, n % 2 == 0, sign, n, "q-tangent")
 
 
 def _chk_closed_form_even_vanishing(n: int) -> tuple[bool, str]:
@@ -148,25 +111,15 @@ def _chk_reduced_path_sum(n: int) -> tuple[bool, str]:
     total = poly_sum(
         bj.lifted_francon_viennot(p)[1].weight() for p in pm.all_permutations(n)
     )
-    value = total.substitute_y(-1)
-    if n % 2 == 0:
-        ok = value.is_zero
-        return ok, "vanishes" if ok else f"got {value}"
-    expect = Poly.const((-1) ** ((n - 1) // 2)) * cf.q_euler_closed(n)
-    ok = value == expect
-    return ok, "matches q-tangent value" if ok else f"got {value}, want {expect}"
+    sign = Poly.const((-1) ** ((n - 1) // 2))
+    return _zero_or_euler(total.substitute_y(-1), n % 2 == 0, sign, n, "q-tangent")
 
 
 def _chk_signed_derangement_sum(n: int) -> tuple[bool, str]:
     """Signed derangement sum: (-1/q)^(n/2) E_n(q) for even n, 0 for odd n."""
     value = pm.q_derangement_poly(n).substitute_y(-1, -1)
-    if n % 2:
-        ok = value.is_zero
-        return ok, "vanishes" if ok else f"got {value}"
     half = n // 2
-    expect = Poly.monomial((-1) ** half, 0, -half) * cf.q_euler_closed(n)
-    ok = value == expect
-    return ok, "matches q-secant value" if ok else f"got {value}, want {expect}"
+    return _zero_or_euler(value, n % 2 == 1, Poly.monomial((-1) ** half, 0, -half), n, "q-secant")
 
 
 def _chk_inversion(n: int) -> tuple[bool, str]:
@@ -443,125 +396,126 @@ def _chk_parity_free(n: int) -> tuple[bool, str]:
     return True, "equals E_n; intermediate sum vanishes; s-powers cancel"
 
 
-_CHECK_FUNCS: dict[str, Callable[..., tuple[bool, str]]] = {
-    "equidistribution": _chk_equidistribution,
-    "non_equidistribution_derangements": _chk_non_equidistribution_derangements,
-    "signed_wex_sum": _chk_signed_wex_sum,
-    "closed_form_even_vanishing": _chk_closed_form_even_vanishing,
-    "reduced_path_sum": _chk_reduced_path_sum,
-    "signed_derangement_sum": _chk_signed_derangement_sum,
-    "inversion": _chk_inversion,
-    "g_identity": _chk_g_identity,
-    "tangent_routes": _chk_tangent_routes,
-    "secant_routes": _chk_secant_routes,
-    "touchard": _chk_touchard,
-    "involution_relation": _chk_involution_relation,
-    "tableau_distributions": _chk_tableau_distributions,
-    "signed_tableau_sum": _chk_signed_tableau_sum,
-    "williams_numbers": _chk_williams_numbers,
-    "transpose": _chk_transpose,
-    "laguerre_transfer": _chk_laguerre_transfer,
-    "motzkin_transfer": _chk_motzkin_transfer,
-    "large_history_count": _chk_large_history_count,
-    "cf_coefficients": _chk_cf_coefficients,
-    "path_enumeration_oracle": _chk_path_enumeration_oracle,
-    "ansatz_distribution": _chk_ansatz_distribution,
-    "ansatz_hat": _chk_ansatz_hat,
-    "ansatz_shift": _chk_ansatz_shift,
-    "confluence": _chk_confluence,
-    "word_oracle": _chk_word_oracle,
-    "bijection_size": _chk_bijection_size,
-    "core_sums": _chk_core_sums,
-    "penaud": _chk_penaud,
-    "left_factors": _chk_left_factors,
-    "rearrangement": _chk_rearrangement,
-    "parity_free": _chk_parity_free,
+# -- the plan: every suite, its default bound and its checks --------------------
+
+
+class Row(NamedTuple):
+    """One index loop of a suite; checks sharing it run interleaved per index.
+
+    "n=", "k=" and "2n=" loop over an index n (passed as k for "k="); "n<=" runs
+    once with n_max, "seed=" once with the seed, any other label once with no
+    arguments.  A loop reaches its limit when the size of n (n, 2n, 2n+1) does.
+    """
+
+    checks: str  # names of _chk_* functions, separated by spaces
+    label: str = "n="
+    first: int = 0
+    limit: tuple[str, int] | None = None  # ("cap", N): min(bound, N); "floor": max; "fixed": N
+    size: str = "n"
+    step: int = 1
+
+    def reach(self, bound: int) -> int:
+        kind, n = self.limit or ("", bound)
+        return {"cap": min(bound, n), "floor": max(bound, n), "fixed": n}.get(kind, bound)
+
+
+# Default bounds keep a full run of every suite below ten desktop minutes.
+PLAN: dict[str, tuple[int, tuple[Row, ...]]] = {
+    "th1": (9, (Row("equidistribution", first=1, limit=("cap", 8)),
+                Row("non_equidistribution_derangements", "n<=", limit=("cap", 8)),
+                Row("signed_wex_sum", first=1),
+                Row("reduced_path_sum", first=1),
+                Row("closed_form_even_vanishing", first=2, step=2, limit=("floor", 12)))),
+    "th2": (9, (Row("signed_derangement_sum"), Row("inversion", limit=("cap", 8)))),
+    "th3": (10, (Row("g_identity"), Row("tangent_routes", limit=("cap", 9), size="2n+1"))),
+    "th4": (12, (Row("secant_routes", limit=("cap", 8), size="2n"),
+                 Row("touchard", limit=("cap", 10), size="2n"),
+                 Row("involution_relation", limit=("cap", 12), size="2n"))),
+    "tableaux": (7, (Row("tableau_distributions signed_tableau_sum"),
+                     Row("williams_numbers", first=1),
+                     Row("transpose", limit=("cap", 6)))),
+    "paths": (9, (Row("laguerre_transfer motzkin_transfer"),
+                  Row("large_history_count", first=1, limit=("cap", 8)),
+                  Row("cf_coefficients", "n<=", limit=("floor", 12)),
+                  Row("path_enumeration_oracle", limit=("fixed", 4)))),
+    "ansatz": (12, (Row("ansatz_distribution ansatz_hat"),
+                    Row("ansatz_shift", limit=("cap", 8)),
+                    Row("confluence", "seed="),
+                    Row("word_oracle", "len<=6"))),
+    "bijection": (7, (Row("bijection_size", first=1),)),
+    "section5": (8, (Row("core_sums", "k="),
+                     Row("penaud", "2n=", limit=("cap", 5)),
+                     Row("left_factors", "2n=", limit=("cap", 5)),
+                     Row("rearrangement", limit=("cap", 6)))),
+    "section6": (10, (Row("parity_free"),)),
 }
+SUITES = tuple(PLAN)
+DEFAULT_BUDGETS = {suite: budget for suite, (budget, _) in PLAN.items()}
 
 
 def build_suite(suite: str, n_max: int | None = None, seed: int = 0) -> list[Check]:
-    b = budget_for(suite, n_max)
+    """The suite's checks in report order: row by row, then index by index."""
+    bound = budget_for(suite, n_max)
     checks: list[Check] = []
-
-    def add(func: str, label: str, **kwargs) -> None:
-        checks.append(Check(suite, f"{func}/{label}", func, kwargs))
-
-    if suite == "th1":
-        for n in range(1, min(b, 8) + 1):
-            add("equidistribution", f"n={n}", n=n)
-        add("non_equidistribution_derangements", f"n<={min(b, 8)}", n_max=min(b, 8))
-        for n in range(1, b + 1):
-            add("signed_wex_sum", f"n={n}", n=n)
-        for n in range(1, b + 1):
-            add("reduced_path_sum", f"n={n}", n=n)
-        for n in range(2, max(b, 12) + 1, 2):
-            add("closed_form_even_vanishing", f"n={n}", n=n)
-    elif suite == "th2":
-        for n in range(0, b + 1):
-            add("signed_derangement_sum", f"n={n}", n=n)
-        for n in range(0, min(b, 8) + 1):
-            add("inversion", f"n={n}", n=n)
-    elif suite == "th3":
-        for n in range(0, b + 1):
-            add("g_identity", f"n={n}", n=n)
-        for n in range(0, (min(b, 9) - 1) // 2 + 1):
-            add("tangent_routes", f"n={n}", n=n)
-    elif suite == "th4":
-        for n in range(0, min(b, 8) // 2 + 1):
-            add("secant_routes", f"n={n}", n=n)
-        for n in range(0, min(b, 10) // 2 + 1):
-            add("touchard", f"n={n}", n=n)
-        for n in range(0, min(b, 12) // 2 + 1):
-            add("involution_relation", f"n={n}", n=n)
-    elif suite == "tableaux":
-        for n in range(0, b + 1):
-            add("tableau_distributions", f"n={n}", n=n)
-            add("signed_tableau_sum", f"n={n}", n=n)
-        for n in range(1, b + 1):
-            add("williams_numbers", f"n={n}", n=n)
-        for n in range(0, min(b, 6) + 1):
-            add("transpose", f"n={n}", n=n)
-    elif suite == "paths":
-        for n in range(0, b + 1):
-            add("laguerre_transfer", f"n={n}", n=n)
-            add("motzkin_transfer", f"n={n}", n=n)
-        for n in range(1, min(b, 8) + 1):
-            add("large_history_count", f"n={n}", n=n)
-        add("cf_coefficients", f"n<={max(b, 12)}", n_max=max(b, 12))
-        for n in range(0, 5):
-            add("path_enumeration_oracle", f"n={n}", n=n)
-    elif suite == "ansatz":
-        for n in range(0, b + 1):
-            add("ansatz_distribution", f"n={n}", n=n)
-            add("ansatz_hat", f"n={n}", n=n)
-        for n in range(0, min(b, 8) + 1):
-            add("ansatz_shift", f"n={n}", n=n)
-        add("confluence", f"seed={seed}", seed=seed)
-        add("word_oracle", "len<=6")
-    elif suite == "bijection":
-        for n in range(1, b + 1):
-            add("bijection_size", f"n={n}", n=n)
-    elif suite == "section5":
-        for k in range(0, b + 1):
-            add("core_sums", f"k={k}", k=k)
-        for n in range(0, min(b, 5) + 1):
-            add("penaud", f"2n={2 * n}", n=n)
-        for n in range(0, min(b, 5) + 1):
-            add("left_factors", f"2n={2 * n}", n=n)
-        for n in range(0, min(b, 6) + 1):
-            add("rearrangement", f"n={n}", n=n)
-    elif suite == "section6":
-        for n in range(0, b + 1):
-            add("parity_free", f"n={n}", n=n)
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
+    for row in PLAN[suite][1]:
+        reach = row.reach(bound)
+        if row.label in ("n<=", "seed="):
+            key, value = ("n_max", reach) if row.label == "n<=" else ("seed", seed)
+            runs = [(f"{row.label}{value}", {key: value})]
+        elif row.label.endswith("="):
+            last = {"n": reach, "2n": reach // 2, "2n+1": (reach - 1) // 2}[row.size]
+            scale = 2 if row.label == "2n=" else 1
+            indices = range(row.first, last + 1, row.step)
+            runs = [(f"{row.label}{scale * n}", {row.label[-2]: n}) for n in indices]
+        else:
+            runs = [(row.label, {})]
+        checks += [Check(suite, f"{f}/{label}", f, dict(kw))
+                   for label, kw in runs for f in row.checks.split()]
     return checks
+
+
+def limit_notes(suite: str, n_max: int | None = None) -> list[str]:
+    """One report line per row whose cap, floor or fixed limit overrides the bound."""
+    bound = budget_for(suite, n_max)
+    return [f"{row.checks} {row.limit[0]} {reach} on {row.size} (bound {bound})"
+            for row in PLAN[suite][1] if (reach := row.reach(bound)) != bound]
+
+
+BUDGET_ENV_VAR = "QEULER_BUDGET_OVERRIDE"
+
+
+def _env_budgets() -> dict[str, int]:
+    """The whole override variable; an unknown suite or a malformed entry is a usage error."""
+    budgets = {}
+    for pair in os.environ.get(BUDGET_ENV_VAR, "").replace(",", " ").split():
+        name, _, num = pair.partition("=")
+        try:
+            budgets[name] = int(num)
+        except ValueError:
+            raise ValueError(f"bad {BUDGET_ENV_VAR} entry: {pair!r}") from None
+    unknown = sorted(set(budgets) - set(PLAN))
+    if unknown:
+        raise ValueError(f"unknown suite in {BUDGET_ENV_VAR}: {', '.join(unknown)}")
+    return budgets
+
+
+def budget_for(suite: str, override: int | None = None) -> int:
+    """Default budget, then the environment variable, then the explicit flag.
+
+    A negative bound is a usage error (ValueError), whichever source set it.
+    """
+    value = _env_budgets().get(suite, DEFAULT_BUDGETS[suite])
+    if override is not None:
+        value = override
+    if value < 0:
+        raise ValueError(f"the bound of suite {suite} must be nonnegative, got {value}")
+    return value
 
 
 def run_check(check: Check) -> CheckResult:
     start = time.perf_counter()
     try:
-        passed, detail = _CHECK_FUNCS[check.func](**check.kwargs)
+        passed, detail = globals()[f"_chk_{check.func}"](**check.kwargs)
         status = "PASS" if passed else "FAIL"
     except BudgetExceededError as exc:  # a refusal is not an identity failure
         status, detail = "REFUSED", f"{type(exc).__name__}: {exc}"
@@ -587,7 +541,7 @@ def run_suites(
             results = list(pool.map(run_check, all_checks))
     else:
         results = [run_check(c) for c in all_checks]
-    reports = {s: SuiteReport(s) for s in suites}
+    reports = {s: SuiteReport(s, limits=limit_notes(s, n_max)) for s in suites}
     for res in results:
         reports[res.suite].checks.append(res)
     return [reports[s] for s in suites]
@@ -608,5 +562,6 @@ def render_reports(reports: list[SuiteReport]) -> str:
         slowest = max(rep.checks, key=lambda c: c.elapsed, default=None)
         worst = f" (slowest {slowest.check_id} {slowest.elapsed:.2f}s)" if slowest else ""
         lines.append(f"# {rep.suite}: {suite_time:.2f}s{worst}")
+        lines.extend(f"# {rep.suite}: {note}" for note in rep.limits)
     lines.append(f"# total: {total:.2f}s")
     return "\n".join(lines)

@@ -1,12 +1,14 @@
 """Command-line behavior: formats, determinism, exit codes, budgets."""
 
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+import qeuler
 from qeuler.cli import main
 from qeuler.verify import budget_for
 
@@ -137,6 +139,18 @@ def test_budget_env_override(monkeypatch):
         budget_for("th1")
 
 
+@pytest.mark.parametrize("raw", ["th7=3", "th1:6", "th1=6,th2"])
+def test_budget_env_override_is_validated_whole(capsys, monkeypatch, raw):
+    monkeypatch.setenv("QEULER_BUDGET_OVERRIDE", raw)
+    for suite in ("th1", "section6"):  # whichever suite asks, and even under --n-max
+        with pytest.raises(ValueError, match="QEULER_BUDGET_OVERRIDE"):
+            budget_for(suite)
+        with pytest.raises(ValueError, match="QEULER_BUDGET_OVERRIDE"):
+            budget_for(suite, 3)
+    code, out, err = run_cli(capsys, "verify", "section6", "--n-max", "1")
+    assert code == 2 and out == "" and "QEULER_BUDGET_OVERRIDE" in err
+
+
 @pytest.mark.parametrize("argv", [("th1", "--n-max", "-1"), ("section5", "--n-max", "-2")])
 def test_verify_negative_bound_flag_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
@@ -153,24 +167,27 @@ def test_verify_negative_bound_env_is_usage_error(capsys, monkeypatch):
 
 
 def test_console_script_entry_point():
+    # the child imports the same qeuler as this process, installed or not
+    src = os.path.dirname(os.path.dirname(qeuler.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "qeuler.cli", "table", "etangent", "--n-max", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert out.stdout.splitlines() == ["E_1 = 1", "E_3 = 1 + q"]
 
 
 def test_verify_exit_code_on_identity_failure(capsys, monkeypatch):
-    import qeuler.verify as verify
+    import qeuler.closedforms as cf
+    from qeuler.poly import Poly
 
-    monkeypatch.setitem(
-        verify._CHECK_FUNCS, "parity_free", lambda n: (False, "forced failure")
-    )
+    monkeypatch.setattr(cf, "parity_free_euler_closed", lambda n: Poly.zero())
     code, out, _ = run_cli(capsys, "verify", "section6", "--n-max", "2")
     assert code == 1
-    assert "FAIL" in out
+    assert "FAIL  formula value differs from E_n" in out
 
 
 def test_verify_budget_refusal_exits_2(capsys):
@@ -190,7 +207,6 @@ def test_verify_jobs_below_one_is_usage_error(capsys, jobs):
 
 def test_verify_jobs_clamped(capsys, monkeypatch):
     import concurrent.futures
-    import os
 
     workers = []
 
@@ -215,3 +231,41 @@ def test_verify_jobs_clamped(capsys, monkeypatch):
     assert code == 0 and workers == [3, 2]  # so does the number of checks
     code, _, _ = run_cli(capsys, "verify", "section6", "--n-max", "0", "--jobs", "1000")
     assert code == 0 and workers == [3, 2]  # one check runs in-process
+
+
+def test_verify_derangement_split_below_its_witness_is_refused(capsys):
+    code, out, _ = run_cli(capsys, "verify", "th1", "--n-max", "2")
+    line = next(l for l in out.splitlines() if "non_equidistribution_derangements" in l)
+    assert code == 2 and "n<=2" in line and " REFUSED " in line
+    assert "FAIL" not in out
+    code, out, _ = run_cli(capsys, "verify", "th1", "--n-max", "3")
+    line = next(l for l in out.splitlines() if "non_equidistribution_derangements" in l)
+    assert code == 0 and " PASS  distributions split at n=3" in line
+
+
+def _timing_block(out):
+    data, marker, timing = out.partition("# timing")
+    assert marker and "(bound" not in data
+    return timing.splitlines()[1:]
+
+
+def test_verify_states_caps_and_floors_after_timing(capsys, monkeypatch):
+    import qeuler.verify as verify
+
+    # th1 at 10 is too slow to run here; the plan and the report are what is tested
+    monkeypatch.setattr(
+        verify, "run_check", lambda c: verify.CheckResult(c.suite, c.check_id, "PASS", "", 0.0)
+    )
+    code, out, _ = run_cli(capsys, "verify", "th1", "--n-max", "10")
+    assert code == 0
+    assert "# th1: equidistribution cap 8 on n (bound 10)" in _timing_block(out)
+
+
+def test_verify_states_floor_and_no_limit(capsys):
+    code, out, _ = run_cli(capsys, "verify", "th1", "--n-max", "4")
+    assert code == 0
+    assert "# th1: closed_form_even_vanishing floor 12 on n (bound 4)" in _timing_block(out)
+    assert "closed_form_even_vanishing/n=12" in out
+    code, out, _ = run_cli(capsys, "verify", "section6", "--n-max", "4")
+    assert code == 0
+    assert [l for l in _timing_block(out) if "(bound" in l] == []

@@ -7,7 +7,6 @@ from qeuler.closedforms import (
     alternating_binom_convolution,
     alternating_binom_convolution_closed,
     checked_quotient,
-    g_sum,
     parity_free_derangement_sum,
     parity_free_euler_closed,
     parity_free_wex_sum,
@@ -115,14 +114,12 @@ def test_touchard_riordan():
 
 
 def test_binomial_convolution_identity():
-    assert g_sum(0, 1) == 1
-    assert g_sum(3, 2) == 0
-    assert g_sum(2, 3) == -5
+    assert alternating_binom_convolution(0, 1) == 1
+    assert alternating_binom_convolution(3, 2) == 0
+    assert alternating_binom_convolution(2, 3) == -5
     for n in range(9):
         for k in range(2 * n + 2):
             assert alternating_binom_convolution(n, k) == alternating_binom_convolution_closed(n, k)
-    with pytest.raises(ValueError):
-        g_sum(1, 5)
 
 
 def test_weighted_involution_sum():

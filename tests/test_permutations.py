@@ -11,7 +11,6 @@ from qeuler.permutations import (
     alternating_31_2_poly,
     asc_312_multiset,
     ascents,
-    classify,
     crossings,
     derangements,
     fixed_points,
@@ -24,7 +23,6 @@ from qeuler.permutations import (
     pattern_31_2,
     q_derangement_poly,
     q_eulerian_poly,
-    q_eulerian_poly_partitioned,
     stat_vector,
     weak_exceedances,
     wex_cr_multiset,
@@ -69,9 +67,9 @@ def test_pattern_31_2():
 
 
 def test_classify():
-    assert not classify(FIG).is_alternating
-    assert classify((3, 4, 1, 2)).is_fpf_involution
-    assert not classify((1, 2, 3)).is_derangement
+    assert not is_alternating(FIG)
+    assert is_fpf_involution((3, 4, 1, 2))
+    assert not is_derangement((1, 2, 3))
     assert is_alternating((2, 1, 3)) and is_alternating((3, 1, 2))
     assert not is_alternating((1, 3, 2))
     assert is_derangement((2, 3, 1)) and not is_fpf_involution((2, 3, 1))
@@ -145,8 +143,3 @@ def test_budget_refusal():
         q_eulerian_poly(11)
     with pytest.raises(BudgetExceededError):
         alternating_31_2_poly(4, bound=3)
-
-
-def test_partitioned_reduction_is_bit_identical():
-    for parts in (1, 2, 3, 6):
-        assert q_eulerian_poly_partitioned(5, parts) == q_eulerian_poly(5)
