@@ -336,18 +336,18 @@ class CFSpec:
             raise ValueError("kind must be 'J' or 'T'")
 
 
-def _series_inverse(d: list[Poly]) -> list[Poly]:
-    if d[0] != ONE:
-        raise ValueError("series inversion requires unit constant term")
-    n = len(d)
-    g = [ONE] + [Poly.zero()] * (n - 1)
-    for m in range(1, n):
-        acc = Poly.zero()
-        for r in range(1, m + 1):
-            if not d[r].is_zero and not g[m - r].is_zero:
-                acc = acc + d[r] * g[m - r]
-        g[m] = -acc
-    return g
+def _times_b(cur: list[Poly], shift: bool) -> list[Poly]:
+    """b * cur, truncated; b is 1 + x when shift, else 1."""
+    return [c + cur[m - 1] if shift and m else c for m, c in enumerate(cur)]
+
+
+def _wallis_step(cur: list[Poly], prev: list[Poly], w: Poly, shift: bool) -> list[Poly]:
+    """b * cur - w * x * prev, truncated: one Euler-Wallis step."""
+    out = _times_b(cur, shift)
+    for m in range(1, len(cur)):
+        if not prev[m - 1].is_zero:
+            out[m] = out[m] - w * prev[m - 1]
+    return out
 
 
 def cf_series(spec: CFSpec, n_max: int, depth: int | None = None) -> list[Poly]:
@@ -355,21 +355,35 @@ def cf_series(spec: CFSpec, n_max: int, depth: int | None = None) -> list[Poly]:
 
     Truncation depth defaults to n_max + 1 with tail 1, which is exact
     because level h first contributes at order h + 1.
+
+    The fraction 1/(b + a_2/(b + ... + a_{depth+1}/1)), with b = 1 (J) or
+    1 + x (T) and a_{h+2} = -w(h) x, is the last Euler-Wallis convergent
+    A/B; both are kept as x-series truncated at n_max and divided once,
+    which works because B has constant term 1.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     depth = n_max + 1 if depth is None else depth
-    size = n_max + 1
-    f = [ONE] + [Poly.zero()] * (n_max)
-    for level in reversed(range(depth)):
-        w = spec.level_weight(level)
-        d = [ONE] + [Poly.zero()] * n_max
-        for m in range(1, size):
-            d[m] = -(w * f[m - 1])
-            if spec.kind == "T" and m == 1:
-                d[m] = d[m] + ONE
-        f = _series_inverse(d)
-    return f
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    t_fraction = spec.kind == "T"
+    zero = Poly.zero()
+    unit = [ONE] + [zero] * n_max
+    # A_0 = 0, A_1 = 1; B_0 = 1, B_1 = b_1, the tail 1 when depth is 0.
+    num_prev, num = [zero] * (n_max + 1), unit
+    den_prev, den = unit, _times_b(unit, t_fraction and depth > 0)
+    for h in range(depth):
+        w = spec.level_weight(h)
+        shift = t_fraction and h < depth - 1
+        num_prev, num = num, _wallis_step(num, num_prev, w, shift)
+        den_prev, den = den, _wallis_step(den, den_prev, w, shift)
+    g: list[Poly] = []
+    for m, acc in enumerate(num):
+        for r in range(1, m + 1):
+            if not den[r].is_zero and not g[m - r].is_zero:
+                acc = acc - den[r] * g[m - r]
+        g.append(acc)
+    return g
 
 
 def tangent_cf_spec() -> CFSpec:

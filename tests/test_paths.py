@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qeuler.errors import BudgetExceededError
 from qeuler.paths import (
@@ -82,6 +83,81 @@ def test_cf_series_depth_stability():
         assert base == cf_series(spec, 9, depth=10)
         assert base == cf_series(spec, 9, depth=11)
         assert base == cf_series(spec, 9, depth=14)
+
+
+def bottom_up_cf_series(spec, n_max, depth=None):
+    """Test oracle: the fraction evaluated inside out, one series inversion per level.
+
+    f = 1 (the tail), then f <- 1/(b - w(h) x f) for h = depth-1 .. 0, with
+    b = 1 for a J-fraction and 1 + x for a T-fraction; O(n^3) Poly products.
+    """
+    depth = n_max + 1 if depth is None else depth
+    zero = Poly.zero()
+    f = [ONE] + [zero] * n_max
+    for level in reversed(range(depth)):
+        w = spec.level_weight(level)
+        d = [ONE] + [-(w * f[m - 1]) for m in range(1, n_max + 1)]
+        if spec.kind == "T" and n_max >= 1:
+            d[1] = d[1] + ONE
+        f = [ONE] + [zero] * n_max
+        for m in range(1, n_max + 1):
+            f[m] = -poly_sum(d[r] * f[m - r] for r in range(1, m + 1))
+    return f
+
+
+BUILTIN_CF_SPECS = (tangent_cf_spec, secant_cf_spec, secant_core_cf_spec, tangent_core_cf_spec)
+
+
+def test_cf_series_matches_bottom_up_oracle():
+    """Every depth from 0 to n_max + 3, so T-fractions are checked below n_max + 1 too."""
+    for make_spec in BUILTIN_CF_SPECS:
+        spec = make_spec()
+        for n_max in range(8):
+            for depth in range(n_max + 4):
+                assert cf_series(spec, n_max, depth) == bottom_up_cf_series(spec, n_max, depth), (
+                    make_spec.__name__, n_max, depth,
+                )
+            assert cf_series(spec, n_max) == bottom_up_cf_series(spec, n_max)
+
+
+laurent_polys = st.lists(
+    st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-5, 5)),
+    max_size=4,
+).map(Poly)
+
+
+@given(
+    kind=st.sampled_from("JT"),
+    weights=st.lists(laurent_polys, min_size=6, max_size=6),
+    n_max=st.integers(0, 4),
+    depth=st.integers(0, 6),
+)
+def test_cf_series_matches_oracle_on_random_specs(kind, weights, n_max, depth):
+    spec = CFSpec(kind, weights.__getitem__)
+    assert cf_series(spec, n_max, depth) == bottom_up_cf_series(spec, n_max, depth)
+
+
+def test_cf_series_product_count(monkeypatch):
+    """The convergent recurrence makes O(n^2) Poly products; inverting per level made 1,208."""
+    calls = []
+    original = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    monkeypatch.setattr(Poly, "__rmul__", counting)
+    cf_series(tangent_cf_spec(), 12, depth=14)
+    assert 0 < len(calls) <= 400
+
+
+def test_cf_series_rejects_negative_bounds():
+    with pytest.raises(ValueError):
+        cf_series(tangent_cf_spec(), -1)
+    for make_spec in BUILTIN_CF_SPECS:
+        with pytest.raises(ValueError):
+            cf_series(make_spec(), 3, depth=-1)
 
 
 def test_cf_matches_transfer():

@@ -6,6 +6,7 @@ import types
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qeuler.errors import HalfPowerResidueError, NotDivisibleError
 from qeuler.poly import (
@@ -29,6 +30,13 @@ def rand_poly(rng, terms=6, span=5):
             for _ in range(rng.randint(0, terms))
         ]
     )
+
+
+# Signed bivariate Laurent polynomials; coefficients reach past 64 bits.
+laurent_polys = st.lists(
+    st.tuples(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), st.integers(-(2**70), 2**70)),
+    max_size=6,
+).map(Poly)
 
 
 def test_q_integer_values():
@@ -102,6 +110,22 @@ def test_ring_axioms_on_random_triples():
         assert a * (b + c) == a * b + a * c
         assert (a + (-a)).is_zero
         assert a * ONE == a and (a * ZERO).is_zero
+
+
+@given(laurent_polys, laurent_polys, laurent_polys)
+def test_ring_laws(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + (-a)).is_zero and a - b == a + (-b)
+    assert a * ONE == a and a + ZERO == a and (a * ZERO).is_zero
+
+
+@given(laurent_polys, st.integers(0, 8))
+def test_exact_division_roundtrip_property(p, m):
+    assert exact_div_one_minus_q_pow(p * one_minus_q() ** m, m) == p
 
 
 def test_exact_division_roundtrip():
