@@ -2,8 +2,8 @@
 
 Permutations are tuples in one-line notation with values 1..n; the boundary
 convention sigma(0) = 0 and sigma(n+1) = n+1 is applied by every statistic
-that needs a neighbor.  Exhaustive enumerations refuse (BudgetExceededError)
-above the configured bound instead of silently truncating.
+that needs a neighbor.  Exhaustive enumerations refuse a negative size
+(ValueError) and one above the configured bound (BudgetExceededError).
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ from functools import lru_cache
 from itertools import permutations as _itperms
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, OddCrossingError, check_budget
+from .errors import OddCrossingError, check_budget
 from .poly import Poly, binom_safe, poly_sum
 
 DEFAULT_BOUND = 10
 
 
 class Permutation:
-    """One-line-notation permutation of {1..n} with boundary accessors."""
+    """One-line-notation permutation of {1..n}."""
 
     __slots__ = ("images",)
 
@@ -44,14 +44,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def image(self, i: int) -> int:
-        """sigma(i) extended by sigma(0) = 0 and sigma(n+1) = n+1."""
-        if i == 0:
-            return 0
-        if i == self.n + 1:
-            return self.n + 1
-        return self.images[i - 1]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.images)
@@ -167,20 +159,11 @@ def is_derangement(p: Sequence[int] | Permutation) -> bool:
     return all(v != i + 1 for i, v in enumerate(t))
 
 
-def is_fpf_involution(p: Sequence[int] | Permutation) -> bool:
-    t = _images(p)
-    return all(v != i + 1 and t[v - 1] == i + 1 for i, v in enumerate(t))
-
-
 # -- generators -------------------------------------------------------------
 
 
 def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
     return _itperms(range(1, n + 1))
-
-
-def derangements(n: int) -> Iterator[tuple[int, ...]]:
-    return (p for p in all_permutations(n) if is_derangement(p))
 
 
 def fpf_involutions(n: int) -> Iterator[tuple[int, ...]]:
@@ -209,84 +192,100 @@ def fpf_involutions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _wex_cr_counts(n: int) -> tuple[Counter, Counter]:
-    """(wex, cr) multisets over all permutations and over derangements."""
-    full: Counter = Counter()
-    der: Counter = Counter()
-    for p in _itperms(range(1, n + 1)):
-        w = 0
-        has_fix = False
-        for i in range(n):
-            v = p[i]
-            if v > i:
-                w += 1
-                if v == i + 1:
-                    has_fix = True
-        c = 0
-        for i in range(n):
-            si = p[i]
-            for j in range(i + 1, n):
-                sj = p[j]
-                if si < sj and (j < si or sj <= i):
+def _census(n: int, alternating: bool = False) -> Counter:
+    """Counts of (wex, cr, asc, 31-2, is_derangement) over the permutations of size n.
+
+    One depth-first placement of values, position by position: placing v at
+    position j updates wex, fixed points and descents in O(1), crossings against
+    the j earlier positions and 31-2 against the earlier descents.  Alternating
+    prunes a prefix at the first adjacent pair that breaks t1 > t2 < t3 > ...
+    """
+    counts: Counter = Counter()
+
+    def place(t: tuple, rest: tuple, drops: tuple, wex: int, cr: int, p312: int, der: bool):
+        # t is the prefix placed so far, rest the values left (increasing), drops
+        # the pairs (sigma(u), sigma(u+1)) of the descents u inside t.
+        if not rest:
+            counts[wex, cr, n - len(drops), p312, der] += 1  # asc counts position n
+            return
+        j = len(t)
+        prev = t[-1] if t else 0
+        for k, v in enumerate(rest):
+            if alternating and j and (prev < v) == (j % 2 == 1):
+                continue
+            c = cr
+            for i, si in enumerate(t):
+                if si < v and (j < si or v <= i):
                     c += 1
-        key = (w, c)
-        full[key] += 1
-        if not has_fix:
-            der[key] += 1
+            p = p312
+            for hi, lo in drops:
+                if lo < v < hi:
+                    p += 1
+            place(t + (v,), rest[:k] + rest[k + 1:], drops + ((prev, v),) if prev > v else drops,
+                  wex + (v > j), c, p, der and v != j + 1)
+
+    place((), tuple(range(1, n + 1)), (), 0, 0, 0, True)
+    return counts
+
+
+def _marginal(census: Counter, slots: int | slice) -> tuple[Counter, Counter]:
+    """Counts of key[slots] over all census leaves and over the derangements."""
+    full, der = Counter(), Counter()
+    for key, mult in census.items():
+        full[key[slots]] += mult
+        if key[4]:
+            der[key[slots]] += mult
     return full, der
+
+
+# Cached by name: the benchmark tracer counts one S_n sweep per fill of these three.
+@lru_cache(maxsize=None)
+def _wex_cr_counts(n: int) -> tuple[Counter, Counter]:
+    return _marginal(_census(n), slice(0, 2))
 
 
 @lru_cache(maxsize=None)
 def _asc_312_counts(n: int) -> tuple[Counter, Counter]:
-    """(asc, 31-2) multisets over all permutations and over derangements."""
-    full: Counter = Counter()
-    der: Counter = Counter()
-    for p in _itperms(range(1, n + 1)):
-        key = (ascents(p), pattern_31_2(p))
-        full[key] += 1
-        if is_derangement(p):
-            der[key] += 1
-    return full, der
-
-
-def _counts_to_poly(counts: Counter) -> Poly:
-    return Poly({(w, c): mult for (w, c), mult in counts.items()})
-
-
-def q_eulerian_poly(n: int, bound: int | None = None) -> Poly:
-    """Distribution of (wex, cr) over all permutations of size n."""
-    check_budget(n, DEFAULT_BOUND if bound is None else bound, "n")
-    return _counts_to_poly(_wex_cr_counts(n)[0])
-
-
-def q_derangement_poly(n: int, bound: int | None = None) -> Poly:
-    """Distribution of (wex, cr) over derangements of size n."""
-    check_budget(n, DEFAULT_BOUND if bound is None else bound, "n")
-    return _counts_to_poly(_wex_cr_counts(n)[1])
-
-
-def wex_cr_multiset(n: int, derangements_only: bool = False, bound: int | None = None) -> Counter:
-    check_budget(n, DEFAULT_BOUND if bound is None else bound, "n")
-    return _wex_cr_counts(n)[1 if derangements_only else 0]
-
-
-def asc_312_multiset(n: int, derangements_only: bool = False, bound: int | None = None) -> Counter:
-    check_budget(n, DEFAULT_BOUND if bound is None else bound, "n")
-    return _asc_312_counts(n)[1 if derangements_only else 0]
+    return _marginal(_census(n), slice(2, 4))
 
 
 @lru_cache(maxsize=None)
 def _alt_312_counts(n: int) -> Counter:
-    counts: Counter = Counter()
-    for p in _itperms(range(1, n + 1)):
-        if is_alternating(p):
-            counts[pattern_31_2(p)] += 1
-    return counts
+    return _marginal(_census(n, True), 3)[0]
+
+
+def _check_size(n: int, bound: int | None, what: str = "n") -> None:
+    """Reject a negative size; refuse one above the bound (DEFAULT_BOUND if None)."""
+    if n < 0:
+        raise ValueError(f"{what}={n} must be nonnegative")
+    check_budget(n, DEFAULT_BOUND if bound is None else bound, what)
+
+
+def q_eulerian_poly(n: int, bound: int | None = None) -> Poly:
+    """Distribution of (wex, cr) over all permutations of size n."""
+    _check_size(n, bound)
+    return Poly(_wex_cr_counts(n)[0])
+
+
+def q_derangement_poly(n: int, bound: int | None = None) -> Poly:
+    """Distribution of (wex, cr) over derangements of size n."""
+    _check_size(n, bound)
+    return Poly(_wex_cr_counts(n)[1])
+
+
+def wex_cr_multiset(n: int, derangements_only: bool = False, bound: int | None = None) -> Counter:
+    _check_size(n, bound)
+    return _wex_cr_counts(n)[1 if derangements_only else 0]
+
+
+def asc_312_multiset(n: int, derangements_only: bool = False, bound: int | None = None) -> Counter:
+    _check_size(n, bound)
+    return _asc_312_counts(n)[1 if derangements_only else 0]
 
 
 def alternating_31_2_poly(n: int, bound: int | None = None) -> Poly:
     """Distribution of 31-2 over alternating permutations (a q-polynomial)."""
-    check_budget(n, DEFAULT_BOUND if bound is None else bound, "n")
+    _check_size(n, bound)
     return Poly({(0, e): mult for e, mult in _alt_312_counts(n).items()})
 
 
@@ -303,7 +302,7 @@ def _involution_half_cr_counts(m: int) -> Counter:
 
 def involution_crossing_poly(m: int, bound: int | None = None) -> Poly:
     """Distribution of cr/2 over fixed-point-free involutions of size m (even)."""
-    check_budget(m, DEFAULT_BOUND if bound is None else bound, "m")
+    _check_size(m, bound, "m")
     return Poly({(0, e): mult for e, mult in _involution_half_cr_counts(m).items()})
 
 
@@ -312,15 +311,15 @@ def inversion_check(n: int, bound: int | None = None) -> bool:
 
     Checks A_n = sum_k C(n,k) y^(n-k) B_k and B_n = sum_k C(n,k) (-y)^(n-k) A_k.
     """
-    b = DEFAULT_BOUND if bound is None else bound
-    check_budget(n, b, "n")
-    a_n = q_eulerian_poly(n, b)
-    b_n = q_derangement_poly(n, b)
+    _check_size(n, bound)
+    a_n = q_eulerian_poly(n, bound)
+    b_n = q_derangement_poly(n, bound)
     lhs_a = poly_sum(
-        Poly.monomial(binom_safe(n, k), n - k, 0) * q_derangement_poly(k, b) for k in range(n + 1)
+        Poly.monomial(binom_safe(n, k), n - k, 0) * q_derangement_poly(k, bound)
+        for k in range(n + 1)
     )
     lhs_b = poly_sum(
-        Poly.monomial((-1) ** (n - k) * binom_safe(n, k), n - k, 0) * q_eulerian_poly(k, b)
+        Poly.monomial((-1) ** (n - k) * binom_safe(n, k), n - k, 0) * q_eulerian_poly(k, bound)
         for k in range(n + 1)
     )
     return lhs_a == a_n and lhs_b == b_n

@@ -220,9 +220,26 @@ class Poly:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> Poly:
-        if obj.get("vars") != ["y", "q"]:
+        """Inverse of to_json_obj; any malformed object is a ValueError."""
+        if not isinstance(obj, dict) or obj.get("vars") != ["y", "q"]:
             raise ValueError("unexpected variable list in polynomial object")
-        return cls({(ye, qe): c for c, ye, qe in obj["terms"]})
+        terms = obj.get("terms")
+        if not isinstance(terms, list):
+            raise ValueError("polynomial object needs a list of terms")
+        data: dict[_TermKey, int] = {}
+        for term in terms:
+            if not (
+                isinstance(term, list) and len(term) == 3
+                and all(type(x) is int for x in term)
+            ):
+                raise ValueError(f"term {term!r} is not three integers [coef, yExp, qExp]")
+            c, ye, qe = term
+            if not c:
+                raise ValueError(f"term {term!r} has a zero coefficient")
+            if (ye, qe) in data:
+                raise ValueError(f"duplicate exponents in term {term!r}")
+            data[ye, qe] = c
+        return cls(data)
 
     def __str__(self) -> str:
         if not self._terms:

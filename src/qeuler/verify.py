@@ -16,7 +16,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import permutations as _itperms
 from itertools import product
 from typing import NamedTuple
 
@@ -304,7 +303,7 @@ def _chk_bijection_size(n: int) -> tuple[bool, str]:
     import math
 
     seen = set()
-    for p in _itperms(range(1, n + 1)):
+    for p in pm.all_permutations(n):
         image = bj.francon_viennot(p)  # validates weight property internally
         key = tuple((s.direction, s.weight) for s in image.path.steps)
         if key in seen:
@@ -321,7 +320,7 @@ def _chk_bijection_size(n: int) -> tuple[bool, str]:
     if not (len(seen) == count == math.factorial(n)):
         return False, f"image count {len(seen)} != history count {count}"
     if n % 2:
-        for p in _itperms(range(1, n + 1)):
+        for p in pm.all_permutations(n):
             _, reduced = bj.lifted_francon_viennot(p)
             if pm.is_alternating(p) != (not reduced.has_flat()):
                 return False, f"odd alternating characterization failed at {p}"

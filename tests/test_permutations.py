@@ -1,25 +1,27 @@
 """Statistics, classifiers, and brute-force distribution polynomials."""
 
 import math
+from collections import Counter
 
 import pytest
 
 from qeuler.errors import BudgetExceededError
 from qeuler.permutations import (
     Permutation,
+    _asc_312_counts,
+    _census,
+    _wex_cr_counts,
     all_permutations,
     alternating_31_2_poly,
     asc_312_multiset,
     ascents,
     crossings,
-    derangements,
     fixed_points,
     fpf_involutions,
     inversion_check,
     involution_crossing_poly,
     is_alternating,
     is_derangement,
-    is_fpf_involution,
     pattern_31_2,
     q_derangement_poly,
     q_eulerian_poly,
@@ -35,7 +37,8 @@ FIG = (4, 3, 7, 1, 2, 6, 5)
 def test_permutation_type():
     p = Permutation.parse("4371265")
     assert p.n == 7 and p.images == FIG
-    assert p.image(0) == 0 and p.image(8) == 8 and p.image(1) == 4
+    assert p.images[0] == 4
+    assert ascents(Permutation.parse("21")) == 1  # sigma(n+1) = n+1: position n is an ascent
     assert Permutation.parse("10,3,2,4,5,6,7,8,9,1").n == 10
     with pytest.raises(ValueError):
         Permutation.parse("441")
@@ -68,11 +71,13 @@ def test_pattern_31_2():
 
 def test_classify():
     assert not is_alternating(FIG)
-    assert is_fpf_involution((3, 4, 1, 2))
+    t = (3, 4, 1, 2)
+    assert all(t[v - 1] == i + 1 != v for i, v in enumerate(t))  # a fixed-point-free involution
     assert not is_derangement((1, 2, 3))
     assert is_alternating((2, 1, 3)) and is_alternating((3, 1, 2))
     assert not is_alternating((1, 3, 2))
-    assert is_derangement((2, 3, 1)) and not is_fpf_involution((2, 3, 1))
+    t = (2, 3, 1)
+    assert is_derangement(t) and not all(t[v - 1] == i + 1 != v for i, v in enumerate(t))
 
 
 def test_stat_vector():
@@ -82,10 +87,10 @@ def test_stat_vector():
 
 def test_generators():
     assert sum(1 for _ in all_permutations(5)) == 120
-    assert sum(1 for _ in derangements(5)) == 44
+    assert sum(map(is_derangement, all_permutations(5))) == 44
     assert sorted(fpf_involutions(4)) == [(2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
     assert list(fpf_involutions(3)) == []
-    assert all(is_fpf_involution(p) for p in fpf_involutions(6))
+    assert all(p[p[i] - 1] == i + 1 != p[i] for p in fpf_involutions(6) for i in range(6))
     assert sum(1 for _ in fpf_involutions(8)) == 105
 
 
@@ -143,3 +148,43 @@ def test_budget_refusal():
         q_eulerian_poly(11)
     with pytest.raises(BudgetExceededError):
         alternating_31_2_poly(4, bound=3)
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        q_eulerian_poly,
+        q_derangement_poly,
+        wex_cr_multiset,
+        asc_312_multiset,
+        alternating_31_2_poly,
+        involution_crossing_poly,
+        inversion_check,
+    ],
+)
+def test_negative_size_is_rejected(fn, n):
+    with pytest.raises(ValueError):
+        fn(n)
+
+
+def _oracle_key(p):
+    return (weak_exceedances(p), crossings(p), ascents(p), pattern_31_2(p), is_derangement(p))
+
+
+def test_census_matches_per_permutation_statistics():
+    for n in range(8):
+        assert _census(n) == Counter(map(_oracle_key, all_permutations(n))), n
+
+
+def test_pruned_census_is_the_alternating_restriction():
+    for n in range(9):
+        alternating = Counter(_oracle_key(p) for p in all_permutations(n) if is_alternating(p))
+        assert _census(n, True) == alternating, n
+
+
+def test_both_pair_distributions_share_one_census_walk():
+    for cached in (_census, _wex_cr_counts, _asc_312_counts):
+        cached.cache_clear()
+    assert wex_cr_multiset(7) == asc_312_multiset(7)
+    assert _census.cache_info().misses == 1

@@ -157,6 +157,31 @@ def test_wire_format_roundtrip_and_order():
     assert obj["vars"] == ["y", "q"]
     assert obj["terms"] == [[5, 0, -1], [-3, 0, 2], [1, 1, 0]]
     assert Poly.from_json_obj(json.loads(json.dumps(obj))) == p
+    assert Poly.from_json_obj({"vars": ["y", "q"], "terms": []}) == ZERO
+    malformed = [
+        {"vars": ["y", "q"], "terms": [[1, 0, 0], [2, 0, 0]]},  # duplicate (yExp, qExp)
+        {"vars": ["y", "q"], "terms": [[1, 0.5, 0]]},  # float exponent
+        {"vars": ["y", "q"], "terms": [[1.0, 0, 0]]},  # float coefficient
+        {"vars": ["y", "q"], "terms": [[True, 0, 0]]},  # bool coefficient
+        {"vars": ["y", "q"], "terms": [[1, False, 0]]},  # bool exponent
+        {"vars": ["y", "q"], "terms": [["1", 0, 0]]},  # string coefficient
+        {"vars": ["y", "q"], "terms": [[1, 0]]},  # two fields
+        {"vars": ["y", "q"], "terms": [[1, 0, 0, 0]]},  # four fields
+        {"vars": ["y", "q"], "terms": [3]},  # term not a list
+        {"vars": ["y", "q"], "terms": [[0, 1, 1]]},  # zero coefficient
+        {"vars": ["y", "q"]},  # missing terms
+        {"vars": ["y", "q"], "terms": {"0": 1}},  # terms not a list
+        {"vars": ["q", "y"], "terms": []},  # wrong variables
+        [["y", "q"], []],  # not an object
+    ]
+    for bad in malformed:
+        with pytest.raises(ValueError):
+            Poly.from_json_obj(bad)
+
+
+@given(laurent_polys)
+def test_wire_format_roundtrip_property(p):
+    assert Poly.from_json_obj(json.loads(json.dumps(p.to_json_obj()))) == p
 
 
 def test_rendering():
