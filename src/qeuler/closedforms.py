@@ -3,14 +3,14 @@
 Every formula is computed as (numerator, divisor power) and finished by an
 exact division by that power of (1 - q); a nonzero remainder raises instead
 of producing a silently wrong polynomial, so typos in coefficients become
-hard errors.
+hard errors.  A negative size is a ValueError that names the size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotPolynomialError
+from .errors import NotPolynomialError, check_size
 from .poly import (
     ONE,
     HalfExponentPoly,
@@ -60,15 +60,13 @@ def tangent_core_piece(k: int) -> Poly:
 
 def secant_core_closed(k: int) -> Poly:
     """sum_{j=0}^{2k} (-1)^(j+k) q^(j(2k-j)+k)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    check_size(k, what="k")
     return Poly([((0, j * (2 * k - j) + k), (-1) ** (j + k)) for j in range(2 * k + 1)])
 
 
 def tangent_core_closed(k: int) -> Poly:
     """(piece(k) + piece(k-1)) / (1 - q), exactly."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    check_size(k, what="k")
     num = tangent_core_piece(k) + tangent_core_piece(k - 1)
     return checked_quotient(num, 1).value
 
@@ -77,6 +75,7 @@ def tangent_core_closed(k: int) -> Poly:
 
 
 def q_tangent_closed_parts(n: int) -> FormulaResult:
+    check_size(n)
     num = poly_sum(
         _ballot(2 * n + 1, k) * tangent_core_piece(k) for k in range(n + 1)
     )
@@ -92,6 +91,7 @@ def q_tangent_closed(n: int) -> Poly:
 
 
 def q_secant_closed_parts(n: int) -> FormulaResult:
+    check_size(n)
     num = poly_sum(_ballot(2 * n, k) * secant_core_closed(k) for k in range(n + 1))
     return checked_quotient(num, 2 * n)
 
@@ -106,6 +106,7 @@ def q_secant_closed(n: int) -> Poly:
 
 def q_euler_closed(n: int) -> Poly:
     """E_n(q) routed through the matching parity's closed form."""
+    check_size(n)
     return q_tangent_closed(n // 2) if n % 2 else q_secant_closed(n // 2)
 
 
@@ -115,6 +116,7 @@ def tangent_via_core_rearrangement(n: int) -> Poly:
     Rearranges the (2n+1)-ballot sum of pieces into the 2n-ballot sum of
     core polynomials, dropping one power of (1 - q).
     """
+    check_size(n)
     num = poly_sum(_ballot(2 * n, k) * tangent_core_closed(k) for k in range(n + 1))
     return checked_quotient(num, 2 * n).value
 
@@ -129,6 +131,7 @@ def _wex_factor(k: int) -> Poly:
 
 def q_eulerian_closed(n: int) -> Poly:
     """Closed form of the (wex, cr) distribution over all permutations."""
+    check_size(n)
     total = Poly.zero()
     for k in range(n + 1):
         inner = Poly(
@@ -160,6 +163,7 @@ def _derangement_coeff(n: int, k: int, j: int) -> Poly:
 
 def q_derangement_closed(n: int) -> Poly:
     """Closed form of the (wex, cr) distribution over derangements."""
+    check_size(n)
     total = Poly.zero()
     for k in range(n + 1):
         inner = poly_sum(
@@ -192,6 +196,7 @@ def q_eulerian_number_closed(k: int, n: int) -> Poly:
 
 def touchard_riordan(n: int) -> Poly:
     """Crossing distribution of fixed-point-free involutions of size 2n."""
+    check_size(n)
     num = Poly(
         [((0, k * (k + 1) // 2), (-1) ** k * _ballot(2 * n, k)) for k in range(n + 1)]
     )
@@ -200,6 +205,7 @@ def touchard_riordan(n: int) -> Poly:
 
 def weighted_involution_sum(n: int) -> Poly:
     """sum over 0 <= k <= j <= n of (-1)^j (C(n,k) - C(n,k-1)) q^((j-k)(n-j-k)-k)."""
+    check_size(n)
     terms = []
     for j in range(n + 1):
         for k in range(j + 1):
@@ -230,6 +236,7 @@ def alternating_binom_convolution_closed(n: int, k: int) -> int:
 
 def parity_free_wex_sum(n: int) -> Poly:
     """First intermediate sum (integral exponents); vanishes for even n."""
+    check_size(n)
     terms = []
     for k in range(n // 2 + 1):
         b = binom_safe(n, k) - binom_safe(n, k - 1)
@@ -240,6 +247,7 @@ def parity_free_wex_sum(n: int) -> Poly:
 
 def parity_free_derangement_sum(n: int) -> HalfExponentPoly:
     """Second intermediate sum, carrying q^(n/2 - k); vanishes for odd n."""
+    check_size(n)
     terms = []
     for k in range(n // 2 + 1):
         b = binom_safe(n, k) - binom_safe(n, k - 1)
@@ -256,6 +264,7 @@ def parity_free_euler_closed(n: int) -> Poly:
     (1 - q)^n.  For n = 0 the two parity routes coincide on the empty object
     instead of alternating, so the degenerate value is returned directly.
     """
+    check_size(n)
     if n == 0:
         return ONE
     sign = (-1) ** (n // 2)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size and budget checks."""
 
 
 class QEulerError(Exception):
@@ -38,3 +38,11 @@ def check_budget(value: int, bound: int, what: str) -> None:
     """Refuse (rather than truncate) work above the configured bound."""
     if value > bound:
         raise BudgetExceededError(f"{what}={value} exceeds bound {bound}")
+
+
+def check_size(n: int, bound: int | None = None, what: str = "n") -> None:
+    """Reject a negative size; refuse one above the bound when one is given."""
+    if n < 0:
+        raise ValueError(f"{what}={n} must be nonnegative")
+    if bound is not None:
+        check_budget(n, bound, what)

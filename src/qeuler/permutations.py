@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import permutations as _itperms
 from typing import Iterable, Iterator, Sequence
 
-from .errors import OddCrossingError, check_budget
+from .errors import OddCrossingError, check_size
 from .poly import Poly, binom_safe, poly_sum
 
 DEFAULT_BOUND = 10
@@ -254,38 +254,31 @@ def _alt_312_counts(n: int) -> Counter:
     return _marginal(_census(n, True), 3)[0]
 
 
-def _check_size(n: int, bound: int | None, what: str = "n") -> None:
-    """Reject a negative size; refuse one above the bound (DEFAULT_BOUND if None)."""
-    if n < 0:
-        raise ValueError(f"{what}={n} must be nonnegative")
-    check_budget(n, DEFAULT_BOUND if bound is None else bound, what)
-
-
 def q_eulerian_poly(n: int, bound: int | None = None) -> Poly:
     """Distribution of (wex, cr) over all permutations of size n."""
-    _check_size(n, bound)
+    check_size(n, DEFAULT_BOUND if bound is None else bound)
     return Poly(_wex_cr_counts(n)[0])
 
 
 def q_derangement_poly(n: int, bound: int | None = None) -> Poly:
     """Distribution of (wex, cr) over derangements of size n."""
-    _check_size(n, bound)
+    check_size(n, DEFAULT_BOUND if bound is None else bound)
     return Poly(_wex_cr_counts(n)[1])
 
 
 def wex_cr_multiset(n: int, derangements_only: bool = False, bound: int | None = None) -> Counter:
-    _check_size(n, bound)
+    check_size(n, DEFAULT_BOUND if bound is None else bound)
     return _wex_cr_counts(n)[1 if derangements_only else 0]
 
 
 def asc_312_multiset(n: int, derangements_only: bool = False, bound: int | None = None) -> Counter:
-    _check_size(n, bound)
+    check_size(n, DEFAULT_BOUND if bound is None else bound)
     return _asc_312_counts(n)[1 if derangements_only else 0]
 
 
 def alternating_31_2_poly(n: int, bound: int | None = None) -> Poly:
     """Distribution of 31-2 over alternating permutations (a q-polynomial)."""
-    _check_size(n, bound)
+    check_size(n, DEFAULT_BOUND if bound is None else bound)
     return Poly({(0, e): mult for e, mult in _alt_312_counts(n).items()})
 
 
@@ -302,7 +295,7 @@ def _involution_half_cr_counts(m: int) -> Counter:
 
 def involution_crossing_poly(m: int, bound: int | None = None) -> Poly:
     """Distribution of cr/2 over fixed-point-free involutions of size m (even)."""
-    _check_size(m, bound, "m")
+    check_size(m, DEFAULT_BOUND if bound is None else bound, "m")
     return Poly({(0, e): mult for e, mult in _involution_half_cr_counts(m).items()})
 
 
@@ -311,7 +304,7 @@ def inversion_check(n: int, bound: int | None = None) -> bool:
 
     Checks A_n = sum_k C(n,k) y^(n-k) B_k and B_n = sum_k C(n,k) (-y)^(n-k) A_k.
     """
-    _check_size(n, bound)
+    check_size(n, DEFAULT_BOUND if bound is None else bound)
     a_n = q_eulerian_poly(n, bound)
     b_n = q_derangement_poly(n, bound)
     lhs_a = poly_sum(

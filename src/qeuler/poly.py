@@ -11,6 +11,7 @@ their term tuples are identical.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping
 
 from .errors import HalfPowerResidueError, NotDivisibleError
@@ -290,34 +291,44 @@ def exact_div_one_minus_q_pow(p: Poly, m: int) -> Poly:
 
     A nonzero remainder signals a formula-implementation bug upstream, so it
     raises NotDivisibleError instead of returning a truncated quotient.
+
+    Each y-slice becomes one dense coefficient list from its lowest
+    q-exponent; dividing by (1 - q) is then a prefix sum whose last entry is
+    the remainder.  The stages run stage-major, every slice in first-seen
+    order through a stage before the next one, so the first failing stage
+    and slice are the same as for m single divisions.  A slice whose top
+    coefficient is c leaves -c on top of its quotient, so no stage creates
+    trailing zeros.
     """
     if m < 0:
         raise ValueError("divisor power must be nonnegative")
-    for _ in range(m):
-        p = _div_one_minus_q(p)
-    return p
-
-
-def _div_one_minus_q(p: Poly) -> Poly:
-    if p.is_zero:
+    if not m or not p._terms:
         return p
     slices: dict[int, dict[int, int]] = {}
     for (ye, qe), c in p._terms.items():
         slices.setdefault(ye, {})[qe] = c
-    out: dict[_TermKey, int] = {}
+    rows: dict[int, tuple[int, list[int]]] = {}
     for ye, sl in slices.items():
-        lo, hi = min(sl), max(sl)
-        run = 0
-        for e in range(lo, hi + 1):
-            run += sl.get(e, 0)
-            if e == hi:
-                if run:
-                    raise NotDivisibleError(
-                        f"remainder {run} in y^{ye} slice when dividing by (1 - q)"
-                    )
-            elif run:
-                out[(ye, e)] = run
-    return Poly(out)
+        lo = min(sl)
+        row = [0] * (max(sl) - lo + 1)
+        for qe, c in sl.items():
+            row[qe - lo] = c
+        rows[ye] = (lo, row)
+    for _ in range(m):
+        for ye, (lo, row) in rows.items():
+            row = list(accumulate(row))
+            run = row.pop()
+            if run:
+                raise NotDivisibleError(
+                    f"remainder {run} in y^{ye} slice when dividing by (1 - q)"
+                )
+            rows[ye] = (lo, row)
+    out = Poly.__new__(Poly)
+    out._terms = {
+        (ye, lo + i): c for ye, (lo, row) in rows.items() for i, c in enumerate(row) if c
+    }
+    out._key = None
+    return out
 
 
 class HalfExponentPoly:

@@ -7,6 +7,8 @@ derangement tableaux are the tableaux without zero-rows.
 
 Filling enumeration walks columns left to right and prunes with a per-row
 "everything to the left is 0" flag, so only valid fillings are ever built.
+Enumerations refuse a negative size (ValueError) and one above the bound
+(BudgetExceededError).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .errors import InvalidTransposeError, check_budget
+from .errors import InvalidTransposeError, check_size
 from .poly import Poly
 
 TABLEAU_BOUND = 7
@@ -181,7 +183,7 @@ def fillings(shape: Shape) -> Iterator[Tableau]:
 
 
 def enumerate_tableaux(n: int, bound: int | None = None) -> Iterator[Tableau]:
-    check_budget(n, TABLEAU_BOUND if bound is None else bound, "n")
+    check_size(n, TABLEAU_BOUND if bound is None else bound)
     for shape in shapes_of_half_perimeter(n):
         yield from fillings(shape)
 
@@ -208,19 +210,19 @@ def _tableau_polys(n: int) -> tuple[Poly, Poly, Poly]:
 
 def tableau_poly(n: int, bound: int | None = None) -> Poly:
     """sum of y^rows q^superfluous over all tableaux of half-perimeter n."""
-    check_budget(n, TABLEAU_BOUND if bound is None else bound, "n")
+    check_size(n, TABLEAU_BOUND if bound is None else bound)
     return _tableau_polys(n)[0]
 
 
 def derangement_tableau_poly(n: int, bound: int | None = None) -> Poly:
     """The same sum restricted to derangement tableaux."""
-    check_budget(n, TABLEAU_BOUND if bound is None else bound, "n")
+    check_size(n, TABLEAU_BOUND if bound is None else bound)
     return _tableau_polys(n)[1]
 
 
 def signed_derangement_tableau_sum(n: int, bound: int | None = None) -> Poly:
     """sum of (-1)^rows q^(ones - n) over derangement tableaux (Laurent)."""
-    check_budget(n, TABLEAU_BOUND if bound is None else bound, "n")
+    check_size(n, TABLEAU_BOUND if bound is None else bound)
     return _tableau_polys(n)[2]
 
 

@@ -4,6 +4,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qeuler.ansatz import (
     HAT,
@@ -96,6 +97,15 @@ def test_confluence_random_words():
             whole = word_normal_form(rel, word)
             split = nf_mul(word_normal_form(rel, word[:cut]), word_normal_form(rel, word[cut:]))
             assert whole == split
+
+
+words = st.text(alphabet="DE", max_size=6)
+
+
+@given(st.sampled_from((MAIN, PRIMED, HAT)), words, words, words)
+def test_nf_mul_is_associative(rel, u, v, w):
+    a, b, c = (word_normal_form(rel, x) for x in (u, v, w))
+    assert nf_mul(nf_mul(a, b), c) == nf_mul(a, nf_mul(b, c))
 
 
 def test_word_oracle_against_tableaux():

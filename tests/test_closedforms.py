@@ -11,6 +11,7 @@ from qeuler.closedforms import (
     parity_free_euler_closed,
     parity_free_wex_sum,
     q_derangement_closed,
+    q_euler_closed,
     q_eulerian_closed,
     q_eulerian_number_closed,
     q_secant_closed,
@@ -155,3 +156,27 @@ def test_even_size_vanishing_at_formula_level():
     # reaches past the brute-force range: the closed form itself vanishes
     for n in range(2, 13, 2):
         assert q_eulerian_closed(n).substitute_y(-1).is_zero
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+@pytest.mark.parametrize(
+    "fn, what",
+    [
+        (q_tangent_closed, "n"),
+        (q_secant_closed, "n"),
+        (q_euler_closed, "n"),
+        (tangent_via_core_rearrangement, "n"),
+        (q_eulerian_closed, "n"),
+        (q_derangement_closed, "n"),
+        (touchard_riordan, "n"),
+        (weighted_involution_sum, "n"),
+        (parity_free_wex_sum, "n"),
+        (parity_free_derangement_sum, "n"),
+        (parity_free_euler_closed, "n"),
+        (secant_core_closed, "k"),
+        (tangent_core_closed, "k"),
+    ],
+)
+def test_negative_size_is_rejected(fn, what, n):
+    with pytest.raises(ValueError, match=rf"^{what}={n} must be nonnegative$"):
+        fn(n)

@@ -61,6 +61,39 @@ def test_product_and_substitution_examples():
     assert (Y + Y**2 * Q).substitute_y(-1, -1) == ZERO
 
 
+def dict_div_one_minus_q_pow(p, m):
+    """Division by (1 - q)**m as m dict passes, one Poly per stage: the dense kernel's oracle."""
+    for _ in range(m):
+        if p.is_zero:
+            return p
+        slices = {}
+        for (ye, qe), c in p._terms.items():
+            slices.setdefault(ye, {})[qe] = c
+        out = {}
+        for ye, sl in slices.items():
+            lo, hi = min(sl), max(sl)
+            run = 0
+            for e in range(lo, hi + 1):
+                run += sl.get(e, 0)
+                if e == hi:
+                    if run:
+                        raise NotDivisibleError(
+                            f"remainder {run} in y^{ye} slice when dividing by (1 - q)"
+                        )
+                elif run:
+                    out[(ye, e)] = run
+        p = Poly(out)
+    return p
+
+
+def division_outcome(divide, p, m):
+    """The quotient, or the text of the NotDivisibleError raised instead."""
+    try:
+        return divide(p, m)
+    except NotDivisibleError as exc:
+        return f"NotDivisibleError: {exc}"
+
+
 def test_exact_division_examples():
     assert exact_div_one_minus_q_pow(one_minus_q(), 1) == ONE
     assert exact_div_one_minus_q_pow(Poly({(0, 0): 2, (0, 1): -3, (0, 3): 1}), 2) == Poly(
@@ -126,6 +159,44 @@ def test_ring_laws(a, b, c):
 @given(laurent_polys, st.integers(0, 8))
 def test_exact_division_roundtrip_property(p, m):
     assert exact_div_one_minus_q_pow(p * one_minus_q() ** m, m) == p
+
+
+@given(laurent_polys, st.integers(0, 8), st.just(ZERO) | laurent_polys)
+def test_dense_division_matches_dict_oracle(p, m, r):
+    n = p * one_minus_q() ** m + r
+    assert division_outcome(exact_div_one_minus_q_pow, n, m) == division_outcome(
+        dict_div_one_minus_q_pow, n, m
+    )
+
+
+def test_division_error_names_the_first_failing_stage_then_slice():
+    # Slices are taken in first-seen order (the dict order of the terms).
+    # y^1 comes first and fails at stage 3 (remainder 5); y^2 fails at stage 2
+    # (remainder 3), so from m = 2 on the error names y^2.
+    first = Y * one_minus_q() ** 2 * (ONE + 4 * Q)
+    second = Y**2 * one_minus_q() * (2 * ONE + Q)
+    p = Poly(first._terms | second._terms)
+    for divide in (exact_div_one_minus_q_pow, dict_div_one_minus_q_pow):
+        assert divide(p, 1) == Y * one_minus_q() * (ONE + 4 * Q) + Y**2 * (2 * ONE + Q)
+        for m in (2, 3, 5):
+            with pytest.raises(NotDivisibleError) as exc:
+                divide(p, m)
+            assert str(exc.value) == "remainder 3 in y^2 slice when dividing by (1 - q)"
+    # Both slices fail at stage 2: the first-seen one, y^2, is named.
+    both = Poly(second._terms | (Y * one_minus_q() * (ONE + 4 * Q))._terms)
+    for divide in (exact_div_one_minus_q_pow, dict_div_one_minus_q_pow):
+        with pytest.raises(NotDivisibleError) as exc:
+            divide(both, 2)
+        assert str(exc.value) == "remainder 3 in y^2 slice when dividing by (1 - q)"
+
+
+def test_division_by_the_zeroth_power_and_of_zero():
+    not_divisible = ONE + Q + Poly.monomial(1, -1, -3)
+    assert exact_div_one_minus_q_pow(not_divisible, 0) == not_divisible
+    for m in range(12):
+        assert exact_div_one_minus_q_pow(ZERO, m) == ZERO
+    with pytest.raises(ValueError):
+        exact_div_one_minus_q_pow(ONE, -1)
 
 
 def test_exact_division_roundtrip():

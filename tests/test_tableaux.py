@@ -138,3 +138,19 @@ def test_dump_format():
     assert t.dump() == "2,1\n10\n1"
     empty_rows = Tableau(Shape((0, 0)), ((), ()))
     assert empty_rows.dump() == "0,0"
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        tableau_poly,
+        derangement_tableau_poly,
+        signed_derangement_tableau_sum,
+        lambda n: list(enumerate_tableaux(n)),
+        lambda n: list(enumerate_derangement_tableaux(n)),
+    ],
+)
+def test_negative_size_is_rejected(fn, n):
+    with pytest.raises(ValueError, match=rf"^n={n} must be nonnegative$"):
+        fn(n)
