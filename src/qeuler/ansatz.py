@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import RelationMismatchError, check_budget
+from .errors import RelationMismatchError, check_budget, check_size
 from .poly import ONE, Poly, binom_safe, poly_sum
 
 ANSATZ_BOUND = 14
@@ -141,8 +141,7 @@ def normal_power(
     coeff_id: Poly = Poly.zero(),
 ) -> NormalForm:
     """Normal form of (coeff_d D + coeff_e E + coeff_id I)^n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_size(n)
     nf = NormalForm.identity(relation)
     for _ in range(n):
         parts = [nf_scale(left_mul_d(nf), coeff_d), nf_scale(left_mul_e(nf), coeff_e)]

@@ -9,56 +9,53 @@ where delta marks an ascent position and i counts the 31-2 patterns whose
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .paths import UNIT_WEIGHT, Weight, WeightedPath, path_from_steps, step_weight
+from .paths import UNIT_DOWN, WeightedPath, path_from_steps
 from .permutations import Permutation, ascents, pattern_31_2, _images
-from .poly import Poly
+
+# The lifted image opens with an up step of weight y.
+_Y_UP = (1, 1, 1, 0)
 
 
-@dataclass(frozen=True)
-class FVImage:
-    """A Laguerre-history image tagged with its source permutation size."""
+def francon_viennot(
+    p: Sequence[int] | Permutation, stats: tuple[int, int] | None = None
+) -> WeightedPath:
+    """Encode a permutation of size n >= 1 as a Laguerre history of n steps.
 
-    path: WeightedPath
-    size: int
-
-
-def francon_viennot(p: Sequence[int] | Permutation) -> FVImage:
-    """Encode a permutation of size n >= 1 as a Laguerre history of n steps."""
+    The path weight is asserted to be y^asc q^(31-2); stats passes the
+    (ascents, 31-2) pair of p when the caller has already computed it.
+    """
     t = _images(p)
     n = len(t)
     if n < 1:
         raise ValueError("the encoding needs a nonempty permutation")
-    position_of = [0] * (n + 2)
-    for pos, v in enumerate(t, start=1):
-        position_of[v] = pos
-
-    def img(i: int) -> int:
-        if i == 0:
-            return 0
-        if i == n + 1:
-            return n + 1
-        return t[i - 1]
-
-    items: list[tuple[str, Weight]] = []
-    for k in range(1, n + 1):
-        j = position_of[k]
-        before, after = img(j - 1), img(j + 1)
-        if before > k < after:
-            direction = "U"
-        elif before < k > after:
-            direction = "D"
-        else:
-            direction = "F"
-        delta = 1 if k < after else 0
-        exp = sum(1 for u in range(1, j - 1) if t[u - 1] > k > t[u])
-        items.append((direction, step_weight(1, delta, exp)))
-    path = path_from_steps("laguerre", items)
-    if path.weight() != Poly.monomial(1, ascents(t), pattern_31_2(t)):
+    # cover[v]: descents (hi, lo) at earlier adjacent positions with hi > v > lo
+    cover = [0] * (n + 2)
+    records = [None] * n
+    before = 0
+    for k, after in zip(t, (*t[1:], n + 1)):
+        if k < after:  # an ascent position: a valley rises, a double ascent stays flat
+            records[k - 1] = (1 if before > k else 0, 1, 1, cover[k])
+        else:  # a double descent stays flat, a peak falls
+            records[k - 1] = (0 if before > k else -1, 1, 0, cover[k])
+        for v in range(k + 1, before):  # the descent (before, k) counts from the next position on
+            cover[v] += 1
+        before = k
+    path = path_from_steps("laguerre", records)
+    asc, p312 = (ascents(t), pattern_31_2(t)) if stats is None else stats
+    if path.exponents() != (1, asc, p312):
         raise AssertionError(f"weight property failed for {t}")
-    return FVImage(path, n)
+    return path
+
+
+def _lift(t: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """The lift of t and its (ascents, 31-2) pair, asserted equal to that of t."""
+    lifted = (*[v + 1 for v in t], 1)
+    stats = (ascents(lifted), pattern_31_2(lifted))
+    if stats != (ascents(t), pattern_31_2(t)):
+        raise AssertionError(f"lift changed the statistics of {t}")
+    return lifted, stats
 
 
 def lift_append_one(p: Sequence[int] | Permutation) -> tuple[int, ...]:
@@ -66,14 +63,10 @@ def lift_append_one(p: Sequence[int] | Permutation) -> tuple[int, ...]:
 
     The lift preserves both the ascent count and the 31-2 count (asserted).
     """
-    t = _images(p)
-    lifted = tuple(v + 1 for v in t) + (1,)
-    if ascents(lifted) != ascents(t) or pattern_31_2(lifted) != pattern_31_2(t):
-        raise AssertionError(f"lift changed the statistics of {t}")
-    return lifted
+    return _lift(_images(p))[0]
 
 
-def lifted_francon_viennot(p: Sequence[int] | Permutation) -> tuple[FVImage, WeightedPath]:
+def lifted_francon_viennot(p: Sequence[int] | Permutation) -> tuple[WeightedPath, WeightedPath]:
     """Encode the lifted permutation; also return the trimmed inner path.
 
     The full image starts with an up step of weight y and ends with a down
@@ -83,17 +76,14 @@ def lifted_francon_viennot(p: Sequence[int] | Permutation) -> tuple[FVImage, Wei
     t = _images(p)
     if len(t) < 1:
         raise ValueError("the encoding needs a nonempty permutation")
-    full = francon_viennot(lift_append_one(t))
-    steps = full.path.steps
-    first, last = steps[0], steps[-1]
-    if first.direction != "U" or first.weight != step_weight(1, 1, 0):
+    lifted, stats = _lift(t)
+    full = francon_viennot(lifted, stats)
+    records = full.records
+    if records[0] != _Y_UP:
         raise AssertionError("lifted image must open with an up step of weight y")
-    if last.direction != "D" or last.weight != UNIT_WEIGHT:
+    if records[-1] != UNIT_DOWN:
         raise AssertionError("lifted image must close with a down step of weight 1")
-    reduced = path_from_steps(
-        "large_laguerre", [(s.direction, s.weight) for s in steps[1:-1]]
-    )
-    return full, reduced
+    return full, path_from_steps("large_laguerre", records[1:-1])
 
 
 def saturated_step_free(p: Sequence[int] | Permutation) -> bool:
@@ -102,19 +92,17 @@ def saturated_step_free(p: Sequence[int] | Permutation) -> bool:
     This path condition characterizes the permutations whose last position
     holds the value 1.
     """
-    return path_saturated_step_free(francon_viennot(p).path)
+    return path_saturated_step_free(francon_viennot(p))
 
 
 def path_saturated_step_free(path: WeightedPath) -> bool:
     """The step test of saturated_step_free on an already encoded path."""
-    return not any(s.weight.ypow == 1 and s.weight.qpow == s.start_height for s in path.steps[1:])
+    return not any(
+        ypow == 1 and qpow == h
+        for h, (_, _, ypow, qpow) in zip(path.heights()[1:], path.records[1:])
+    )
 
 
 def returns_to_zero_early(path: WeightedPath) -> bool:
     """True when the path touches height 0 before its final step."""
-    h = 0
-    for s in path.steps[:-1]:
-        h += {"U": 1, "D": -1, "F": 0}[s.direction]
-        if h == 0:
-            return True
-    return False
+    return 0 in path.heights()[1:]

@@ -104,7 +104,7 @@ def cmd_bijection(args: argparse.Namespace) -> int:
     image = francon_viennot(perm)
     sv = stat_vector(perm)
     lifted = lift_append_one(perm)
-    print(image.path.dump())
+    print(image.dump())
     print(f"stats: wex={sv.wex} asc={sv.asc} cr={sv.cr} 31-2={sv.p312} fix={sv.fix}")
     if all(v <= 9 for v in lifted):
         print("tilde: " + "".join(str(v) for v in lifted))

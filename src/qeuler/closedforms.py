@@ -219,12 +219,14 @@ def weighted_involution_sum(n: int) -> Poly:
 
 def alternating_binom_convolution(n: int, k: int) -> int:
     """sum_j (-1)^j binom(2n+1, j) binom(2n+1, j+k), evaluated directly."""
+    check_size(n)
     m = 2 * n + 1
     return sum((-1) ** j * binom_safe(m, j) * binom_safe(m, j + k) for j in range(m - k + 1))
 
 
 def alternating_binom_convolution_closed(n: int, k: int) -> int:
     """The evaluated form: 0 for even k, a signed central binomial for odd k."""
+    check_size(n)
     if k % 2 == 0:
         return 0
     i = (k - 1) // 2

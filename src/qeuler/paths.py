@@ -5,20 +5,25 @@ direction and start height.  Path validation, the transfer recurrence behind
 every closed-family sum, and the explicit enumeration oracle for small sizes
 all read it.  Schroeder flat steps span two length units so that "length 2k"
 matches the t-degree accounting of the associated T-fractions.
+
+A path holds its steps as one tuple of small integer records
+(delta, sign, ypow, qpow), delta being +1 up, -1 down and 0 flat; start
+heights are derived.  Step and Weight objects are built only to show a path
+(WeightedPath.steps and dump).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .errors import check_budget
+from .errors import check_size
 from .poly import ONE, Poly, binom_safe, poly_sum, q_integer
 
 PATH_BOUND = 8
 
-_DELTA = {"U": 1, "D": -1, "F": 0}
+_DIRECTION = {1: "U", -1: "D", 0: "F"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,8 +49,8 @@ class Weight:
         return f"[{self.sign:+d},{self.ypow},{self.qpow}]"
 
 
-# The interning constructor: every weight of the family table and of the
-# Francon-Viennot encoding is built here, so validation finds it by identity.
+# The interning constructor: every weight of the family table and of a path's
+# Step objects is built here, once per distinct weight.
 step_weight = cache(Weight)
 
 UNIT_WEIGHT = step_weight(1, 0, 0)
@@ -53,12 +58,14 @@ UNIT_WEIGHT = step_weight(1, 0, 0)
 
 @dataclass(frozen=True, slots=True)
 class Step:
+    """One step of a path as shown to users; paths themselves hold records."""
+
     direction: str  # "U", "D", or "F"
     start_height: int
     weight: Weight = UNIT_WEIGHT
 
     def __post_init__(self) -> None:
-        if self.direction not in _DELTA or self.start_height < 0:
+        if self.direction not in ("U", "D", "F") or self.start_height < 0:
             raise ValueError(f"invalid step {self}")
 
     def dump(self) -> str:
@@ -147,70 +154,113 @@ def _options(family: str, direction: str, h: int) -> tuple[Weight, ...]:
     return {"U": fam.up, "D": fam.down, "F": fam.flat}[direction](h)
 
 
+# A step record: (delta, sign, ypow, qpow), delta +1 up, -1 down, 0 flat.
+Record = tuple[int, int, int, int]
+
+UNIT_UP: Record = (1, 1, 0, 0)
+UNIT_DOWN: Record = (-1, 1, 0, 0)
+_UNIT = (1, 0, 0)  # the (sign, ypow, qpow) of weight 1
+
+
 @cache
-def _allowed(family: str, direction: str, h: int) -> frozenset[Weight]:
-    return frozenset(_options(family, direction, h))
+def _records(family: str, delta: int, h: int) -> tuple[Record, ...]:
+    """The step records of the family from height h, in enumeration order."""
+    return tuple((delta, w.sign, w.ypow, w.qpow) for w in _options(family, _DIRECTION[delta], h))
+
+
+@cache
+def _allowed(family: str, steps: int) -> tuple[frozenset[Record], ...]:
+    """Indexed by h: every record a step of the family may be from height h,
+    for the heights h < steps that a path of that many steps can start a step at."""
+    return tuple(
+        frozenset(r for delta in (1, -1, 0) for r in _records(family, delta, h))
+        for h in range(steps)
+    )
 
 
 @dataclass(frozen=True)
 class WeightedPath:
-    steps: tuple[Step, ...]
+    """A path as one tuple of step records; start heights are derived.
+
+    Build it with path_from_steps, which validates the records.
+    """
+
+    records: tuple[Record, ...]
     family: str
 
-    def validate(self) -> WeightedPath:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown path family {self.family!r}")
+    def heights(self) -> list[int]:
+        """The start height of each step."""
+        out = []
         h = 0
-        for s in self.steps:
-            if s.start_height != h:
-                raise ValueError(f"inconsistent heights at {s}")
-            if s.weight not in _allowed(self.family, s.direction, h):
-                raise ValueError(f"step {s} violates {self.family} weight rule")
-            h += _DELTA[s.direction]
-            if h < 0:
-                raise ValueError("path dips below height 0")
-        if h != 0 and FAMILIES[self.family].closed:
-            raise ValueError(f"closed family path ends at height {h}")
-        return self
+        for r in self.records:
+            out.append(h)
+            h += r[0]
+        return out
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        """The steps as Step objects, for display and inspection."""
+        return tuple(
+            Step(_DIRECTION[d], h, step_weight(sign, ypow, qpow))
+            for h, (d, sign, ypow, qpow) in zip(self.heights(), self.records)
+        )
 
     @property
     def final_height(self) -> int:
-        return sum(_DELTA[s.direction] for s in self.steps)
+        return sum(r[0] for r in self.records)
 
     @property
     def length(self) -> int:
         """Length in units; flat steps count double in Schroeder families."""
         flat_len = FAMILIES[self.family].flat_length
-        return sum(flat_len if s.direction == "F" else 1 for s in self.steps)
+        return sum(flat_len if r[0] == 0 else 1 for r in self.records)
+
+    def exponents(self) -> tuple[int, int, int]:
+        """(sign, y exponent, q exponent) of the path weight: the step signs
+        multiplied, the step exponents added."""
+        sign, ypow, qpow = 1, 0, 0
+        for _, s, y, q in self.records:
+            sign *= s
+            ypow += y
+            qpow += q
+        return sign, ypow, qpow
 
     def weight(self) -> Poly:
-        """The product of the step monomials, by adding their exponents."""
-        sign, ypow, qpow = 1, 0, 0
-        for s in self.steps:
-            w = s.weight
-            sign *= w.sign
-            ypow += w.ypow
-            qpow += w.qpow
-        return Poly.monomial(sign, ypow, qpow)
+        """The product of the step monomials, one monomial of the summed exponents."""
+        return Poly.monomial(*self.exponents())
 
     def shape(self) -> str:
-        return "".join(s.direction for s in self.steps)
+        return "".join(_DIRECTION[r[0]] for r in self.records)
 
     def has_flat(self) -> bool:
-        return any(s.direction == "F" for s in self.steps)
+        return any(r[0] == 0 for r in self.records)
 
     def dump(self) -> str:
         return " ".join(s.dump() for s in self.steps)
 
 
-def path_from_steps(family: str, items: list[tuple[str, Weight]]) -> WeightedPath:
-    """Build a path from (direction, weight) pairs, deriving start heights."""
-    steps = []
+def path_from_steps(family: str, records: Iterable[Record]) -> WeightedPath:
+    """Build a path of the family from (delta, sign, ypow, qpow) records.
+
+    One pass checks each record against the records allowed from its start
+    height, that the path never dips below 0 and that a closed family's path
+    returns to 0; any violation raises ValueError.
+    """
+    fam = FAMILIES.get(family)
+    if fam is None:
+        raise ValueError(f"unknown path family {family!r}")
+    records = tuple(records)
+    allowed = _allowed(family, len(records))
     h = 0
-    for d, w in items:
-        steps.append(Step(d, h, w))
-        h += _DELTA[d]
-    return WeightedPath(tuple(steps), family).validate()
+    for r in records:
+        if r not in allowed[h]:
+            raise ValueError(f"step {r} from height {h} violates {family} weight rule")
+        h += r[0]
+        if h < 0:
+            raise ValueError("path dips below height 0")
+    if h != 0 and fam.closed:
+        raise ValueError(f"closed family path ends at height {h}")
+    return WeightedPath(records, family)
 
 
 # -- the transfer sum -----------------------------------------------------------
@@ -268,18 +318,19 @@ def euler_dyck_sum(n: int, delta: int) -> Poly:
     """
     if delta not in (0, 1):
         raise ValueError("delta must be 0 or 1")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_size(n)
     return family_sum(f"euler_dyck_{delta}", 2 * n)
 
 
 def touchard_dyck_sum(n: int) -> Poly:
     """Dyck paths of length 2n with unit up steps and down steps q**i, i < h."""
+    check_size(n)
     return family_sum("touchard_dyck", 2 * n)
 
 
 def laguerre_sum(n: int) -> Poly:
     """Total weight of all Laguerre histories of size n (n Motzkin steps)."""
+    check_size(n)
     return family_sum("laguerre", n)
 
 
@@ -292,19 +343,20 @@ def large_laguerre_sum(n: int) -> Poly:
 
 def derangement_motzkin_sum(n: int) -> Poly:
     """Motzkin paths of length n with up y[h+1], flat (1+yq)[h], down [h]."""
+    check_size(n)
     return family_sum("derangement_motzkin", n)
 
 
 def secant_core_path_sum(k: int, bound: int | None = None) -> Poly:
     """Signed Dyck paths of length 2k, up 1 or -q**(h+1), down 1 or -q**h,
     with no unit up step followed by a unit down step."""
-    check_budget(k, PATH_BOUND if bound is None else bound, "k")
+    check_size(k, PATH_BOUND if bound is None else bound, "k")
     return family_sum("secant_core", 2 * k, restricted=True)
 
 
 def tangent_core_path_sum(k: int, bound: int | None = None) -> Poly:
     """As secant_core_path_sum with down weights 1 or -q**(h+1)."""
-    check_budget(k, PATH_BOUND if bound is None else bound, "k")
+    check_size(k, PATH_BOUND if bound is None else bound, "k")
     return family_sum("tangent_core", 2 * k, restricted=True)
 
 
@@ -312,7 +364,7 @@ def schroder_signed_sum(k: int, variant: str, bound: int | None = None) -> Poly:
     """Signed Schroeder paths of length 2k; flat steps weigh -1 and span 2 units."""
     if variant not in ("secant", "tangent"):
         raise ValueError("variant must be 'secant' or 'tangent'")
-    check_budget(k, PATH_BOUND if bound is None else bound, "k")
+    check_size(k, PATH_BOUND if bound is None else bound, "k")
     return family_sum(f"schroder_{variant}", 2 * k)
 
 
@@ -435,40 +487,46 @@ def enumerate_dyck_shapes(length: int, final_height: int = 0) -> Iterator[str]:
     yield from rec([], 0, length)
 
 
+@cache
+def _moves(family: str, h: int, rem: int) -> tuple[tuple[Record, int, int], ...]:
+    """(record, next height, units left) for every step of the family from
+    height h after which a closed path can still end within rem units."""
+    flat_len = FAMILIES[family].flat_length
+    out = []
+    for delta in (1, -1, 0):
+        ln = flat_len if delta == 0 else 1
+        nh = h + delta
+        if ln <= rem and 0 <= nh <= rem - ln:
+            out += [(r, nh, rem - ln) for r in _records(family, delta, h)]
+    return tuple(out)
+
+
 def enumerate_family(family: str, length: int, restricted: bool = False) -> Iterator[WeightedPath]:
     """Materialize every weighted path of a closed family, length in units.
 
     With restricted=True, paths containing an up-down pair of consecutive
-    steps both weighted 1 are skipped (the core-family condition).
+    steps both weighted 1 are skipped (the core-family condition).  The walk
+    is depth first with one iterator of moves per step of the prefix.
     """
-    flat_len = FAMILIES[family].flat_length
-
-    def rec(acc: list[tuple[str, Weight]], h: int, rem: int) -> Iterator[list[tuple[str, Weight]]]:
-        if rem == 0:
-            if h == 0:
-                yield list(acc)
-            return
-        for d in "UDF":
-            ln = flat_len if d == "F" else 1
-            nh = h + _DELTA[d]
-            if ln > rem or nh < 0 or nh > rem - ln:
+    if length == 0:
+        yield path_from_steps(family, ())
+        return
+    prefix: list[Record] = []
+    stack = [iter(_moves(family, 0, length))]
+    while stack:
+        for r, nh, rem in stack[-1]:
+            if restricted and r == UNIT_DOWN and prefix and prefix[-1] == UNIT_UP:
                 continue
-            for w in _options(family, d, h):
-                if (
-                    restricted
-                    and d == "D"
-                    and w.is_unit
-                    and acc
-                    and acc[-1][0] == "U"
-                    and acc[-1][1].is_unit
-                ):
-                    continue
-                acc.append((d, w))
-                yield from rec(acc, nh, rem - ln)
-                acc.pop()
-
-    for items in rec([], 0, length):
-        yield path_from_steps(family, items)
+            if rem == 0:
+                yield path_from_steps(family, (*prefix, r))
+                continue
+            prefix.append(r)
+            stack.append(iter(_moves(family, nh, rem)))
+            break
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
 
 
 def family_sum_by_enumeration(family: str, length: int, restricted: bool = False) -> Poly:
@@ -486,16 +544,16 @@ def _maximal_unit_factors(path: WeightedPath) -> list[tuple[int, int]]:
     disjoint, so a greedy left-to-right scan that always takes the longest
     factor starting at the current position finds exactly all of them.
     """
-    steps = path.steps
-    n = len(steps)
+    records = path.records
+    n = len(records)
     factors: list[tuple[int, int]] = []
     pos = 0
     while pos < n:
         h = 0
         best = -1
         j = pos
-        while j < n and steps[j].weight.is_unit:
-            h += _DELTA[steps[j].direction]
+        while j < n and records[j][1:] == _UNIT:
+            h += records[j][0]
             j += 1
             if h < 0:
                 break
@@ -520,18 +578,11 @@ def penaud_decompose(path: WeightedPath) -> tuple[WeightedPath, WeightedPath]:
     """
     if path.family not in ("secant_core", "tangent_core"):
         raise ValueError("decomposition applies to the signed Dyck families")
-    in_factor = [False] * len(path.steps)
+    records = path.records
+    in_factor = [False] * len(records)
     for a, b in _maximal_unit_factors(path):
-        for i in range(a, b):
-            in_factor[i] = True
-    h1_items: list[tuple[str, Weight]] = []
-    h2_items: list[tuple[str, Weight]] = []
-    for flag, s in zip(in_factor, path.steps):
-        if flag:
-            h1_items.append((s.direction, UNIT_WEIGHT))
-        else:
-            h1_items.append(("U", UNIT_WEIGHT))
-            h2_items.append((s.direction, s.weight))
-    h1 = path_from_steps("left_factor", h1_items)
-    h2 = path_from_steps(path.family, h2_items)
-    return h1, h2
+        in_factor[a:b] = [True] * (b - a)
+    # a factor step is a unit step, so its record is already a left-factor record
+    left = [r if flag else UNIT_UP for flag, r in zip(in_factor, records)]
+    core = [r for flag, r in zip(in_factor, records) if not flag]
+    return path_from_steps("left_factor", left), path_from_steps(path.family, core)

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _itperms
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OddCrossingError, check_size
@@ -106,10 +107,9 @@ def weak_exceedances(p: Sequence[int] | Permutation) -> int:
 def ascents(p: Sequence[int] | Permutation) -> int:
     """Positions i with sigma(i) < sigma(i+1); position n always counts."""
     t = _images(p)
-    n = len(t)
-    if n == 0:
+    if not t:
         return 0
-    return 1 + sum(1 for i in range(n - 1) if t[i] < t[i + 1])
+    return 1 + sum(map(lt, t, t[1:]))
 
 
 def pattern_31_2(p: Sequence[int] | Permutation) -> int:

@@ -47,6 +47,7 @@ class Shape:
 
 def shapes_of_half_perimeter(n: int) -> Iterator[Shape]:
     """All shapes with rows + columns = n, empty rows allowed."""
+    check_size(n)
     if n == 0:
         yield Shape(())
         return

@@ -305,15 +305,14 @@ def _chk_bijection_size(n: int) -> tuple[bool, str]:
     seen = set()
     for p in pm.all_permutations(n):
         image = bj.francon_viennot(p)  # validates weight property internally
-        key = tuple((s.direction, s.weight) for s in image.path.steps)
-        if key in seen:
+        if image.records in seen:
             return False, f"image collision at {p}"
-        seen.add(key)
-        if bj.path_saturated_step_free(image.path) != (p[-1] == 1):
+        seen.add(image.records)
+        if bj.path_saturated_step_free(image) != (p[-1] == 1):
             return False, f"path criterion mismatch at {p}"
-        if p[-1] == 1 and n > 1 and bj.returns_to_zero_early(image.path):
+        if p[-1] == 1 and n > 1 and bj.returns_to_zero_early(image):
             return False, f"early return to zero at {p}"
-        flats = image.path.has_flat()
+        flats = image.has_flat()
         if n % 2 == 0 and pm.is_alternating(p) != (not flats):
             return False, f"alternating characterization failed at {p}"
     count = pa.laguerre_sum(n).evaluate(1, 1)
@@ -354,9 +353,9 @@ def _chk_penaud(n: int) -> tuple[bool, str]:
         count = 0
         for path in pa.enumerate_family(family, 2 * n):
             h1, h2 = pa.penaud_decompose(path)
-            if path.weight() != h2.weight():
+            if path.exponents() != h2.exponents():
                 return False, f"weight not preserved for {path.dump()!r}"
-            key = (h1.shape(), tuple((s.direction, s.weight) for s in h2.steps))
+            key = (h1.records, h2.records)
             if key in pairs:
                 return False, f"decomposition collision in {family}"
             pairs.add(key)

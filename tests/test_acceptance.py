@@ -219,12 +219,12 @@ def test_c11_bijection_suite():
         images = set()
         for p in itperms(range(1, n + 1)):
             image = bj.francon_viennot(p)  # weight property asserted inside
-            images.add(tuple((s.direction, s.weight) for s in image.path.steps))
+            images.add(image.records)
             ok = ok and bj.saturated_step_free(p) == (p[-1] == 1)
             if n > 1 and p[-1] == 1:
-                ok = ok and not bj.returns_to_zero_early(image.path)
+                ok = ok and not bj.returns_to_zero_early(image)
             if n % 2 == 0:
-                ok = ok and pm.is_alternating(p) == (not image.path.has_flat())
+                ok = ok and pm.is_alternating(p) == (not image.has_flat())
             else:
                 _, reduced = bj.lifted_francon_viennot(p)
                 ok = ok and pm.is_alternating(p) == (not reduced.has_flat())

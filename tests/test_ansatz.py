@@ -125,3 +125,8 @@ def test_edge_words():
     assert word_boundary_value(MAIN, "DDE") == Q
     with pytest.raises(ValueError):
         word_normal_form(MAIN, "DX")
+
+
+def test_normal_power_rejects_a_negative_exponent():
+    with pytest.raises(ValueError, match=r"^n=-1 must be nonnegative$"):
+        normal_power(MAIN, -1, ONE, ONE)

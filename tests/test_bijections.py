@@ -4,7 +4,10 @@ import math
 from itertools import permutations as itperms
 
 import pytest
+from hypothesis import given, strategies as st
 
+import path_oracles as oracle
+from qeuler import bijections
 from qeuler.bijections import (
     francon_viennot,
     lift_append_one,
@@ -13,7 +16,7 @@ from qeuler.bijections import (
     returns_to_zero_early,
     saturated_step_free,
 )
-from qeuler.paths import euler_dyck_sum, laguerre_sum, step_weight
+from qeuler.paths import WeightedPath, euler_dyck_sum, laguerre_sum, step_weight
 from qeuler.permutations import ascents, is_alternating, pattern_31_2
 from qeuler.poly import Poly, poly_sum
 
@@ -22,17 +25,21 @@ FIG = (4, 3, 7, 1, 2, 6, 5)
 
 def test_figure_example():
     image = francon_viennot(FIG)
-    assert image.size == 7
-    assert image.path.dump() == (
+    assert image.length == len(image.records) == 7  # one step per value
+    assert image.dump() == (
         "U[+1,1,0] F[+1,1,1] U[+1,1,0] D[+1,0,0] U[+1,1,1] D[+1,0,1] D[+1,0,0]"
     )
-    assert image.path.weight() == Poly.monomial(1, 4, 3)
+    assert image.records == (
+        (1, 1, 1, 0), (0, 1, 1, 1), (1, 1, 1, 0), (-1, 1, 0, 0),
+        (1, 1, 1, 1), (-1, 1, 0, 1), (-1, 1, 0, 0),
+    )
+    assert image.weight() == Poly.monomial(1, 4, 3)
 
 
 def test_small_images():
-    assert francon_viennot((1,)).path.dump() == "F[+1,1,0]"
-    assert francon_viennot((2, 1)).path.dump() == "U[+1,1,0] D[+1,0,0]"
-    ident = francon_viennot((1, 2, 3, 4)).path
+    assert francon_viennot((1,)).dump() == "F[+1,1,0]"
+    assert francon_viennot((2, 1)).dump() == "U[+1,1,0] D[+1,0,0]"
+    ident = francon_viennot((1, 2, 3, 4))
     assert ident.shape() == "FFFF"
     assert all(s.start_height == 0 and s.weight.ypow == 1 for s in ident.steps)
     with pytest.raises(ValueError):
@@ -43,15 +50,12 @@ def test_weight_property_exhaustive():
     for n in range(1, 7):
         for p in itperms(range(1, n + 1)):
             image = francon_viennot(p)
-            assert image.path.weight() == Poly.monomial(1, ascents(p), pattern_31_2(p))
+            assert image.weight() == Poly.monomial(1, ascents(p), pattern_31_2(p))
 
 
 def test_injectivity_and_cardinality():
     for n in range(1, 7):
-        images = {
-            tuple((s.direction, s.weight) for s in francon_viennot(p).path.steps)
-            for p in itperms(range(1, n + 1))
-        }
+        images = {francon_viennot(p).records for p in itperms(range(1, n + 1))}
         assert len(images) == math.factorial(n) == laguerre_sum(n).evaluate(1, 1)
 
 
@@ -63,12 +67,13 @@ def test_lift():
 
 def test_lifted_images():
     full, reduced = lifted_francon_viennot((1,))
-    assert full.path.shape() == "UD" and reduced.steps == ()
+    assert full.shape() == "UD" and reduced.steps == () and reduced.records == ()
     full, reduced = lifted_francon_viennot((2, 3, 1))
-    assert full.path.shape() == "UFFD"
-    assert full.path.weight() == Poly.monomial(1, 2, 0)
+    assert full.shape() == "UFFD" and full.family == "laguerre"
+    assert full.weight() == Poly.monomial(1, 2, 0)
+    assert reduced.records == full.records[1:-1] and reduced.family == "large_laguerre"
     full, reduced = lifted_francon_viennot((2, 1))
-    assert full.path.weight() == Poly.monomial(1, 1, 0)
+    assert full.weight() == Poly.monomial(1, 1, 0)
 
 
 def test_saturated_step_criterion():
@@ -78,9 +83,9 @@ def test_saturated_step_criterion():
     for n in range(1, 7):
         for p in itperms(range(1, n + 1)):
             assert saturated_step_free(p) == (p[-1] == 1)
-            assert path_saturated_step_free(francon_viennot(p).path) == (p[-1] == 1)
+            assert path_saturated_step_free(francon_viennot(p)) == (p[-1] == 1)
             if n > 1 and p[-1] == 1:
-                assert not returns_to_zero_early(francon_viennot(p).path)
+                assert not returns_to_zero_early(francon_viennot(p))
 
 
 def test_encoding_multiplies_no_polynomials(monkeypatch):
@@ -96,21 +101,21 @@ def test_encoding_multiplies_no_polynomials(monkeypatch):
     monkeypatch.setattr(Poly, "__rmul__", counting)
     p = (4, 8, 3, 7, 1, 2, 6, 5)
     image = francon_viennot(p)
-    assert image.path.weight() == Poly.monomial(1, ascents(p), pattern_31_2(p))
+    assert image.weight() == Poly.monomial(1, ascents(p), pattern_31_2(p))
     assert calls == []
-    for s in image.path.steps:
+    for s in image.steps:
         assert s.weight is step_weight(s.weight.sign, s.weight.ypow, s.weight.qpow)
 
 
 def test_alternating_characterizations():
     for n in (2, 4, 6):
         for p in itperms(range(1, n + 1)):
-            assert is_alternating(p) == (not francon_viennot(p).path.has_flat())
+            assert is_alternating(p) == (not francon_viennot(p).has_flat())
     for n in (1, 3, 5):
         for p in itperms(range(1, n + 1)):
             full, reduced = lifted_francon_viennot(p)
             assert is_alternating(p) == (not reduced.has_flat())
-            assert reduced.has_flat() == full.path.has_flat()
+            assert reduced.has_flat() == full.has_flat()
 
 
 def test_signed_reduced_path_sums():
@@ -125,3 +130,58 @@ def test_signed_reduced_path_sums():
             assert value.is_zero
         else:
             assert value == Poly.const((-1) ** ((n - 1) // 2)) * euler_dyck_sum(n // 2, 1)
+
+
+# -- the record encoding against the object-based oracle ------------------------
+
+
+def test_records_match_object_oracle_exhaustive():
+    for n in range(1, 8):
+        for p in itperms(range(1, n + 1)):
+            assert francon_viennot(p).records == oracle.as_records(oracle.francon_viennot(p)), p
+            full, reduced = lifted_francon_viennot(p)
+            want_full, want_reduced = oracle.lifted_francon_viennot(p)
+            assert full.records == oracle.as_records(want_full), p
+            assert reduced.records == oracle.as_records(want_reduced), p
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_records_match_object_oracle_on_random_permutations(p):
+    p = tuple(p)
+    assert francon_viennot(p).records == oracle.as_records(oracle.francon_viennot(p))
+    full, reduced = lifted_francon_viennot(p)
+    want_full, want_reduced = oracle.lifted_francon_viennot(p)
+    assert full.records == oracle.as_records(want_full)
+    assert reduced.records == oracle.as_records(want_reduced)
+    assert oracle.as_items(reduced) == want_reduced
+
+
+def test_steps_carry_derived_start_heights():
+    image = francon_viennot(FIG)
+    assert [s.start_height for s in image.steps] == image.heights() == [0, 1, 1, 2, 1, 2, 1]
+    assert oracle.as_items(image) == oracle.francon_viennot(FIG)
+
+
+@pytest.mark.parametrize(
+    "bad_first, bad_last, message",
+    [
+        ((1, 1, 0, 0), None, "open with an up step of weight y"),
+        (None, (-1, 1, 0, 1), "close with a down step of weight 1"),
+    ],
+)
+def test_lift_trim_assertions_fire(monkeypatch, bad_first, bad_last, message):
+    """An encoder whose lifted image breaks either end is caught by the trim checks."""
+    encode = bijections.francon_viennot
+
+    def tampered(p, stats=None):
+        path = encode(p, stats)
+        records = list(path.records)
+        if bad_first is not None:
+            records[0] = bad_first
+        if bad_last is not None:
+            records[-1] = bad_last
+        return WeightedPath(tuple(records), path.family)  # tampered: bypasses validation
+
+    monkeypatch.setattr(bijections, "francon_viennot", tampered)
+    with pytest.raises(AssertionError, match=message):
+        lifted_francon_viennot((2, 3, 1))

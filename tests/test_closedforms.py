@@ -175,6 +175,10 @@ def test_even_size_vanishing_at_formula_level():
         (parity_free_euler_closed, "n"),
         (secant_core_closed, "k"),
         (tangent_core_closed, "k"),
+        (lambda n: alternating_binom_convolution(n, 1), "n"),
+        (lambda n: alternating_binom_convolution(n, 0), "n"),
+        (lambda n: alternating_binom_convolution_closed(n, 1), "n"),
+        (lambda n: alternating_binom_convolution_closed(n, 0), "n"),
     ],
 )
 def test_negative_size_is_rejected(fn, what, n):

@@ -5,10 +5,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import path_oracles as oracle
 from qeuler.errors import BudgetExceededError
 from qeuler.paths import (
     FAMILIES,
     CFSpec,
+    Step,
     UNIT_WEIGHT,
     Weight,
     WeightedPath,
@@ -279,41 +281,85 @@ def test_step_weights_are_interned():
         step_weight(1, 2, 0)
 
 
+Y_UP, UNIT_UP_R, UNIT_DOWN_R = (1, 1, 1, 0), (1, 1, 0, 0), (-1, 1, 0, 0)
+
+
 def test_path_validation_and_dump():
-    p = path_from_steps("laguerre", [("U", Weight(1, 1, 0)), ("D", Weight(1, 0, 0))])
+    p = path_from_steps("laguerre", [Y_UP, UNIT_DOWN_R])
     assert p.dump() == "U[+1,1,0] D[+1,0,0]"
     assert p.weight() == Y
+    assert p.steps == (Step("U", 0, Weight(1, 1, 0)), Step("D", 1, Weight(1, 0, 0)))
     with pytest.raises(ValueError):
-        path_from_steps("laguerre", [("D", Weight(1, 0, 0))])
+        path_from_steps("laguerre", [UNIT_DOWN_R])
     with pytest.raises(ValueError):  # down from height 1 may not carry q
-        path_from_steps("laguerre", [("U", Weight(1, 1, 0)), ("D", Weight(1, 0, 1))])
+        path_from_steps("laguerre", [Y_UP, (-1, 1, 0, 1)])
     with pytest.raises(ValueError):  # closed family must end at zero
-        path_from_steps("laguerre", [("U", Weight(1, 1, 0))])
+        path_from_steps("laguerre", [Y_UP])
     # tangent down steps from height 2 carry q**i for i <= 2
-    dyck = [("U", UNIT_WEIGHT), ("U", Weight(1, 0, 1)), ("D", Weight(1, 0, 2)), ("D", UNIT_WEIGHT)]
+    dyck = [UNIT_UP_R, (1, 1, 0, 1), (-1, 1, 0, 2), UNIT_DOWN_R]
     assert path_from_steps("euler_dyck_1", dyck).weight() == Q**3
-    dyck[2] = ("D", Weight(1, 0, 3))
+    dyck[2] = (-1, 1, 0, 3)
     with pytest.raises(ValueError):
         path_from_steps("euler_dyck_1", dyck)
     with pytest.raises(ValueError):  # a signed secant core step is 1 or -q**(h+1), never +q
-        path_from_steps("secant_core", [("U", Weight(1, 0, 1)), ("D", UNIT_WEIGHT)])
+        path_from_steps("secant_core", [(1, 1, 0, 1), UNIT_DOWN_R])
     with pytest.raises(ValueError):  # Schroeder flat steps weigh exactly -1
-        path_from_steps("schroder_tangent", [("F", UNIT_WEIGHT)])
-    assert path_from_steps("schroder_tangent", [("F", Weight(-1, 0, 0))]).length == 2
+        path_from_steps("schroder_tangent", [(0, 1, 0, 0)])
+    assert path_from_steps("schroder_tangent", [(0, -1, 0, 0)]).length == 2
+
+
+@pytest.mark.parametrize(
+    "family, records, message",
+    [
+        ("laguerre", [Y_UP, (-1, 1, 0, 1)], "violates laguerre weight rule"),  # q on a down step from 1
+        ("laguerre", [(1, 1, 0, 0), UNIT_DOWN_R], "violates laguerre weight rule"),  # up without y
+        ("laguerre", [(2, 1, 1, 0), (-1, 1, 0, 0)], "violates laguerre weight rule"),  # no such delta
+        ("euler_dyck_1", [UNIT_DOWN_R, UNIT_UP_R], "dips below height 0"),  # down 1 is allowed from 0
+        ("left_factor", [UNIT_UP_R, UNIT_DOWN_R, UNIT_DOWN_R], "dips below height 0"),
+        ("laguerre", [Y_UP], "closed family path ends at height 1"),
+        ("secant_core", [UNIT_UP_R, UNIT_UP_R, UNIT_DOWN_R], "closed family path ends at height 1"),
+        ("motzkin", [], "unknown path family 'motzkin'"),
+    ],
+)
+def test_path_from_steps_rejects(family, records, message):
+    with pytest.raises(ValueError, match=message):
+        path_from_steps(family, records)
+
+
+def test_open_family_may_end_above_zero():
+    left = path_from_steps("left_factor", [UNIT_UP_R, UNIT_UP_R, UNIT_DOWN_R])
+    assert left.final_height == 1 and left.shape() == "UUD" and left.heights() == [0, 1, 2]
 
 
 def test_penaud_examples():
-    both_unit = path_from_steps("secant_core", [("U", UNIT_WEIGHT), ("D", UNIT_WEIGHT)])
+    both_unit = path_from_steps("secant_core", [UNIT_UP_R, UNIT_DOWN_R])
     h1, h2 = penaud_decompose(both_unit)
-    assert h1.shape() == "UD" and h1.final_height == 0 and h2.steps == ()
-    mixed = path_from_steps("secant_core", [("U", UNIT_WEIGHT), ("D", Weight(-1, 0, 1))])
+    assert h1.shape() == "UD" and h1.final_height == 0 and h2.steps == () and h2.records == ()
+    mixed = path_from_steps("secant_core", [UNIT_UP_R, (-1, -1, 0, 1)])
     h1, h2 = penaud_decompose(mixed)
     assert h1.shape() == "UU" and h2.shape() == "UD" and h2.weight() == -Q
+    assert h1.records == (UNIT_UP_R, UNIT_UP_R) and h2.records == mixed.records
     empty = path_from_steps("secant_core", [])
     assert penaud_decompose(empty) == (
         WeightedPath((), "left_factor"),
         WeightedPath((), "secant_core"),
     )
+    with pytest.raises(ValueError):
+        penaud_decompose(path_from_steps("euler_dyck_0", []))
+
+
+def test_penaud_matches_object_oracle():
+    """Every signed Dyck path of length <= 8 splits as the object-based code split it."""
+    for family in ("secant_core", "tangent_core"):
+        for length in range(0, 9, 2):
+            for path in enumerate_family(family, length):
+                want_left, want_core = oracle.penaud_decompose(family, oracle.as_items(path))
+                h1, h2 = penaud_decompose(path)
+                assert (h1.records, h2.records) == (
+                    oracle.as_records(want_left),
+                    oracle.as_records(want_core),
+                ), path.dump()
+                assert (h1.family, h2.family) == ("left_factor", family)
 
 
 def test_penaud_bijection_small():
@@ -324,8 +370,8 @@ def test_penaud_bijection_small():
             for path in enumerate_family(family, 2 * n):
                 h1, h2 = penaud_decompose(path)
                 assert path.weight() == h2.weight()
-                assert h1.final_height == len(h2.steps)
-                key = (h1.shape(), tuple((s.direction, s.weight) for s in h2.steps))
+                assert h1.final_height == len(h2.records)
+                key = (h1.records, h2.records)
                 assert key not in seen
                 seen.add(key)
                 count += 1
@@ -346,3 +392,27 @@ def test_penaud_aggregate_identity():
                 Poly.const(left_factor_count(2 * n, 2 * k)) * core(k) for k in range(n + 1)
             )
             assert total == expected
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+@pytest.mark.parametrize(
+    "fn, what",
+    [
+        (laguerre_sum, "n"),
+        (touchard_dyck_sum, "n"),
+        (derangement_motzkin_sum, "n"),
+        (lambda n: euler_dyck_sum(n, 1), "n"),
+        (secant_core_path_sum, "k"),
+        (tangent_core_path_sum, "k"),
+        (lambda k: schroder_signed_sum(k, "secant"), "k"),
+    ],
+)
+def test_negative_size_is_rejected(fn, what, n):
+    with pytest.raises(ValueError, match=rf"^{what}={n} must be nonnegative$"):
+        fn(n)
+
+
+def test_large_laguerre_sum_keeps_its_least_size():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=r"^large Laguerre histories have size >= 1$"):
+            large_laguerre_sum(n)

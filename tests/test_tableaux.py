@@ -149,6 +149,7 @@ def test_dump_format():
         signed_derangement_tableau_sum,
         lambda n: list(enumerate_tableaux(n)),
         lambda n: list(enumerate_derangement_tableaux(n)),
+        lambda n: list(shapes_of_half_perimeter(n)),
     ],
 )
 def test_negative_size_is_rejected(fn, n):
