@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import RelationMismatchError, check_budget, check_size
-from .poly import ONE, Poly, binom_safe, poly_sum
+from .poly import ONE, Poly, poly_sum
 
 ANSATZ_BOUND = 14
 

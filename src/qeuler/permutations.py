@@ -191,40 +191,87 @@ def fpf_involutions(n: int) -> Iterator[tuple[int, ...]]:
 # -- brute-force distributions ----------------------------------------------
 
 
+def _field_width(n: int) -> int:
+    """Bits per value in the census's packed descent counts.
+
+    A field counts the descents of a prefix that straddle one value; a
+    permutation of size n has at most n - 1 descents, so no field of this
+    width can carry into the next one, whatever bound allowed n.
+    """
+    return n.bit_length()
+
+
 @lru_cache(maxsize=None)
 def _census(n: int, alternating: bool = False) -> Counter:
     """Counts of (wex, cr, asc, 31-2, is_derangement) over the permutations of size n.
 
-    One depth-first placement of values, position by position: placing v at
-    position j updates wex, fixed points and descents in O(1), crossings against
-    the j earlier positions and 31-2 against the earlier descents.  Alternating
-    prunes a prefix at the first adjacent pair that breaks t1 > t2 < t3 > ...
+    One depth-first placement of values, position by position, one leaf per
+    permutation; alternating prunes a prefix at the first adjacent pair that
+    breaks t1 > t2 < t3 > ....  Value v is bit v - 1 of a mask, and P[i] is
+    the mask of the values at positions 0..i-1.  Placing v at position j
+    (0-based) costs O(1) big-int operations:
+
+    * crossings: the earlier positions i with sigma(i) < v and either
+      j < sigma(i) (the placed values strictly between j and v, when v > j) or
+      v <= i (the values below v placed at positions v..j-1, P[j] ^ P[v]);
+    * 31-2: field v of `fields` counts the earlier descents (hi, lo) with
+      lo < v < hi; a descent adds a run of ones to the fields lo+1..hi-1.
     """
     counts: Counter = Counter()
+    if n < 2:
+        counts[n, 0, n, 0, n == 0] += 1  # the empty permutation, or 1 (a fixed point)
+        return counts
+    width = _field_width(n)
+    field = (1 << width) - 1
+    low = [(1 << k) - 1 for k in range(n + 1)]  # the values 1..k
+    free_of = [tuple(v for v in range(1, n + 1) if not m >> (v - 1) & 1) for m in range(1 << n)]
+    runs = [[sum(1 << (width * x) for x in range(lo + 1, hi)) for lo in range(n + 1)]
+            for hi in range(n + 1)]
+    full = low[n]
+    last = n - 1
+    last_odd = last % 2 == 1
+    P = [0] * n
 
-    def place(t: tuple, rest: tuple, drops: tuple, wex: int, cr: int, p312: int, der: bool):
-        # t is the prefix placed so far, rest the values left (increasing), drops
-        # the pairs (sigma(u), sigma(u+1)) of the descents u inside t.
-        if not rest:
-            counts[wex, cr, n - len(drops), p312, der] += 1  # asc counts position n
-            return
-        j = len(t)
-        prev = t[-1] if t else 0
-        for k, v in enumerate(rest):
-            if alternating and j and (prev < v) == (j % 2 == 1):
+    def place(j: int, prev: int, wex: int, cr: int, p312: int, fields: int, desc: int,
+              der: bool) -> None:
+        Pj = P[j]
+        j1 = j + 1
+        above = Pj >> j  # bit 0 is the value j + 1
+        odd = j % 2 == 1
+        for v in free_of[Pj]:
+            if alternating and j and (prev < v) == odd:
                 continue
-            c = cr
-            for i, si in enumerate(t):
-                if si < v and (j < si or v <= i):
-                    c += 1
-            p = p312
-            for hi, lo in drops:
-                if lo < v < hi:
-                    p += 1
-            place(t + (v,), rest[:k] + rest[k + 1:], drops + ((prev, v),) if prev > v else drops,
-                  wex + (v > j), c, p, der and v != j + 1)
+            if v > j:
+                c = cr + (above & low[v - j1]).bit_count()
+                w = wex + 1
+                d = der and v != j1
+            else:
+                c = cr + ((Pj ^ P[v]) & low[v - 1]).bit_count()
+                w = wex
+                d = der
+            p = p312 + (fields >> (v * width) & field)
+            P[j1] = Pv = Pj | 1 << (v - 1)
+            if prev > v:
+                f = fields + runs[prev][v]
+                e = desc + 1
+            else:
+                f = fields
+                e = desc
+            if j1 < last:
+                place(j1, v, w, c, p, f, e, d)
+                continue
+            # the one value u left goes at the last position, counted here
+            u = (full ^ Pv).bit_length()
+            if alternating and (v < u) == last_odd:
+                continue
+            if u == n:
+                w += 1
+                d = False
+            else:
+                c += ((Pv ^ P[u]) & low[u - 1]).bit_count()
+            counts[w, c, n - e - (v > u), p + (f >> (u * width) & field), d] += 1
 
-    place((), tuple(range(1, n + 1)), (), 0, 0, 0, True)
+    place(0, 0, 0, 0, 0, 0, 0, True)
     return counts
 
 

@@ -11,6 +11,7 @@ their term tuples are identical.
 from __future__ import annotations
 
 import math
+import struct
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping
 
@@ -139,17 +140,13 @@ class Poly:
             return out
         if not isinstance(other, Poly):
             return NotImplemented
-        data: dict[_TermKey, int] = {}
-        for (y1, q1), c1 in self._terms.items():
-            for (y2, q2), c2 in other._terms.items():
-                k = (y1 + y2, q1 + q2)
-                nc = data.get(k, 0) + c1 * c2
-                if nc:
-                    data[k] = nc
-                elif k in data:
-                    del data[k]
+        a, b = self._terms, other._terms
+        box_b = None
+        if len(a) >= _PACK_MIN_TERMS and len(b) >= _PACK_MIN_TERMS:
+            box_a = _dense_box(a)
+            box_b = box_a and _dense_box(b)
         out = Poly.__new__(Poly)
-        out._terms = data
+        out._terms = _packed_product(a, box_a, b, box_b) if box_b else _dict_product(a, b)
         out._key = None
         return out
 
@@ -266,6 +263,101 @@ class Poly:
 
 _ZERO = Poly()
 _ONE = Poly({(0, 0): 1})
+
+
+# -- products ---------------------------------------------------------------
+
+# A product is packed when both operands have at least _PACK_MIN_TERMS terms
+# and each fills at least half of its own dense (y x q) box.  Below that the
+# dict loop is faster; a sparse operand (a few far-apart terms, such as
+# closedforms._wex_factor) would pack mostly zero digits.
+_PACK_MIN_TERMS = 8
+_PACK_MIN_FILL = 2  # box cells per term, at most
+
+_Box = tuple[int, int, int, int]  # (lowest y, lowest q, y rows, q columns)
+
+
+def _dict_product(a: dict[_TermKey, int], b: dict[_TermKey, int]) -> dict[_TermKey, int]:
+    """Term-pair product; the packed product's test oracle."""
+    data: dict[_TermKey, int] = {}
+    for (y1, q1), c1 in a.items():
+        for (y2, q2), c2 in b.items():
+            k = (y1 + y2, q1 + q2)
+            nc = data.get(k, 0) + c1 * c2
+            if nc:
+                data[k] = nc
+            elif k in data:
+                del data[k]
+    return data
+
+
+def _dense_box(terms: dict[_TermKey, int]) -> _Box | None:
+    """The bounding box of the terms, or None when they fill less than half of it."""
+    ys, qs = zip(*terms)
+    y0, q0 = min(ys), min(qs)
+    rows, cols = max(ys) - y0 + 1, max(qs) - q0 + 1
+    return (y0, q0, rows, cols) if rows * cols <= _PACK_MIN_FILL * len(terms) else None
+
+
+def _pack(terms: dict[_TermKey, int], box: _Box, width: int, nbytes: int) -> int:
+    """The terms as digits of base 2**(8*nbytes) at (y - y0) * width + (q - q0), signed."""
+    y0, q0, rows, _ = box
+    zero = bytes(nbytes)
+    pos = [zero] * (rows * width)
+    neg: list[bytes] | None = None
+    for (y, q), c in terms.items():
+        i = (y - y0) * width + q - q0
+        if c > 0:
+            pos[i] = c.to_bytes(nbytes, "little")
+        else:
+            if neg is None:
+                neg = [zero] * len(pos)
+            neg[i] = (-c).to_bytes(nbytes, "little")
+    value = int.from_bytes(b"".join(pos), "little")
+    return value - int.from_bytes(b"".join(neg), "little") if neg else value
+
+
+def _packed_product(
+    a: dict[_TermKey, int], box_a: _Box, b: dict[_TermKey, int], box_b: _Box
+) -> dict[_TermKey, int]:
+    """Kronecker product: one big-int multiplication of the two packed operands.
+
+    Both operands are packed onto one grid whose q-width is the product's, so
+    no product digit wraps into the next y row.  A product digit sums at most
+    min(len a, len b) pairs, so it fits in the signed digit width chosen here;
+    adding 2**(bits - 1) to every digit makes them all nonnegative, and the
+    digits are then read off the bytes with no borrow to propagate.
+    """
+    width = box_a[3] + box_b[3] - 1
+    bits = (
+        max(map(abs, a.values())).bit_length() + max(map(abs, b.values())).bit_length()
+        + min(len(a), len(b)).bit_length() + 1
+    )
+    nbytes = max(8, -(-bits // 8))  # whole bytes; 8-byte digits unpack in one struct call
+    rows = box_a[2] + box_b[2] - 1
+    count = rows * width
+    half_digit = bytes(nbytes - 1) + b"\x80"
+    biased = (
+        _pack(a, box_a, width, nbytes) * _pack(b, box_b, width, nbytes)
+        + int.from_bytes(half_digit * count, "little")
+    )
+    raw = biased.to_bytes(count * nbytes, "little")
+    if nbytes == 8:
+        digits = struct.unpack(f"<{count}Q", raw)
+    else:
+        view = memoryview(raw)
+        digits = [
+            int.from_bytes(view[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)
+        ]
+    half = 1 << (8 * nbytes - 1)
+    y0, q0 = box_a[0] + box_b[0], box_a[1] + box_b[1]
+    qs = range(q0, q0 + width)
+    data: dict[_TermKey, int] = {}
+    for r in range(rows):
+        y = y0 + r
+        row = digits[r * width:(r + 1) * width]
+        data.update({(y, q): d - half for q, d in zip(qs, row) if d != half})
+    return data
 
 
 def q_integer(n: int) -> Poly:

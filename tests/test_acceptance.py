@@ -21,7 +21,7 @@ from qeuler import closedforms as cf
 from qeuler import paths as pa
 from qeuler import permutations as pm
 from qeuler import tableaux as tb
-from qeuler.poly import ONE, Poly, Q, poly_sum
+from qeuler.poly import ONE, Poly, Q
 
 EXPECTED_E = {
     0: ONE,

@@ -8,6 +8,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from qeuler import poly
+from qeuler.closedforms import _wex_factor
 from qeuler.errors import HalfPowerResidueError, NotDivisibleError
 from qeuler.poly import (
     ONE,
@@ -16,6 +18,9 @@ from qeuler.poly import (
     ZERO,
     HalfExponentPoly,
     Poly,
+    _dense_box,
+    _dict_product,
+    _packed_product,
     binom_safe,
     exact_div_one_minus_q_pow,
     one_minus_q,
@@ -37,6 +42,37 @@ laurent_polys = st.lists(
     st.tuples(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), st.integers(-(2**70), 2**70)),
     max_size=6,
 ).map(Poly)
+
+
+# Coefficient widths around the 8-byte digit (63, 64, 65 bits) and far past it.
+wide_coefficients = st.sampled_from([1, 2, 62, 63, 64, 65, 129, 200]).flatmap(
+    lambda bits: st.integers(-(2**bits), 2**bits)
+)
+
+
+@st.composite
+def dense_polys(draw):
+    """Every cell of a small (y x q) box at negative or positive offsets, zeros allowed."""
+    y0, q0 = draw(st.integers(-4, 4)), draw(st.integers(-8, 8))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 14))
+    coefs = draw(st.lists(wide_coefficients, min_size=rows * cols, max_size=rows * cols))
+    return Poly({(y0 + i // cols, q0 + i % cols): c for i, c in enumerate(coefs)})
+
+
+sparse_polys = st.lists(
+    st.tuples(st.tuples(st.integers(-20, 20), st.integers(-40, 40)), wide_coefficients),
+    max_size=10,
+).map(Poly)
+one_term_polys = st.builds(
+    Poly.monomial, wide_coefficients.filter(bool), st.integers(-9, 9), st.integers(-9, 9)
+)
+product_operands = st.one_of(dense_polys(), sparse_polys, one_term_polys)
+
+
+def full_box(terms):
+    """The bounding box of the terms whatever their density."""
+    ys, qs = zip(*terms)
+    return min(ys), min(qs), max(ys) - min(ys) + 1, max(qs) - min(qs) + 1
 
 
 def test_q_integer_values():
@@ -154,6 +190,65 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + (-a)).is_zero and a - b == a + (-b)
     assert a * ONE == a and a + ZERO == a and (a * ZERO).is_zero
+
+
+@given(product_operands, product_operands)
+def test_packed_product_matches_dict_product(a, b):
+    expected = _dict_product(a._terms, b._terms)
+    assert (a * b)._terms == expected
+    if a and b:  # the packed kernel on any shape, bypassing the density gate
+        assert _packed_product(a._terms, full_box(a._terms), b._terms, full_box(b._terms)) == expected
+    assert (a * b + a * (-b)).is_zero
+
+
+def test_packed_product_digit_width_holds_at_the_extremes():
+    # Coefficients at the extremes of their bit lengths, all of one sign, so the
+    # centre digit sums min(len a, len b) maximal products.  The lengths cover
+    # every residue mod 8 around the 8-byte digit, so the rounding to whole
+    # bytes leaves no slack in some of them.
+    for m in (8, 15, 16):
+        for ka in range(56, 73):
+            for kb in (ka, ka + 1, ka + 3):
+                for ca, cb in ((2**ka - 1, 2**kb - 1), (1 - 2**ka, 2**kb - 1), (-(2**ka), -(2**kb))):
+                    a = Poly({(0, i): ca for i in range(m)})
+                    b = Poly({(1, i - 3): cb for i in range(m)})
+                    assert (a * b)._terms == _dict_product(a._terms, b._terms), (m, ka, kb)
+
+
+def test_packed_product_drops_digits_that_cancel():
+    # [2k]_q [2k]_{-q} = (1 - q^2k) [k]_{q^2}: every odd coefficient cancels.
+    for k in (4, 5, 16):
+        a = q_integer(2 * k)
+        b = Poly({(0, i): (-1) ** i for i in range(2 * k)})
+        packed = _packed_product(a._terms, _dense_box(a._terms), b._terms, _dense_box(b._terms))
+        assert packed == _dict_product(a._terms, b._terms)
+        assert all(qe % 2 == 0 for _, qe in packed) and 0 not in packed.values()
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = Counter()
+    for name in ("_packed_product", "_dict_product"):
+        def spy(*args, _name=name, _kernel=getattr(poly, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(poly, name, spy)
+    return calls
+
+
+def test_product_gate_takes_the_packed_path_only_on_dense_operands(monkeypatch):
+    dense = q_integer(8) ** 6  # 43 terms filling their box
+    sparse = _wex_factor(12)  # 13 terms in a 13 x 43 box
+    calls = _count_kernel_calls(monkeypatch)
+    square = dense * dense
+    assert calls == {"_packed_product": 1}
+    assert square._terms == _dict_product(dense._terms, dense._terms)
+    calls.clear()
+    mixed = sparse * dense
+    assert calls == {"_dict_product": 1}
+    assert mixed == dense * sparse
+    calls.clear()
+    assert q_integer(7) * dense == dense * q_integer(7)  # 7 terms: below the gate
+    assert calls == {"_dict_product": 2}
 
 
 @given(laurent_polys, st.integers(0, 8))
