@@ -191,16 +191,6 @@ def fpf_involutions(n: int) -> Iterator[tuple[int, ...]]:
 # -- brute-force distributions ----------------------------------------------
 
 
-def _field_width(n: int) -> int:
-    """Bits per value in the census's packed descent counts.
-
-    A field counts the descents of a prefix that straddle one value; a
-    permutation of size n has at most n - 1 descents, so no field of this
-    width can carry into the next one, whatever bound allowed n.
-    """
-    return n.bit_length()
-
-
 @lru_cache(maxsize=None)
 def _census(n: int, alternating: bool = False) -> Counter:
     """Counts of (wex, cr, asc, 31-2, is_derangement) over the permutations of size n.
@@ -221,7 +211,7 @@ def _census(n: int, alternating: bool = False) -> Counter:
     if n < 2:
         counts[n, 0, n, 0, n == 0] += 1  # the empty permutation, or 1 (a fixed point)
         return counts
-    width = _field_width(n)
+    width = n.bit_length()  # a field counts at most n - 1 descents, so never carries
     field = (1 << width) - 1
     low = [(1 << k) - 1 for k in range(n + 1)]  # the values 1..k
     free_of = [tuple(v for v in range(1, n + 1) if not m >> (v - 1) & 1) for m in range(1 << n)]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
@@ -108,10 +107,9 @@ def _chk_closed_form_even_vanishing(n: int) -> tuple[bool, str]:
 
 def _chk_reduced_path_sum(n: int) -> tuple[bool, str]:
     """Trimmed lifted-path weights at y = -1 give (-1)^((n-1)/2) E_n(q)."""
-    weights = Counter(
-        bj.lifted_francon_viennot(p)[1].exponents() for p in pm.all_permutations(n)
+    total = poly_sum(
+        bj.lifted_francon_viennot(p)[1].weight() for p in pm.all_permutations(n)
     )
-    total = Poly(((ypow, qpow), s * mult) for (s, ypow, qpow), mult in weights.items())
     sign = Poly.const((-1) ** ((n - 1) // 2))
     return _zero_or_euler(total.substitute_y(-1), n % 2 == 0, sign, n, "q-tangent")
 

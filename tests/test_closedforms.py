@@ -48,7 +48,7 @@ def test_tangent_closed():
     assert q_tangent_closed(2) == Poly({(0, 0): 2, (0, 1): 5, (0, 2): 5, (0, 3): 3, (0, 4): 1})
     for n in range(5):
         assert q_tangent_closed(n) == euler_dyck_sum(n, 1)
-    for n in range(4):
+    for n in range(5):
         assert q_tangent_closed(n) == alternating_31_2_poly(2 * n + 1)
 
 

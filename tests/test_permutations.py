@@ -5,13 +5,11 @@ from collections import Counter
 
 import pytest
 
-from qeuler.closedforms import q_derangement_closed, q_eulerian_closed, q_tangent_closed
 from qeuler.errors import BudgetExceededError
 from qeuler.permutations import (
     Permutation,
     _asc_312_counts,
     _census,
-    _field_width,
     _wex_cr_counts,
     all_permutations,
     alternating_31_2_poly,
@@ -182,21 +180,6 @@ def test_pruned_census_is_the_alternating_restriction():
     for n in range(9):
         alternating = Counter(_oracle_key(p) for p in all_permutations(n) if is_alternating(p))
         assert _census(n, True) == alternating, n
-
-
-def test_census_agrees_with_closed_forms_at_the_default_size():
-    # n = 9 is the largest census `verify all` takes at its default budgets;
-    # the packed crossing masks and 31-2 fields are at their widest there.
-    assert q_eulerian_poly(9) == q_eulerian_closed(9)
-    assert q_derangement_poly(9) == q_derangement_closed(9)
-    assert alternating_31_2_poly(9) == q_tangent_closed(4)
-
-
-def test_census_field_width_grows_with_n():
-    # A field counts the descents straddling one value, at most n - 1 of them.
-    assert [_field_width(n) for n in (1, 2, 3, 4, 8, 9, 16, 255, 256)] == [1, 2, 2, 3, 4, 4, 5, 8, 9]
-    for n in range(1, 300):
-        assert n - 1 < 2 ** _field_width(n) and _field_width(n) <= _field_width(n + 1)
 
 
 def test_both_pair_distributions_share_one_census_walk():
