@@ -17,11 +17,10 @@ from .errors import (
     QEulerError,
     RelationMismatchError,
 )
-from .poly import HalfExponentPoly, Poly, binom_safe, exact_div_one_minus_q_pow, q_integer
+from .poly import Poly, binom_safe, exact_div_one_minus_q_pow, q_integer
 
 __all__ = [
     "BudgetExceededError",
-    "HalfExponentPoly",
     "HalfPowerResidueError",
     "InvalidTransposeError",
     "NotDivisibleError",

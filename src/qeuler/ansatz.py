@@ -20,7 +20,9 @@ ANSATZ_BOUND = 14
 _Q = Poly.var_q()
 
 
-@dataclass(frozen=True)
+# The relations are module singletons, so identity equality and hashing
+# suffice and keep the _d_times_epow cache key from hashing four Poly fields.
+@dataclass(frozen=True, eq=False)
 class Relation:
     """D*E = c_ed E*D + c_id I + c_e E + c_d D, plus a boundary functional."""
 
@@ -39,8 +41,6 @@ PRIMED = Relation("primed", _Q, Poly.zero(), ONE, ONE, boundary="row")
 # Dh*Eh - q Eh*Dh = (1-q)/q; <W|Eh = <W|, Dh|V> = |V>: everything survives.
 HAT = Relation("hat", _Q, Poly.monomial(1, 0, -1) - ONE, Poly.zero(), Poly.zero(), boundary="total")
 
-RELATIONS = {r.name: r for r in (MAIN, PRIMED, HAT)}
-
 _Table = dict[tuple[int, int], Poly]
 
 
@@ -55,9 +55,6 @@ class NormalForm:
     def from_dict(cls, relation: Relation, data: _Table) -> NormalForm:
         items = tuple(sorted((k, v) for k, v in data.items() if not v.is_zero))
         return cls(relation, items)
-
-    def as_dict(self) -> _Table:
-        return dict(self.table)
 
     @classmethod
     def identity(cls, relation: Relation) -> NormalForm:
@@ -168,21 +165,21 @@ def boundary_eval(relation: Relation, nf: NormalForm) -> Poly:
     return poly_sum(c for _, c in nf.table)
 
 
-def q_derangement_ansatz(n: int, bound: int | None = None) -> Poly:
+def q_derangement_ansatz(n: int) -> Poly:
     """The derangement distribution via <W|(yD + E)^n|V> under MAIN."""
-    check_budget(n, ANSATZ_BOUND if bound is None else bound, "n")
+    check_budget(n, ANSATZ_BOUND, "n")
     return boundary_eval(MAIN, normal_power(MAIN, n, Poly.var_y(), ONE))
 
 
-def q_eulerian_ansatz(n: int, bound: int | None = None) -> Poly:
+def q_eulerian_ansatz(n: int) -> Poly:
     """The full distribution via <W|(yD' + E')^n|V> under PRIMED."""
-    check_budget(n, ANSATZ_BOUND if bound is None else bound, "n")
+    check_budget(n, ANSATZ_BOUND, "n")
     return boundary_eval(PRIMED, normal_power(PRIMED, n, Poly.var_y(), ONE))
 
 
-def weighted_involution_ansatz(n: int, bound: int | None = None) -> Poly:
+def weighted_involution_ansatz(n: int) -> Poly:
     """<W|(-Dh + Eh)^n|V> under HAT; a Laurent polynomial in q."""
-    check_budget(n, ANSATZ_BOUND if bound is None else bound, "n")
+    check_budget(n, ANSATZ_BOUND, "n")
     return boundary_eval(HAT, normal_power(HAT, n, Poly.const(-1), ONE))
 
 

@@ -11,56 +11,46 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import closedforms as cf
 from .bijections import francon_viennot, lift_append_one
-from .errors import BudgetExceededError, check_budget
+from .errors import BudgetExceededError, check_size
 from .permutations import Permutation, stat_vector
 from .poly import Poly
 from .verify import SUITES, render_reports, run_suites
 
-TABLE_KINDS = ("etangent", "esecant", "A", "B", "eulerian", "touchard")
 
+def _eulerian_entries(n_max: int) -> list[tuple[str, Poly]]:
+    return [
+        (f"Ehat_{k},{n}", cf.q_eulerian_number_closed(k, n))
+        for n in range(1, n_max + 1) for k in range(n + 1)
+    ]
+
+
+# kind -> (cap on --n-max, function of n-max giving the labelled entries).
 # Closed-form tables stay exact at any size; caps keep runtimes sane.
-TABLE_BUDGETS = {
-    "etangent": 40,
-    "esecant": 40,
-    "A": 24,
-    "B": 24,
-    "eulerian": 12,
-    "touchard": 40,
+TABLES: dict[str, tuple[int, Callable[[int], list[tuple[str, Poly]]]]] = {
+    "etangent": (40, lambda n_max: [
+        (f"E_{2 * n + 1}", cf.q_tangent_closed(n)) for n in range(n_max + 1)]),
+    "esecant": (40, lambda n_max: [
+        (f"E_{2 * n}", cf.q_secant_closed(n)) for n in range(n_max + 1)]),
+    "A": (24, lambda n_max: [(f"A_{n}", cf.q_eulerian_closed(n)) for n in range(n_max + 1)]),
+    "B": (24, lambda n_max: [(f"B_{n}", cf.q_derangement_closed(n)) for n in range(n_max + 1)]),
+    "eulerian": (12, _eulerian_entries),
+    "touchard": (40, lambda n_max: [(f"T_{n}", cf.touchard_riordan(n)) for n in range(n_max + 1)]),
 }
-
-
-def _table_entries(kind: str, n_max: int) -> list[tuple[str, Poly]]:
-    if kind == "etangent":
-        return [(f"E_{2 * n + 1}", cf.q_tangent_closed(n)) for n in range(n_max + 1)]
-    if kind == "esecant":
-        return [(f"E_{2 * n}", cf.q_secant_closed(n)) for n in range(n_max + 1)]
-    if kind == "A":
-        return [(f"A_{n}", cf.q_eulerian_closed(n)) for n in range(n_max + 1)]
-    if kind == "B":
-        return [(f"B_{n}", cf.q_derangement_closed(n)) for n in range(n_max + 1)]
-    if kind == "touchard":
-        return [(f"T_{n}", cf.touchard_riordan(n)) for n in range(n_max + 1)]
-    entries = []
-    for n in range(1, n_max + 1):
-        for k in range(n + 1):
-            entries.append((f"Ehat_{k},{n}", cf.q_eulerian_number_closed(k, n)))
-    return entries
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     kind = args.kind
+    cap, entries_for = TABLES[kind]
     try:
-        check_budget(args.n_max, TABLE_BUDGETS[kind], "n-max")
-        if args.n_max < 0:
-            raise BudgetExceededError("n-max must be nonnegative")
-    except BudgetExceededError as exc:
+        check_size(args.n_max, cap, "n-max")
+    except (ValueError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    entries = _table_entries(kind, args.n_max)
+    entries = entries_for(args.n_max)
     if args.format == "text":
         for label, poly in entries:
             print(f"{label} = {poly}")
@@ -121,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="print a value table")
-    p_table.add_argument("kind", choices=TABLE_KINDS)
+    p_table.add_argument("kind", choices=TABLES)
     p_table.add_argument("--n-max", type=int, default=5)
     p_table.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p_table.set_defaults(func=cmd_table)

@@ -1,49 +1,36 @@
 """Direct evaluators for the closed formulas, with checked exact division.
 
-Every formula is computed as (numerator, divisor power) and finished by an
-exact division by that power of (1 - q); a nonzero remainder raises instead
-of producing a silently wrong polynomial, so typos in coefficients become
-hard errors.  A negative size is a ValueError that names the size.
+Every formula builds its numerator and finishes with an exact division by a
+power of (1 - q); a nonzero remainder raises instead of producing a silently
+wrong polynomial, so typos in coefficients become hard errors.  A negative
+size is a ValueError that names the size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Callable, Iterator
 
-from .errors import NotPolynomialError, check_size
-from .poly import (
-    ONE,
-    HalfExponentPoly,
-    Poly,
-    binom_safe,
-    exact_div_one_minus_q_pow,
-    one_minus_q,
-    poly_sum,
-    q_integer,
-)
-
-
-@dataclass(frozen=True)
-class FormulaResult:
-    """A closed-form value together with its numerator and (1-q) power."""
-
-    value: Poly
-    numerator: Poly
-    divisor_power: int
-
-    def check(self) -> bool:
-        return self.value * one_minus_q() ** self.divisor_power == self.numerator
-
-
-def checked_quotient(numerator: Poly, divisor_power: int) -> FormulaResult:
-    value = exact_div_one_minus_q_pow(numerator, divisor_power)
-    return FormulaResult(value=value, numerator=numerator, divisor_power=divisor_power)
+from .errors import HalfPowerResidueError, NotPolynomialError, check_size
+from .poly import ONE, Poly, binom_safe, exact_div_one_minus_q_pow, poly_sum, q_integer
 
 
 def _ballot(m: int, k: int) -> int:
     """binom(m, m//2 - k) - binom(m, m//2 - k - 1) for even m treated via halves."""
     half = m // 2
     return binom_safe(m, half - k) - binom_safe(m, half - k - 1)
+
+
+def _ballot_sum(m: int, core: Callable[[int], Poly], power: int) -> Poly:
+    """sum_{k <= m//2} ballot(m, k) core(k), divided exactly by (1 - q)^power."""
+    num = poly_sum(_ballot(m, k) * core(k) for k in range(m // 2 + 1))
+    return exact_div_one_minus_q_pow(num, power)
+
+
+def _in_cone(value: Poly, what: str) -> Poly:
+    """The value, once it is a polynomial with nonnegative coefficients."""
+    if not value.is_polynomial() or any(c < 0 for _, _, c in value.terms()):
+        raise NotPolynomialError(f"{what} value left the polynomial cone: {value}")
+    return value
 
 
 # -- core pieces of the second-route formulas ---------------------------------
@@ -67,41 +54,22 @@ def secant_core_closed(k: int) -> Poly:
 def tangent_core_closed(k: int) -> Poly:
     """(piece(k) + piece(k-1)) / (1 - q), exactly."""
     check_size(k, what="k")
-    num = tangent_core_piece(k) + tangent_core_piece(k - 1)
-    return checked_quotient(num, 1).value
+    return exact_div_one_minus_q_pow(tangent_core_piece(k) + tangent_core_piece(k - 1), 1)
 
 
 # -- q-tangent and q-secant numbers --------------------------------------------
 
 
-def q_tangent_closed_parts(n: int) -> FormulaResult:
-    check_size(n)
-    num = poly_sum(
-        _ballot(2 * n + 1, k) * tangent_core_piece(k) for k in range(n + 1)
-    )
-    return checked_quotient(num, 2 * n + 1)
-
-
 def q_tangent_closed(n: int) -> Poly:
     """The q-tangent number E_{2n+1}(q) by its ballot-weighted closed form."""
-    value = q_tangent_closed_parts(n).value
-    if not value.is_polynomial() or any(c < 0 for _, _, c in value.terms()):
-        raise NotPolynomialError(f"q-tangent value left the polynomial cone: {value}")
-    return value
-
-
-def q_secant_closed_parts(n: int) -> FormulaResult:
     check_size(n)
-    num = poly_sum(_ballot(2 * n, k) * secant_core_closed(k) for k in range(n + 1))
-    return checked_quotient(num, 2 * n)
+    return _in_cone(_ballot_sum(2 * n + 1, tangent_core_piece, 2 * n + 1), "q-tangent")
 
 
 def q_secant_closed(n: int) -> Poly:
     """The q-secant number E_{2n}(q) by its ballot-weighted closed form."""
-    value = q_secant_closed_parts(n).value
-    if not value.is_polynomial() or any(c < 0 for _, _, c in value.terms()):
-        raise NotPolynomialError(f"q-secant value left the polynomial cone: {value}")
-    return value
+    check_size(n)
+    return _in_cone(_ballot_sum(2 * n, secant_core_closed, 2 * n), "q-secant")
 
 
 def q_euler_closed(n: int) -> Poly:
@@ -117,8 +85,7 @@ def tangent_via_core_rearrangement(n: int) -> Poly:
     core polynomials, dropping one power of (1 - q).
     """
     check_size(n)
-    num = poly_sum(_ballot(2 * n, k) * tangent_core_closed(k) for k in range(n + 1))
-    return checked_quotient(num, 2 * n).value
+    return _ballot_sum(2 * n, tangent_core_closed, 2 * n)
 
 
 # -- the bivariate closed forms -------------------------------------------------
@@ -129,20 +96,20 @@ def _wex_factor(k: int) -> Poly:
     return Poly([((i, i * (k + 1 - i)), 1) for i in range(k + 1)])
 
 
+def _wex_expansion(n: int, inner: Callable[[int], Poly]) -> Poly:
+    """sum_{k <= n} (-1)^k inner(k) wex_factor(k), divided exactly by (1 - q)^n."""
+    total = poly_sum((-1) ** k * (inner(k) * _wex_factor(k)) for k in range(n + 1))
+    return exact_div_one_minus_q_pow(total, n)
+
+
 def q_eulerian_closed(n: int) -> Poly:
     """Closed form of the (wex, cr) distribution over all permutations."""
     check_size(n)
-    total = Poly.zero()
-    for k in range(n + 1):
-        inner = Poly(
-            [
-                ((j, 0), binom_safe(n, j) * binom_safe(n, j + k)
-                 - binom_safe(n, j - 1) * binom_safe(n, j + k + 1))
-                for j in range(n - k + 1)
-            ]
-        )
-        total = total + (-1) ** k * (inner * _wex_factor(k))
-    return checked_quotient(total, n).value
+    return _wex_expansion(n, lambda k: Poly(
+        ((j, 0), binom_safe(n, j) * binom_safe(n, j + k)
+         - binom_safe(n, j - 1) * binom_safe(n, j + k + 1))
+        for j in range(n - k + 1)
+    ))
 
 
 def _derangement_coeff(n: int, k: int, j: int) -> Poly:
@@ -164,13 +131,9 @@ def _derangement_coeff(n: int, k: int, j: int) -> Poly:
 def q_derangement_closed(n: int) -> Poly:
     """Closed form of the (wex, cr) distribution over derangements."""
     check_size(n)
-    total = Poly.zero()
-    for k in range(n + 1):
-        inner = poly_sum(
-            Poly.monomial(1, j, 0) * _derangement_coeff(n, k, j) for j in range(n - k + 1)
-        )
-        total = total + (-1) ** k * (inner * _wex_factor(k))
-    return checked_quotient(total, n).value
+    return _wex_expansion(n, lambda k: poly_sum(
+        Poly.monomial(1, j, 0) * _derangement_coeff(n, k, j) for j in range(n - k + 1)
+    ))
 
 
 def q_eulerian_number_closed(k: int, n: int) -> Poly:
@@ -197,10 +160,7 @@ def q_eulerian_number_closed(k: int, n: int) -> Poly:
 def touchard_riordan(n: int) -> Poly:
     """Crossing distribution of fixed-point-free involutions of size 2n."""
     check_size(n)
-    num = Poly(
-        [((0, k * (k + 1) // 2), (-1) ** k * _ballot(2 * n, k)) for k in range(n + 1)]
-    )
-    return checked_quotient(num, n).value
+    return _ballot_sum(2 * n, lambda k: Poly.monomial((-1) ** k, 0, k * (k + 1) // 2), n)
 
 
 def weighted_involution_sum(n: int) -> Poly:
@@ -236,26 +196,39 @@ def alternating_binom_convolution_closed(n: int, k: int) -> int:
 # -- the parity-independent formula -------------------------------------------------
 
 
+def _parity_free_terms(n: int) -> Iterator[tuple[int, int, int]]:
+    """(c, i, r) for k <= n/2 and i <= r = n - 2k, with c = (-1)^(k+i) (C(n,k) - C(n,k-1))."""
+    for k in range(n // 2 + 1):
+        b = binom_safe(n, k) - binom_safe(n, k - 1)
+        r = n - 2 * k
+        for i in range(r + 1):
+            yield (-1) ** (k + i) * b, i, r
+
+
+def _s_to_q(p: Poly) -> Poly:
+    """The q-polynomial of a polynomial in s = q^(1/2) stored in the q slot.
+
+    Only even s-exponents may survive; an odd one raises HalfPowerResidueError.
+    """
+    odd = Poly(((ye, se), c) for ye, se, c in p.terms() if se % 2)
+    if odd:
+        raise HalfPowerResidueError(f"odd half-exponent terms survive: {odd}")
+    return Poly(((ye, se // 2), c) for ye, se, c in p.terms())
+
+
 def parity_free_wex_sum(n: int) -> Poly:
     """First intermediate sum (integral exponents); vanishes for even n."""
     check_size(n)
-    terms = []
-    for k in range(n // 2 + 1):
-        b = binom_safe(n, k) - binom_safe(n, k - 1)
-        for i in range(n - 2 * k + 1):
-            terms.append(((0, i * (n - 2 * k - i) + i), (-1) ** (k + i) * b))
-    return Poly(terms)
+    return Poly(((0, i * (r - i) + i), c) for c, i, r in _parity_free_terms(n))
 
 
-def parity_free_derangement_sum(n: int) -> HalfExponentPoly:
-    """Second intermediate sum, carrying q^(n/2 - k); vanishes for odd n."""
+def parity_free_derangement_sum(n: int) -> Poly:
+    """Second intermediate sum, carrying q^(n/2 - k); vanishes for odd n.
+
+    Its exponents are those of s = q^(1/2), stored in the q slot.
+    """
     check_size(n)
-    terms = []
-    for k in range(n // 2 + 1):
-        b = binom_safe(n, k) - binom_safe(n, k - 1)
-        for i in range(n - 2 * k + 1):
-            terms.append(((0, 2 * i * (n - 2 * k - i) + n - 2 * k), (-1) ** (k + i) * b))
-    return HalfExponentPoly(Poly(terms))
+    return Poly(((0, 2 * i * (r - i) + r), c) for c, i, r in _parity_free_terms(n))
 
 
 def parity_free_euler_closed(n: int) -> Poly:
@@ -270,13 +243,8 @@ def parity_free_euler_closed(n: int) -> Poly:
     if n == 0:
         return ONE
     sign = (-1) ** (n // 2)
-    terms = []
-    for k in range(n // 2 + 1):
-        b = (binom_safe(n, k) - binom_safe(n, k - 1)) * sign
-        for i in range(n - 2 * k + 1):
-            c = (-1) ** (k + i) * b
-            base = 2 * i * (n - 2 * k - i)
-            terms.append(((0, base + 2 * i), c))
-            terms.append(((0, base + n - 2 * k), c))
-    num = HalfExponentPoly(Poly(terms)).to_q_poly()
-    return checked_quotient(num, n).value
+    num = Poly(
+        ((0, 2 * i * (r - i) + e), sign * c)
+        for c, i, r in _parity_free_terms(n) for e in (2 * i, r)
+    )
+    return exact_div_one_minus_q_pow(_s_to_q(num), n)

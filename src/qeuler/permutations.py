@@ -3,7 +3,7 @@
 Permutations are tuples in one-line notation with values 1..n; the boundary
 convention sigma(0) = 0 and sigma(n+1) = n+1 is applied by every statistic
 that needs a neighbor.  Exhaustive enumerations refuse a negative size
-(ValueError) and one above the configured bound (BudgetExceededError).
+(ValueError) and one above DEFAULT_BOUND (BudgetExceededError).
 """
 
 from __future__ import annotations
@@ -291,31 +291,31 @@ def _alt_312_counts(n: int) -> Counter:
     return _marginal(_census(n, True), 3)[0]
 
 
-def q_eulerian_poly(n: int, bound: int | None = None) -> Poly:
+def q_eulerian_poly(n: int) -> Poly:
     """Distribution of (wex, cr) over all permutations of size n."""
-    check_size(n, DEFAULT_BOUND if bound is None else bound)
+    check_size(n, DEFAULT_BOUND)
     return Poly(_wex_cr_counts(n)[0])
 
 
-def q_derangement_poly(n: int, bound: int | None = None) -> Poly:
+def q_derangement_poly(n: int) -> Poly:
     """Distribution of (wex, cr) over derangements of size n."""
-    check_size(n, DEFAULT_BOUND if bound is None else bound)
+    check_size(n, DEFAULT_BOUND)
     return Poly(_wex_cr_counts(n)[1])
 
 
-def wex_cr_multiset(n: int, derangements_only: bool = False, bound: int | None = None) -> Counter:
-    check_size(n, DEFAULT_BOUND if bound is None else bound)
+def wex_cr_multiset(n: int, derangements_only: bool = False) -> Counter:
+    check_size(n, DEFAULT_BOUND)
     return _wex_cr_counts(n)[1 if derangements_only else 0]
 
 
-def asc_312_multiset(n: int, derangements_only: bool = False, bound: int | None = None) -> Counter:
-    check_size(n, DEFAULT_BOUND if bound is None else bound)
+def asc_312_multiset(n: int, derangements_only: bool = False) -> Counter:
+    check_size(n, DEFAULT_BOUND)
     return _asc_312_counts(n)[1 if derangements_only else 0]
 
 
-def alternating_31_2_poly(n: int, bound: int | None = None) -> Poly:
+def alternating_31_2_poly(n: int) -> Poly:
     """Distribution of 31-2 over alternating permutations (a q-polynomial)."""
-    check_size(n, DEFAULT_BOUND if bound is None else bound)
+    check_size(n, DEFAULT_BOUND)
     return Poly({(0, e): mult for e, mult in _alt_312_counts(n).items()})
 
 
@@ -330,26 +330,26 @@ def _involution_half_cr_counts(m: int) -> Counter:
     return counts
 
 
-def involution_crossing_poly(m: int, bound: int | None = None) -> Poly:
+def involution_crossing_poly(m: int) -> Poly:
     """Distribution of cr/2 over fixed-point-free involutions of size m (even)."""
-    check_size(m, DEFAULT_BOUND if bound is None else bound, "m")
+    check_size(m, DEFAULT_BOUND, "m")
     return Poly({(0, e): mult for e, mult in _involution_half_cr_counts(m).items()})
 
 
-def inversion_check(n: int, bound: int | None = None) -> bool:
+def inversion_check(n: int) -> bool:
     """Binomial inversion between the full and derangement distributions.
 
     Checks A_n = sum_k C(n,k) y^(n-k) B_k and B_n = sum_k C(n,k) (-y)^(n-k) A_k.
     """
-    check_size(n, DEFAULT_BOUND if bound is None else bound)
-    a_n = q_eulerian_poly(n, bound)
-    b_n = q_derangement_poly(n, bound)
+    check_size(n, DEFAULT_BOUND)
+    a_n = q_eulerian_poly(n)
+    b_n = q_derangement_poly(n)
     lhs_a = poly_sum(
-        Poly.monomial(binom_safe(n, k), n - k, 0) * q_derangement_poly(k, bound)
+        Poly.monomial(binom_safe(n, k), n - k, 0) * q_derangement_poly(k)
         for k in range(n + 1)
     )
     lhs_b = poly_sum(
-        Poly.monomial((-1) ** (n - k) * binom_safe(n, k), n - k, 0) * q_eulerian_poly(k, bound)
+        Poly.monomial((-1) ** (n - k) * binom_safe(n, k), n - k, 0) * q_eulerian_poly(k)
         for k in range(n + 1)
     )
     return lhs_a == a_n and lhs_b == b_n

@@ -15,7 +15,7 @@ import struct
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping
 
-from .errors import HalfPowerResidueError, NotDivisibleError
+from .errors import NotDivisibleError
 
 _TermKey = tuple[int, int]  # (y exponent, q exponent)
 
@@ -174,16 +174,10 @@ class Poly:
         """Replace y by the signed monomial sign*q**qexp (sign is +1 or -1)."""
         if sign not in (1, -1):
             raise ValueError("substitution monomial must carry sign +1 or -1")
-        data: dict[_TermKey, int] = {}
-        for (ye, qe), c in self._terms.items():
-            s = -1 if (sign == -1 and ye % 2) else 1
-            k = (0, qe + ye * qexp)
-            nc = data.get(k, 0) + s * c
-            if nc:
-                data[k] = nc
-            elif k in data:
-                del data[k]
-        return Poly(data)
+        return Poly(
+            ((0, qe + ye * qexp), -c if sign == -1 and ye % 2 else c)
+            for (ye, qe), c in self._terms.items()
+        )
 
     def shift_q(self, qexp: int) -> Poly:
         """Multiply by q**qexp (qexp may be negative)."""
@@ -421,68 +415,6 @@ def exact_div_one_minus_q_pow(p: Poly, m: int) -> Poly:
     }
     out._key = None
     return out
-
-
-class HalfExponentPoly:
-    """A polynomial whose q-exponents live in (1/2)*Z, stored via q = s**2.
-
-    The underlying Poly uses its q slot for the substituted variable s, so
-    every half-integer q-exponent becomes an integer s-exponent.  Converting
-    back to a q-polynomial asserts that only even s-exponents survive.
-    """
-
-    __slots__ = ("spoly",)
-
-    def __init__(self, spoly: Poly):
-        self.spoly = spoly
-
-    @classmethod
-    def from_q_poly(cls, p: Poly) -> HalfExponentPoly:
-        return cls(Poly({(ye, 2 * qe): c for (ye, qe), c in p._terms.items()}))
-
-    @classmethod
-    def monomial(cls, c: int, yexp: int = 0, s_exp: int = 0) -> HalfExponentPoly:
-        return cls(Poly.monomial(c, yexp, s_exp))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.spoly.is_zero
-
-    def __add__(self, other: HalfExponentPoly) -> HalfExponentPoly:
-        return HalfExponentPoly(self.spoly + other.spoly)
-
-    def __sub__(self, other: HalfExponentPoly) -> HalfExponentPoly:
-        return HalfExponentPoly(self.spoly - other.spoly)
-
-    def __neg__(self) -> HalfExponentPoly:
-        return HalfExponentPoly(-self.spoly)
-
-    def __mul__(self, other: HalfExponentPoly | int) -> HalfExponentPoly:
-        if isinstance(other, int):
-            return HalfExponentPoly(self.spoly * other)
-        return HalfExponentPoly(self.spoly * other.spoly)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HalfExponentPoly) and self.spoly == other.spoly
-
-    def __hash__(self) -> int:
-        return hash(("half", self.spoly))
-
-    def odd_residue(self) -> Poly:
-        """The part of the s-polynomial carried by odd s-exponents."""
-        return Poly({(ye, se): c for (ye, se), c in self.spoly._terms.items() if se % 2})
-
-    def to_q_poly(self) -> Poly:
-        res = self.odd_residue()
-        if not res.is_zero:
-            raise HalfPowerResidueError(f"odd half-exponent terms survive: {res}")
-        return Poly({(ye, se // 2): c for (ye, se), c in self.spoly._terms.items()})
-
-    def __str__(self) -> str:
-        return str(self.spoly).replace("q", "s")
-
-    def __repr__(self) -> str:
-        return f"HalfExponentPoly({str(self)})"
 
 
 def poly_sum(items: Iterator[Poly] | Iterable[Poly]) -> Poly:

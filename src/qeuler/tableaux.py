@@ -7,7 +7,7 @@ derangement tableaux are the tableaux without zero-rows.
 
 Filling enumeration walks columns left to right and prunes with a per-row
 "everything to the left is 0" flag, so only valid fillings are ever built.
-Enumerations refuse a negative size (ValueError) and one above the bound
+Enumerations refuse a negative size (ValueError) and one above TABLEAU_BOUND
 (BudgetExceededError).
 """
 
@@ -183,14 +183,14 @@ def fillings(shape: Shape) -> Iterator[Tableau]:
     yield from rec(0, (True,) * m, [])
 
 
-def enumerate_tableaux(n: int, bound: int | None = None) -> Iterator[Tableau]:
-    check_size(n, TABLEAU_BOUND if bound is None else bound)
+def enumerate_tableaux(n: int) -> Iterator[Tableau]:
+    check_size(n, TABLEAU_BOUND)
     for shape in shapes_of_half_perimeter(n):
         yield from fillings(shape)
 
 
-def enumerate_derangement_tableaux(n: int, bound: int | None = None) -> Iterator[Tableau]:
-    for t in enumerate_tableaux(n, bound):
+def enumerate_derangement_tableaux(n: int) -> Iterator[Tableau]:
+    for t in enumerate_tableaux(n):
         if t.is_derangement_tableau():
             yield t
 
@@ -209,21 +209,21 @@ def _tableau_polys(n: int) -> tuple[Poly, Poly, Poly]:
     return Poly(pt), Poly(dt), Poly(signed)
 
 
-def tableau_poly(n: int, bound: int | None = None) -> Poly:
+def tableau_poly(n: int) -> Poly:
     """sum of y^rows q^superfluous over all tableaux of half-perimeter n."""
-    check_size(n, TABLEAU_BOUND if bound is None else bound)
+    check_size(n, TABLEAU_BOUND)
     return _tableau_polys(n)[0]
 
 
-def derangement_tableau_poly(n: int, bound: int | None = None) -> Poly:
+def derangement_tableau_poly(n: int) -> Poly:
     """The same sum restricted to derangement tableaux."""
-    check_size(n, TABLEAU_BOUND if bound is None else bound)
+    check_size(n, TABLEAU_BOUND)
     return _tableau_polys(n)[1]
 
 
-def signed_derangement_tableau_sum(n: int, bound: int | None = None) -> Poly:
+def signed_derangement_tableau_sum(n: int) -> Poly:
     """sum of (-1)^rows q^(ones - n) over derangement tableaux (Laurent)."""
-    check_size(n, TABLEAU_BOUND if bound is None else bound)
+    check_size(n, TABLEAU_BOUND)
     return _tableau_polys(n)[2]
 
 

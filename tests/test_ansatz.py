@@ -31,9 +31,9 @@ Y, Q = Poly.var_y(), Poly.var_q()
 
 def test_normal_power_examples():
     nf = normal_power(MAIN, 1, Y, ONE)
-    assert nf.as_dict() == {(0, 1): Y, (1, 0): ONE}
+    assert dict(nf.table) == {(0, 1): Y, (1, 0): ONE}
     nf2 = normal_power(MAIN, 2, Y, ONE)
-    assert nf2.as_dict()[(0, 0)] == Y
+    assert dict(nf2.table)[(0, 0)] == Y
     hat2 = normal_power(HAT, 2, Poly.const(-1), ONE)
     assert boundary_eval(HAT, hat2) == Poly({(0, 0): 2, (0, 1): -1, (0, -1): -1})
 

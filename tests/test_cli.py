@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import qeuler
-from qeuler.cli import main
+from qeuler.cli import TABLES, main
 from qeuler.verify import budget_for
 
 
@@ -74,6 +74,14 @@ def test_table_eulerian(capsys):
 def test_table_budget_violation(capsys):
     code, _, err = run_cli(capsys, "table", "A", "--n-max", "99")
     assert code == 2 and "exceeds" in err
+
+
+@pytest.mark.parametrize("kind", TABLES)
+def test_table_n_max_outside_its_range_is_usage_error(capsys, kind):
+    cap = TABLES[kind][0]
+    for n_max, message in ((-1, "n-max=-1 must be nonnegative"), (cap + 1, f"exceeds bound {cap}")):
+        code, out, err = run_cli(capsys, "table", kind, "--n-max", str(n_max))
+        assert (code, out) == (2, "") and message in err
 
 
 def test_bijection_figure(capsys):

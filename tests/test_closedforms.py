@@ -3,10 +3,9 @@
 import pytest
 
 from qeuler.closedforms import (
-    FormulaResult,
+    _s_to_q,
     alternating_binom_convolution,
     alternating_binom_convolution_closed,
-    checked_quotient,
     parity_free_derangement_sum,
     parity_free_euler_closed,
     parity_free_wex_sum,
@@ -23,7 +22,7 @@ from qeuler.closedforms import (
     touchard_riordan,
     weighted_involution_sum,
 )
-from qeuler.errors import NotDivisibleError
+from qeuler.errors import HalfPowerResidueError
 from qeuler.paths import euler_dyck_sum, secant_core_path_sum, tangent_core_path_sum, touchard_dyck_sum
 from qeuler.permutations import (
     alternating_31_2_poly,
@@ -32,14 +31,6 @@ from qeuler.permutations import (
     q_eulerian_poly,
 )
 from qeuler.poly import ONE, Poly, Q, Y, one_minus_q
-
-
-def test_checked_quotient():
-    res = checked_quotient(Poly({(0, 0): 2, (0, 1): -3, (0, 3): 1}), 2)
-    assert isinstance(res, FormulaResult)
-    assert res.value == 2 + Q and res.divisor_power == 2 and res.check()
-    with pytest.raises(NotDivisibleError):
-        checked_quotient(ONE + Q, 1)
 
 
 def test_tangent_closed():
@@ -147,9 +138,17 @@ def test_parity_free_formula():
         assert parity_free_wex_sum(n).is_zero
     for n in range(1, 11, 2):
         assert parity_free_derangement_sum(n).is_zero
-    # at odd sizes the second sum needs the half-exponent ring at all
-    assert parity_free_derangement_sum(3).spoly.is_zero
-    assert not parity_free_derangement_sum(4).spoly.is_zero
+    # at odd sizes the second sum vanishes in s = q^(1/2), not only after q = s^2
+    assert parity_free_derangement_sum(3).is_zero
+    assert not parity_free_derangement_sum(4).is_zero
+
+
+def test_half_exponent_residue():
+    # s-exponents live in the q slot: s^2 + 2s^4 is q + 2q^2
+    assert _s_to_q(Y * Q**2 + 2 * Q**4) == Y * Q + 2 * Q**2
+    assert _s_to_q(Poly.zero()).is_zero
+    with pytest.raises(HalfPowerResidueError, match=r"^odd half-exponent terms survive: q\^3$"):
+        _s_to_q(ONE + Q**3)
 
 
 def test_even_size_vanishing_at_formula_level():

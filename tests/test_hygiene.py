@@ -1,6 +1,7 @@
 """Source hygiene checks that need no import of the scanned modules."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,3 +29,48 @@ def test_no_unused_imports():
     files += sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _defined_names(path: Path) -> dict[str, int]:
+    """Module-level names and class members a module defines, dunders aside."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined: dict[str, int] = {}
+    scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for body in scopes:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = node.lineno
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defined[target.id] = node.lineno
+    return {name: line for name, line in defined.items() if not name.startswith("__")}
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Names read, attributes read, names imported, and words of string constants."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    refs: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.update(re.findall(r"\w+", node.value))
+    return refs
+
+
+def test_every_src_name_is_referenced():
+    # __init__.py re-exports names, which is no use of them.  The _chk_* checks
+    # are looked up by name from verify.PLAN, which test_verify_plan.py covers.
+    src = [p for p in sorted((ROOT / "src" / "qeuler").glob("*.py")) if p.name != "__init__.py"]
+    files = src + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    refs = set().union(*map(_referenced_names, files))
+    unreferenced = [f"{path.relative_to(ROOT)}:{line} {name}"
+                    for path in src for name, line in _defined_names(path).items()
+                    if name not in refs and not name.startswith("_chk_")]
+    assert not unreferenced, "names nothing refers to:\n" + "\n".join(unreferenced)

@@ -7,6 +7,7 @@ import pytest
 
 from qeuler.errors import BudgetExceededError
 from qeuler.permutations import (
+    DEFAULT_BOUND,
     Permutation,
     _asc_312_counts,
     _census,
@@ -146,7 +147,7 @@ def test_budget_refusal():
     with pytest.raises(BudgetExceededError):
         q_eulerian_poly(11)
     with pytest.raises(BudgetExceededError):
-        alternating_31_2_poly(4, bound=3)
+        alternating_31_2_poly(DEFAULT_BOUND + 1)
 
 
 @pytest.mark.parametrize("n", [-1, -2])

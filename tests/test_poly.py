@@ -10,13 +10,12 @@ from hypothesis import given, strategies as st
 
 from qeuler import poly
 from qeuler.closedforms import _wex_factor
-from qeuler.errors import HalfPowerResidueError, NotDivisibleError
+from qeuler.errors import NotDivisibleError
 from qeuler.poly import (
     ONE,
     Q,
     Y,
     ZERO,
-    HalfExponentPoly,
     Poly,
     _dense_box,
     _dict_product,
@@ -356,16 +355,6 @@ def test_rendering():
     assert str(Y + Y**2) == "y + y^2"
     assert str(ONE - Y**2 * Q**2) == "1 - y^2q^2"
     assert str(Poly.monomial(-1, 0, -1)) == "-q^-1"
-
-
-def test_half_exponent_ring():
-    h = HalfExponentPoly.from_q_poly(ONE + Q)
-    assert h.to_q_poly() == ONE + Q
-    odd = HalfExponentPoly.monomial(1, 0, 3)
-    with pytest.raises(HalfPowerResidueError):
-        odd.to_q_poly()
-    assert (odd - odd).is_zero
-    assert (h * odd).odd_residue() == (h * odd).spoly
 
 
 def test_evaluate():
