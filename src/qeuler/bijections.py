@@ -86,17 +86,12 @@ def lifted_francon_viennot(p: Sequence[int] | Permutation) -> tuple[WeightedPath
     return full, path_from_steps("large_laguerre", records[1:-1])
 
 
-def saturated_step_free(p: Sequence[int] | Permutation) -> bool:
+def path_saturated_step_free(path: WeightedPath) -> bool:
     """True when no step after the first carries weight y q^h from height h.
 
-    This path condition characterizes the permutations whose last position
-    holds the value 1.
+    On the Francon-Viennot image of a permutation this path condition
+    characterizes the permutations whose last position holds the value 1.
     """
-    return path_saturated_step_free(francon_viennot(p))
-
-
-def path_saturated_step_free(path: WeightedPath) -> bool:
-    """The step test of saturated_step_free on an already encoded path."""
     return not any(
         ypow == 1 and qpow == h
         for h, (_, _, ypow, qpow) in zip(path.heights()[1:], path.records[1:])

@@ -205,16 +205,6 @@ class WeightedPath:
             for h, (d, sign, ypow, qpow) in zip(self.heights(), self.records)
         )
 
-    @property
-    def final_height(self) -> int:
-        return sum(r[0] for r in self.records)
-
-    @property
-    def length(self) -> int:
-        """Length in units; flat steps count double in Schroeder families."""
-        flat_len = FAMILIES[self.family].flat_length
-        return sum(flat_len if r[0] == 0 else 1 for r in self.records)
-
     def exponents(self) -> tuple[int, int, int]:
         """(sign, y exponent, q exponent) of the path weight: the step signs
         multiplied, the step exponents added."""

@@ -154,11 +154,6 @@ def is_alternating(p: Sequence[int] | Permutation) -> bool:
     return all(ext[2 * i - 1] > ext[2 * i] < ext[2 * i + 1] for i in range(1, n // 2 + 1))
 
 
-def is_derangement(p: Sequence[int] | Permutation) -> bool:
-    t = _images(p)
-    return all(v != i + 1 for i, v in enumerate(t))
-
-
 # -- generators -------------------------------------------------------------
 
 

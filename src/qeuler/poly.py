@@ -46,10 +46,6 @@ class Poly:
         return _ZERO
 
     @classmethod
-    def one(cls) -> Poly:
-        return _ONE
-
-    @classmethod
     def const(cls, c: int) -> Poly:
         return cls({(0, 0): c})
 

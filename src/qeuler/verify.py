@@ -4,9 +4,10 @@ Each suite bundles the cross-checks of one part of the library into a list
 of independent named checks; checks are pure and picklable so the runner
 may execute them in worker processes.  One table, PLAN, declares every
 suite's default bound and its index loops, with the caps and floors that
-override the bound; the report states those that bind.  Report ordering
-follows declaration order (suite, then row, then index), never completion
-order.
+override the bound; the report states those that bind.  Another, AGREEMENTS,
+names the routes of each check that only compares routes at one index; a
+check that loops or branches is a _chk_ function.  Report ordering follows
+declaration order (suite, then row, then index), never completion order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
@@ -63,11 +65,6 @@ class SuiteReport:
 
 
 # -- individual checks (top-level and picklable) --------------------------------
-
-
-def _chk_equidistribution(n: int) -> tuple[bool, str]:
-    same = pm.wex_cr_multiset(n) == pm.asc_312_multiset(n)
-    return same, "multisets equal" if same else "multisets differ"
 
 
 def _chk_non_equidistribution_derangements(n_max: int) -> tuple[bool, str]:
@@ -133,53 +130,6 @@ def _chk_g_identity(n: int) -> tuple[bool, str]:
     return True, f"all k <= {2 * n + 1}"
 
 
-def _chk_tangent_routes(n: int) -> tuple[bool, str]:
-    closed = cf.q_tangent_closed(n)
-    dyck = pa.euler_dyck_sum(n, 1)
-    alt = pm.alternating_31_2_poly(2 * n + 1)
-    ok = closed == dyck == alt
-    return ok, "closed = dyck = alternating" if ok else "routes disagree"
-
-
-def _chk_secant_routes(n: int) -> tuple[bool, str]:
-    closed = cf.q_secant_closed(n)
-    dyck = pa.euler_dyck_sum(n, 0)
-    alt = pm.alternating_31_2_poly(2 * n)
-    ok = closed == dyck == alt
-    return ok, "closed = dyck = alternating" if ok else "routes disagree"
-
-
-def _chk_touchard(n: int) -> tuple[bool, str]:
-    closed = cf.touchard_riordan(n)
-    brute = pm.involution_crossing_poly(2 * n)
-    paths = pa.touchard_dyck_sum(n)
-    ok = closed == brute == paths
-    return ok, "closed = involutions = path family" if ok else "routes disagree"
-
-
-def _chk_involution_relation(n: int) -> tuple[bool, str]:
-    """E_2n (1-q)^2n = (-q)^n <W|(-Dh+Eh)^2n|V>, both sum and operator routes."""
-    lhs = cf.q_secant_closed(n) * one_minus_q() ** (2 * n)
-    factor = Poly.monomial((-1) ** n, 0, n)
-    ok = lhs == factor * cf.weighted_involution_sum(2 * n) and lhs == factor * az.weighted_involution_ansatz(2 * n)
-    return ok, "relation holds" if ok else "relation failed"
-
-
-def _chk_tableau_distributions(n: int) -> tuple[bool, str]:
-    ok = tb.tableau_poly(n) == pm.q_eulerian_poly(n) and tb.derangement_tableau_poly(
-        n
-    ) == pm.q_derangement_poly(n)
-    return ok, "tableau sums match permutation sums" if ok else "distribution mismatch"
-
-
-def _chk_signed_tableau_sum(n: int) -> tuple[bool, str]:
-    signed = tb.signed_derangement_tableau_sum(n)
-    via_poly = tb.derangement_tableau_poly(n).substitute_y(-1, -1)
-    via_perms = pm.q_derangement_poly(n).substitute_y(-1, -1)
-    ok = signed == via_poly == via_perms
-    return ok, "signed sum consistent" if ok else "signed sum mismatch"
-
-
 def _chk_williams_numbers(n: int) -> tuple[bool, str]:
     poly = tb.tableau_poly(n)
     for k in range(n + 1):
@@ -196,16 +146,6 @@ def _chk_transpose(n: int) -> tuple[bool, str]:
     if n % 2 and not tb.signed_derangement_tableau_sum(n).is_zero:
         return False, "odd-size signed sum did not vanish"
     return True, "closure, involution, and parity pairing hold"
-
-
-def _chk_laguerre_transfer(n: int) -> tuple[bool, str]:
-    ok = pa.laguerre_sum(n) == pm.q_eulerian_poly(n)
-    return ok, "matches brute force" if ok else "mismatch"
-
-
-def _chk_motzkin_transfer(n: int) -> tuple[bool, str]:
-    ok = pa.derangement_motzkin_sum(n) == pm.q_derangement_poly(n)
-    return ok, "matches brute force" if ok else "mismatch"
 
 
 def _chk_large_history_count(n: int) -> tuple[bool, str]:
@@ -252,24 +192,6 @@ def _chk_ansatz_distribution(n: int) -> tuple[bool, str]:
         source = "closed forms"
     ok = az.q_eulerian_ansatz(n) == ref_a and az.q_derangement_ansatz(n) == ref_b
     return ok, f"matches {source}" if ok else f"disagrees with {source}"
-
-
-def _chk_ansatz_hat(n: int) -> tuple[bool, str]:
-    ok = az.weighted_involution_ansatz(n) == cf.weighted_involution_sum(n)
-    return ok, "matches double sum" if ok else "mismatch"
-
-
-def _chk_ansatz_shift(n: int) -> tuple[bool, str]:
-    """(y(D'-I) + E')^n under the primed relation reproduces the MAIN value."""
-    y = Poly.var_y()
-    via_shift = az.boundary_eval(az.PRIMED, az.normal_power(az.PRIMED, n, y, ONE, -y))
-    via_inversion = poly_sum(
-        Poly.monomial((-1) ** (n - k) * binom_safe(n, k), n - k, 0) * az.q_eulerian_ansatz(k)
-        for k in range(n + 1)
-    )
-    target = az.q_derangement_ansatz(n)
-    ok = via_shift == target == via_inversion
-    return ok, "operator shift and inversion agree" if ok else "mismatch"
 
 
 def _chk_confluence(seed: int, words: int = 80, max_len: int = 8) -> tuple[bool, str]:
@@ -326,21 +248,6 @@ def _chk_bijection_size(n: int) -> tuple[bool, str]:
     return True, "injective, counted, and characterized"
 
 
-def _chk_core_sums(k: int) -> tuple[bool, str]:
-    m_closed = cf.secant_core_closed(k)
-    n_closed = cf.tangent_core_closed(k)
-    bound = max(k, pa.PATH_BOUND)
-    ok = (
-        m_closed == pa.secant_core_path_sum(k, bound)
-        and m_closed == pa.schroder_signed_sum(k, "secant", bound)
-        and m_closed == pa.cf_series(pa.secant_core_cf_spec(), k)[k]
-        and n_closed == pa.tangent_core_path_sum(k, bound)
-        and n_closed == pa.schroder_signed_sum(k, "tangent", bound)
-        and n_closed == pa.cf_series(pa.tangent_core_cf_spec(), k)[k]
-    )
-    return ok, "closed = paths = Schroeder = T-fraction" if ok else "routes disagree"
-
-
 @cache
 def _restricted_core_count(family: str, length: int) -> int:
     """Number of restricted core paths of a family; every Penaud check reuses it."""
@@ -377,11 +284,6 @@ def _chk_left_factors(n: int) -> tuple[bool, str]:
     return True, "ballot numbers count left factors"
 
 
-def _chk_rearrangement(n: int) -> tuple[bool, str]:
-    ok = cf.tangent_via_core_rearrangement(n) == cf.q_tangent_closed(n)
-    return ok, "binomial rearrangement holds" if ok else "mismatch"
-
-
 def _chk_parity_free(n: int) -> tuple[bool, str]:
     value = cf.parity_free_euler_closed(n)  # raises if odd s-powers survive
     if value != cf.q_euler_closed(n):
@@ -392,6 +294,101 @@ def _chk_parity_free(n: int) -> tuple[bool, str]:
         if n % 2 == 1 and not cf.parity_free_derangement_sum(n).is_zero:
             return False, "odd-size intermediate sum did not vanish"
     return True, "equals E_n; intermediate sum vanishes; s-powers cancel"
+
+
+# -- agreements: checks that compare independent routes at one index -----------
+# A route calls the library through its module when it runs (pa.f(n), never a
+# stored pa.f), so that a name rebound after import is the one it calls.
+
+
+class Agreement(NamedTuple):
+    """Named routes to one quantity, evaluated in order; all must equal the first."""
+
+    routes: tuple[tuple[str, Callable[[int], object]], ...]
+    agree: str  # the detail of a pass
+    disagree: str  # the detail of a failure
+
+
+AGREEMENTS: dict[str, Agreement] = {
+    "equidistribution": Agreement((
+        ("wex_cr", lambda n: pm.wex_cr_multiset(n)),
+        ("asc_312", lambda n: pm.asc_312_multiset(n)),
+    ), "multisets equal", "multisets differ"),
+    "tangent_routes": Agreement((
+        ("closed", lambda n: cf.q_tangent_closed(n)),
+        ("dyck", lambda n: pa.euler_dyck_sum(n, 1)),
+        ("alternating", lambda n: pm.alternating_31_2_poly(2 * n + 1)),
+    ), "closed = dyck = alternating", "routes disagree"),
+    "secant_routes": Agreement((
+        ("closed", lambda n: cf.q_secant_closed(n)),
+        ("dyck", lambda n: pa.euler_dyck_sum(n, 0)),
+        ("alternating", lambda n: pm.alternating_31_2_poly(2 * n)),
+    ), "closed = dyck = alternating", "routes disagree"),
+    "touchard": Agreement((
+        ("closed", lambda n: cf.touchard_riordan(n)),
+        ("involutions", lambda n: pm.involution_crossing_poly(2 * n)),
+        ("paths", lambda n: pa.touchard_dyck_sum(n)),
+    ), "closed = involutions = path family", "routes disagree"),
+    # E_2n (1-q)^2n = (-q)^n <W|(-Dh+Eh)^2n|V>, by the double sum and by the operators
+    "involution_relation": Agreement((
+        ("closed", lambda n: cf.q_secant_closed(n) * one_minus_q() ** (2 * n)
+                             * Poly.monomial((-1) ** n, 0, -n)),
+        ("double_sum", lambda n: cf.weighted_involution_sum(2 * n)),
+        ("ansatz", lambda n: az.weighted_involution_ansatz(2 * n)),
+    ), "relation holds", "relation failed"),
+    "tableau_distributions": Agreement((
+        ("tableaux", lambda n: (tb.tableau_poly(n), tb.derangement_tableau_poly(n))),
+        ("census", lambda n: (pm.q_eulerian_poly(n), pm.q_derangement_poly(n))),
+    ), "tableau sums match permutation sums", "distribution mismatch"),
+    "signed_tableau_sum": Agreement((
+        ("signed", lambda n: tb.signed_derangement_tableau_sum(n)),
+        ("tableaux", lambda n: tb.derangement_tableau_poly(n).substitute_y(-1, -1)),
+        ("census", lambda n: pm.q_derangement_poly(n).substitute_y(-1, -1)),
+    ), "signed sum consistent", "signed sum mismatch"),
+    "laguerre_transfer": Agreement((
+        ("transfer", lambda n: pa.laguerre_sum(n)),
+        ("census", lambda n: pm.q_eulerian_poly(n)),
+        ("closed", lambda n: cf.q_eulerian_closed(n)),
+    ), "matches brute force", "mismatch"),
+    "motzkin_transfer": Agreement((
+        ("transfer", lambda n: pa.derangement_motzkin_sum(n)),
+        ("census", lambda n: pm.q_derangement_poly(n)),
+        ("closed", lambda n: cf.q_derangement_closed(n)),
+    ), "matches brute force", "mismatch"),
+    "ansatz_hat": Agreement((
+        ("ansatz", lambda n: az.weighted_involution_ansatz(n)),
+        ("double_sum", lambda n: cf.weighted_involution_sum(n)),
+    ), "matches double sum", "mismatch"),
+    # the derangement ansatz by (y(D'-I) + E')^n under the primed relation, by inversion
+    "ansatz_shift": Agreement((
+        ("shift", lambda n: az.boundary_eval(
+            az.PRIMED, az.normal_power(az.PRIMED, n, y := Poly.var_y(), ONE, -y))),
+        ("inversion", lambda n: poly_sum(
+            Poly.monomial((-1) ** (n - k) * binom_safe(n, k), n - k, 0) * az.q_eulerian_ansatz(k)
+            for k in range(n + 1))),
+        ("ansatz", lambda n: az.q_derangement_ansatz(n)),
+    ), "operator shift and inversion agree", "mismatch"),
+    # (secant core, tangent core); the path routes may reach past PATH_BOUND
+    "core_sums": Agreement((
+        ("closed", lambda k: (cf.secant_core_closed(k), cf.tangent_core_closed(k))),
+        ("paths", lambda k: (pa.secant_core_path_sum(k, max(k, pa.PATH_BOUND)),
+                             pa.tangent_core_path_sum(k, max(k, pa.PATH_BOUND)))),
+        ("schroder", lambda k: (pa.schroder_signed_sum(k, "secant", max(k, pa.PATH_BOUND)),
+                                pa.schroder_signed_sum(k, "tangent", max(k, pa.PATH_BOUND)))),
+        ("t_fraction", lambda k: (pa.cf_series(pa.secant_core_cf_spec(), k)[k],
+                                  pa.cf_series(pa.tangent_core_cf_spec(), k)[k])),
+    ), "closed = paths = Schroeder = T-fraction", "routes disagree"),
+    "rearrangement": Agreement((
+        ("rearranged", lambda n: cf.tangent_via_core_rearrangement(n)),
+        ("closed", lambda n: cf.q_tangent_closed(n)),
+    ), "binomial rearrangement holds", "mismatch"),
+}
+
+
+def _agree(agreement: Agreement, index: int) -> tuple[bool, str]:
+    first, *rest = [route(index) for _, route in agreement.routes]
+    ok = all(value == first for value in rest)
+    return ok, agreement.agree if ok else agreement.disagree
 
 
 # -- the plan: every suite, its default bound and its checks --------------------
@@ -405,7 +402,7 @@ class Row(NamedTuple):
     arguments.  A loop reaches its limit when the size of n (n, 2n, 2n+1) does.
     """
 
-    checks: str  # names of _chk_* functions, separated by spaces
+    checks: str  # names in AGREEMENTS or of _chk_* functions, separated by spaces
     label: str = "n="
     first: int = 0
     limit: tuple[str, int] | None = None  # ("cap", N): min(bound, N); "floor": max; "fixed": N
@@ -513,7 +510,10 @@ def budget_for(suite: str, override: int | None = None) -> int:
 def run_check(check: Check) -> CheckResult:
     start = time.perf_counter()
     try:
-        passed, detail = globals()[f"_chk_{check.func}"](**check.kwargs)
+        if check.func in AGREEMENTS:
+            passed, detail = _agree(AGREEMENTS[check.func], *check.kwargs.values())
+        else:
+            passed, detail = globals()[f"_chk_{check.func}"](**check.kwargs)
         status = "PASS" if passed else "FAIL"
     except BudgetExceededError as exc:  # a refusal is not an identity failure
         status, detail = "REFUSED", f"{type(exc).__name__}: {exc}"

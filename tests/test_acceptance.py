@@ -220,7 +220,7 @@ def test_c11_bijection_suite():
         for p in itperms(range(1, n + 1)):
             image = bj.francon_viennot(p)  # weight property asserted inside
             images.add(image.records)
-            ok = ok and bj.saturated_step_free(p) == (p[-1] == 1)
+            ok = ok and bj.path_saturated_step_free(image) == (p[-1] == 1)
             if n > 1 and p[-1] == 1:
                 ok = ok and not bj.returns_to_zero_early(image)
             if n % 2 == 0:

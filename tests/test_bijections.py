@@ -14,7 +14,6 @@ from qeuler.bijections import (
     lifted_francon_viennot,
     path_saturated_step_free,
     returns_to_zero_early,
-    saturated_step_free,
 )
 from qeuler.paths import WeightedPath, euler_dyck_sum, laguerre_sum, step_weight
 from qeuler.permutations import ascents, is_alternating, pattern_31_2
@@ -25,7 +24,7 @@ FIG = (4, 3, 7, 1, 2, 6, 5)
 
 def test_figure_example():
     image = francon_viennot(FIG)
-    assert image.length == len(image.records) == 7  # one step per value
+    assert len(image.records) == 7  # one step per value
     assert image.dump() == (
         "U[+1,1,0] F[+1,1,1] U[+1,1,0] D[+1,0,0] U[+1,1,1] D[+1,0,1] D[+1,0,0]"
     )
@@ -77,12 +76,11 @@ def test_lifted_images():
 
 
 def test_saturated_step_criterion():
-    assert saturated_step_free((3, 2, 1))
-    assert not saturated_step_free((1, 2, 3))
-    assert saturated_step_free((3, 4, 2, 1))
+    assert path_saturated_step_free(francon_viennot((3, 2, 1)))
+    assert not path_saturated_step_free(francon_viennot((1, 2, 3)))
+    assert path_saturated_step_free(francon_viennot((3, 4, 2, 1)))
     for n in range(1, 7):
         for p in itperms(range(1, n + 1)):
-            assert saturated_step_free(p) == (p[-1] == 1)
             assert path_saturated_step_free(francon_viennot(p)) == (p[-1] == 1)
             if n > 1 and p[-1] == 1:
                 assert not returns_to_zero_early(francon_viennot(p))

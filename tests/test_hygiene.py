@@ -66,7 +66,8 @@ def _referenced_names(path: Path) -> set[str]:
 
 def test_every_src_name_is_referenced():
     # __init__.py re-exports names, which is no use of them.  The _chk_* checks
-    # are looked up by name from verify.PLAN, which test_verify_plan.py covers.
+    # are looked up by name for the verify.PLAN rows that verify.AGREEMENTS does
+    # not hold, which test_verify_plan.py covers.
     src = [p for p in sorted((ROOT / "src" / "qeuler").glob("*.py")) if p.name != "__init__.py"]
     files = src + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     refs = set().union(*map(_referenced_names, files))

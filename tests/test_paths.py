@@ -305,7 +305,8 @@ def test_path_validation_and_dump():
         path_from_steps("secant_core", [(1, 1, 0, 1), UNIT_DOWN_R])
     with pytest.raises(ValueError):  # Schroeder flat steps weigh exactly -1
         path_from_steps("schroder_tangent", [(0, 1, 0, 0)])
-    assert path_from_steps("schroder_tangent", [(0, -1, 0, 0)]).length == 2
+    flat = path_from_steps("schroder_tangent", [(0, -1, 0, 0)])
+    assert flat.records == ((0, -1, 0, 0),) and FAMILIES[flat.family].flat_length == 2
 
 
 @pytest.mark.parametrize(
@@ -328,13 +329,14 @@ def test_path_from_steps_rejects(family, records, message):
 
 def test_open_family_may_end_above_zero():
     left = path_from_steps("left_factor", [UNIT_UP_R, UNIT_UP_R, UNIT_DOWN_R])
-    assert left.final_height == 1 and left.shape() == "UUD" and left.heights() == [0, 1, 2]
+    assert left.shape() == "UUD" and left.heights() == [0, 1, 2]
+    assert sum(delta for delta, *_ in left.records) == 1  # the final height
 
 
 def test_penaud_examples():
     both_unit = path_from_steps("secant_core", [UNIT_UP_R, UNIT_DOWN_R])
     h1, h2 = penaud_decompose(both_unit)
-    assert h1.shape() == "UD" and h1.final_height == 0 and h2.steps == () and h2.records == ()
+    assert h1.shape() == "UD" and h2.steps == () and h2.records == ()
     mixed = path_from_steps("secant_core", [UNIT_UP_R, (-1, -1, 0, 1)])
     h1, h2 = penaud_decompose(mixed)
     assert h1.shape() == "UU" and h2.shape() == "UD" and h2.weight() == -Q
@@ -370,7 +372,7 @@ def test_penaud_bijection_small():
             for path in enumerate_family(family, 2 * n):
                 h1, h2 = penaud_decompose(path)
                 assert path.weight() == h2.weight()
-                assert h1.final_height == len(h2.records)
+                assert sum(delta for delta, *_ in h1.records) == len(h2.records)
                 key = (h1.records, h2.records)
                 assert key not in seen
                 seen.add(key)

@@ -21,7 +21,6 @@ from qeuler.permutations import (
     inversion_check,
     involution_crossing_poly,
     is_alternating,
-    is_derangement,
     pattern_31_2,
     q_derangement_poly,
     q_eulerian_poly,
@@ -69,15 +68,19 @@ def test_pattern_31_2():
     assert pattern_31_2((3, 1, 2)) == 1
 
 
+def _is_derangement(p):
+    return all(v != i + 1 for i, v in enumerate(p))
+
+
 def test_classify():
     assert not is_alternating(FIG)
     t = (3, 4, 1, 2)
     assert all(t[v - 1] == i + 1 != v for i, v in enumerate(t))  # a fixed-point-free involution
-    assert not is_derangement((1, 2, 3))
+    assert not _is_derangement((1, 2, 3))
     assert is_alternating((2, 1, 3)) and is_alternating((3, 1, 2))
     assert not is_alternating((1, 3, 2))
     t = (2, 3, 1)
-    assert is_derangement(t) and not all(t[v - 1] == i + 1 != v for i, v in enumerate(t))
+    assert _is_derangement(t) and not all(t[v - 1] == i + 1 != v for i, v in enumerate(t))
 
 
 def test_stat_vector():
@@ -87,7 +90,7 @@ def test_stat_vector():
 
 def test_generators():
     assert sum(1 for _ in all_permutations(5)) == 120
-    assert sum(map(is_derangement, all_permutations(5))) == 44
+    assert sum(map(_is_derangement, all_permutations(5))) == 44
     assert sorted(fpf_involutions(4)) == [(2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
     assert list(fpf_involutions(3)) == []
     assert all(p[p[i] - 1] == i + 1 != p[i] for p in fpf_involutions(6) for i in range(6))
@@ -101,22 +104,22 @@ def test_distribution_polys():
     assert q_derangement_poly(2) == Y
     assert q_derangement_poly(3) == Y + Y**2 * Q
     assert q_derangement_poly(4) == Y + Y**2 * (2 + 4 * Q + Q**2) + Y**3 * Q**2
-    assert q_eulerian_poly(0) == Poly.one()
+    assert q_eulerian_poly(0) == Poly.const(1)
     for n in range(7):
         assert q_eulerian_poly(n).evaluate(1, 1) == math.factorial(n)
     assert [q_derangement_poly(n).evaluate(1, 1) for n in range(8)] == [1, 0, 1, 2, 9, 44, 265, 1854]
 
 
 def test_alternating_poly():
-    assert alternating_31_2_poly(0) == Poly.one()
+    assert alternating_31_2_poly(0) == Poly.const(1)
     assert alternating_31_2_poly(4) == Poly({(0, 0): 2, (0, 1): 2, (0, 2): 1})
     assert alternating_31_2_poly(5) == Poly({(0, 0): 2, (0, 1): 5, (0, 2): 5, (0, 3): 3, (0, 4): 1})
     assert [alternating_31_2_poly(n).evaluate(1, 1) for n in range(8)] == [1, 1, 1, 2, 5, 16, 61, 272]
 
 
 def test_involution_poly():
-    assert involution_crossing_poly(0) == Poly.one()
-    assert involution_crossing_poly(2) == Poly.one()
+    assert involution_crossing_poly(0) == Poly.const(1)
+    assert involution_crossing_poly(2) == Poly.const(1)
     assert involution_crossing_poly(4) == Poly({(0, 0): 2, (0, 1): 1})
     assert involution_crossing_poly(8).evaluate(1, 1) == 105
 
@@ -169,7 +172,7 @@ def test_negative_size_is_rejected(fn, n):
 
 
 def _oracle_key(p):
-    return (weak_exceedances(p), crossings(p), ascents(p), pattern_31_2(p), is_derangement(p))
+    return (weak_exceedances(p), crossings(p), ascents(p), pattern_31_2(p), _is_derangement(p))
 
 
 def test_census_matches_per_permutation_statistics():

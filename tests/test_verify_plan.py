@@ -6,7 +6,7 @@ import json
 import pytest
 
 import qeuler.verify as verify
-from qeuler.verify import PLAN, SUITES, build_suite, limit_notes
+from qeuler.verify import AGREEMENTS, PLAN, SUITES, build_suite, limit_notes, run_check
 
 # sha256 of [[(check_id, func, kwargs) for each check] for b in 0..13 for seed in (0, 5)],
 # recorded from the if/elif chain that the plan table replaced.
@@ -38,10 +38,41 @@ def test_plan_builds_the_recorded_checks(suite, monkeypatch):
 
 def test_every_check_function_has_a_row_and_every_row_a_function():
     in_rows = [name for _, rows in PLAN.values() for row in rows for name in row.checks.split()]
-    defined = {name[len("_chk_"):] for name in vars(verify) if name.startswith("_chk_")}
+    functions = {name[len("_chk_"):] for name in vars(verify) if name.startswith("_chk_")}
     assert len(in_rows) == len(set(in_rows)), "a check is named in two rows"
-    assert set(in_rows) == defined
+    assert not functions & set(AGREEMENTS), "a check is both a function and an agreement"
+    assert set(in_rows) == functions | set(AGREEMENTS)
     assert set(SUITES) == set(PLAN_DIGESTS)
+
+
+def test_every_route_is_a_function_of_verify():
+    # perfbench/tracer.py wraps a library function by rebinding the names that
+    # refer to it; a route holding the function object itself would escape it.
+    for name, agreement in AGREEMENTS.items():
+        for route, fn in agreement.routes:
+            assert fn.__module__ == "qeuler.verify", f"{name}: route {route}"
+
+
+def _first_check_from_two(name):
+    """The first check of a row at the default bounds whose index is at least 2."""
+    checks = [c for suite in SUITES for c in build_suite(suite) if c.func == name]
+    return next(c for c in checks if min(c.kwargs.values()) >= 2)
+
+
+@pytest.mark.parametrize("name, position", [
+    pytest.param(name, i, id=f"{name}-{route}")
+    for name, agreement in AGREEMENTS.items() for i, (route, _) in enumerate(agreement.routes)
+])
+def test_every_route_can_fail_its_check(name, position, monkeypatch):
+    monkeypatch.delenv(verify.BUDGET_ENV_VAR, raising=False)
+    agreement = AGREEMENTS[name]
+    check = _first_check_from_two(name)
+    assert run_check(check).status == "PASS", check.check_id
+    routes = list(agreement.routes)
+    routes[position] = (routes[position][0], lambda index: object())
+    monkeypatch.setitem(AGREEMENTS, name, agreement._replace(routes=tuple(routes)))
+    result = run_check(check)
+    assert (result.status, result.detail) == ("FAIL", agreement.disagree), check.check_id
 
 
 @pytest.mark.parametrize(
