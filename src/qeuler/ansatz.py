@@ -108,10 +108,11 @@ def nf_mul(x: NormalForm, y: NormalForm) -> NormalForm:
     if x.relation != y.relation:
         raise RelationMismatchError("cannot multiply forms built under different relations")
     acc: _Table = {}
-    for (i, j), c in x.table:
-        part = y
-        for _ in range(j):
+    part, power = y, 0  # part is D^power y; the left terms come by increasing power of D
+    for (i, j), c in sorted(x.table, key=lambda item: item[0][1]):
+        for _ in range(j - power):
             part = left_mul_d(part)
+        power = j
         for (a, b), t in part.table:
             _accumulate(acc, (a + i, b), c * t)
     return NormalForm.from_dict(x.relation, acc)

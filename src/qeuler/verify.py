@@ -104,9 +104,7 @@ def _chk_closed_form_even_vanishing(n: int) -> tuple[bool, str]:
 
 def _chk_reduced_path_sum(n: int) -> tuple[bool, str]:
     """Trimmed lifted-path weights at y = -1 give (-1)^((n-1)/2) E_n(q)."""
-    total = poly_sum(
-        bj.lifted_francon_viennot(p)[1].weight() for p in pm.all_permutations(n)
-    )
+    total = poly_sum(reduced.weight() for _, _, _, reduced in bj.lifted_histories(n))
     sign = Poly.const((-1) ** ((n - 1) // 2))
     return _zero_or_euler(total.substitute_y(-1), n % 2 == 0, sign, n, "q-tangent")
 
@@ -241,8 +239,7 @@ def _chk_bijection_size(n: int) -> tuple[bool, str]:
     if not (len(seen) == count == math.factorial(n)):
         return False, f"image count {len(seen)} != history count {count}"
     if n % 2:
-        for p in pm.all_permutations(n):
-            _, reduced = bj.lifted_francon_viennot(p)
+        for p, _, _, reduced in bj.lifted_histories(n):
             if pm.is_alternating(p) != (not reduced.has_flat()):
                 return False, f"odd alternating characterization failed at {p}"
     return True, "injective, counted, and characterized"

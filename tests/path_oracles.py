@@ -4,9 +4,13 @@ Each step is a (direction, Weight) pair and each path a list of them,
 validated against the FAMILIES table by walking the objects.  The library
 now stores a path as a tuple of integer records; these functions are the
 independent reference the record code is compared with.
+
+lifted_paths is the per-permutation record encoding of a lift, which the
+walk bijections.lifted_histories replaced in qeuler verify.
 """
 
-from qeuler.paths import FAMILIES, UNIT_WEIGHT, step_weight
+from qeuler import bijections
+from qeuler.paths import FAMILIES, UNIT_DOWN, UNIT_WEIGHT, path_from_steps, step_weight
 from qeuler.permutations import ascents, pattern_31_2
 from qeuler.poly import ONE, Poly
 
@@ -83,6 +87,25 @@ def lifted_francon_viennot(t):
     if full[0] != ("U", step_weight(1, 1, 0)) or full[-1] != ("D", UNIT_WEIGHT):
         raise AssertionError("lifted image must open with U weight y and close with D weight 1")
     return full, validate("large_laguerre", full[1:-1])
+
+
+def lifted_paths(p):
+    """(full image of the lift of p, trimmed large Laguerre history) as library paths.
+
+    The lift's statistics are asserted equal to those of p and handed to
+    francon_viennot, which checks the weight; both trimmed ends are checked.
+    """
+    t = tuple(p)
+    if len(t) < 1:
+        raise ValueError("the encoding needs a nonempty permutation")
+    lifted, stats = bijections._lift(t)
+    full = bijections.francon_viennot(lifted, stats)
+    records = full.records
+    if records[0] != bijections._Y_UP:
+        raise AssertionError("lifted image must open with an up step of weight y")
+    if records[-1] != UNIT_DOWN:
+        raise AssertionError("lifted image must close with a down step of weight 1")
+    return full, path_from_steps("large_laguerre", records[1:-1])
 
 
 def maximal_unit_factors(items):

@@ -12,6 +12,7 @@ from qeuler.ansatz import (
     PRIMED,
     NormalForm,
     boundary_eval,
+    left_mul_d,
     nf_mul,
     normal_power,
     q_derangement_ansatz,
@@ -106,6 +107,35 @@ words = st.text(alphabet="DE", max_size=6)
 def test_nf_mul_is_associative(rel, u, v, w):
     a, b, c = (word_normal_form(rel, x) for x in (u, v, w))
     assert nf_mul(nf_mul(a, b), c) == nf_mul(a, nf_mul(b, c))
+
+
+def _nf_mul_oracle(x, y):
+    """The product as first written: D^j y is rebuilt from y for every left term E^i D^j."""
+    acc = {}
+    for (i, j), c in x.table:
+        part = y
+        for _ in range(j):
+            part = left_mul_d(part)
+        for (a, b), t in part.table:
+            acc[a + i, b] = acc.get((a + i, b), Poly.zero()) + c * t
+    return NormalForm.from_dict(x.relation, acc)
+
+
+def test_nf_mul_matches_the_rebuilding_oracle():
+    rng = random.Random(20261018)
+    for rel in (MAIN, PRIMED, HAT):
+        for _ in range(20):
+            forms = []
+            for _ in range(3):
+                if rng.random() < 0.7:
+                    word = "".join(rng.choice("DE") for _ in range(rng.randint(0, 6)))
+                    forms.append(word_normal_form(rel, word))
+                else:
+                    forms.append(normal_power(rel, rng.randint(0, 2), Y, Q + ONE, Poly.const(-2)))
+            a, b, c = forms
+            assert nf_mul(a, b) == _nf_mul_oracle(a, b)
+            assert nf_mul(nf_mul(a, b), c) == _nf_mul_oracle(_nf_mul_oracle(a, b), c)
+            assert nf_mul(a, nf_mul(b, c)) == _nf_mul_oracle(a, _nf_mul_oracle(b, c))
 
 
 def test_word_oracle_against_tableaux():

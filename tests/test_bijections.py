@@ -11,13 +11,14 @@ from qeuler import bijections
 from qeuler.bijections import (
     francon_viennot,
     lift_append_one,
-    lifted_francon_viennot,
+    lifted_histories,
     path_saturated_step_free,
     returns_to_zero_early,
 )
 from qeuler.paths import WeightedPath, euler_dyck_sum, laguerre_sum, step_weight
-from qeuler.permutations import ascents, is_alternating, pattern_31_2
+from qeuler.permutations import all_permutations, ascents, is_alternating, pattern_31_2
 from qeuler.poly import Poly, poly_sum
+from qeuler.verify import Check, run_check
 
 FIG = (4, 3, 7, 1, 2, 6, 5)
 
@@ -64,14 +65,19 @@ def test_lift():
     assert lift_append_one((2, 3, 1)) == (3, 4, 2, 1)
 
 
+def _lifted(n):
+    """t -> (full, trimmed) image of its lift, from the walk."""
+    return {t: (full, reduced) for t, _, full, reduced in lifted_histories(n)}
+
+
 def test_lifted_images():
-    full, reduced = lifted_francon_viennot((1,))
+    full, reduced = _lifted(1)[(1,)]
     assert full.shape() == "UD" and reduced.steps == () and reduced.records == ()
-    full, reduced = lifted_francon_viennot((2, 3, 1))
+    full, reduced = _lifted(3)[2, 3, 1]
     assert full.shape() == "UFFD" and full.family == "laguerre"
     assert full.weight() == Poly.monomial(1, 2, 0)
     assert reduced.records == full.records[1:-1] and reduced.family == "large_laguerre"
-    full, reduced = lifted_francon_viennot((2, 1))
+    full, reduced = _lifted(2)[2, 1]
     assert full.weight() == Poly.monomial(1, 1, 0)
 
 
@@ -110,8 +116,7 @@ def test_alternating_characterizations():
         for p in itperms(range(1, n + 1)):
             assert is_alternating(p) == (not francon_viennot(p).has_flat())
     for n in (1, 3, 5):
-        for p in itperms(range(1, n + 1)):
-            full, reduced = lifted_francon_viennot(p)
+        for p, _, full, reduced in lifted_histories(n):
             assert is_alternating(p) == (not reduced.has_flat())
             assert reduced.has_flat() == full.has_flat()
 
@@ -120,9 +125,7 @@ def test_signed_reduced_path_sums():
     # flats cancel at y = -1; odd sizes leave (-1)^((n-1)/2) times the
     # q-tangent value, even sizes vanish outright
     for n in range(1, 7):
-        total = poly_sum(
-            lifted_francon_viennot(p)[1].weight() for p in itperms(range(1, n + 1))
-        )
+        total = poly_sum(reduced.weight() for _, _, _, reduced in lifted_histories(n))
         value = total.substitute_y(-1)
         if n % 2 == 0:
             assert value.is_zero
@@ -137,7 +140,7 @@ def test_records_match_object_oracle_exhaustive():
     for n in range(1, 8):
         for p in itperms(range(1, n + 1)):
             assert francon_viennot(p).records == oracle.as_records(oracle.francon_viennot(p)), p
-            full, reduced = lifted_francon_viennot(p)
+        for p, _, full, reduced in lifted_histories(n):
             want_full, want_reduced = oracle.lifted_francon_viennot(p)
             assert full.records == oracle.as_records(want_full), p
             assert reduced.records == oracle.as_records(want_reduced), p
@@ -147,7 +150,7 @@ def test_records_match_object_oracle_exhaustive():
 def test_records_match_object_oracle_on_random_permutations(p):
     p = tuple(p)
     assert francon_viennot(p).records == oracle.as_records(oracle.francon_viennot(p))
-    full, reduced = lifted_francon_viennot(p)
+    full, reduced = oracle.lifted_paths(p)
     want_full, want_reduced = oracle.lifted_francon_viennot(p)
     assert full.records == oracle.as_records(want_full)
     assert reduced.records == oracle.as_records(want_reduced)
@@ -168,7 +171,7 @@ def test_steps_carry_derived_start_heights():
     ],
 )
 def test_lift_trim_assertions_fire(monkeypatch, bad_first, bad_last, message):
-    """An encoder whose lifted image breaks either end is caught by the trim checks."""
+    """An encoder whose lifted image breaks either end is caught by the oracle's trim checks."""
     encode = bijections.francon_viennot
 
     def tampered(p, stats=None):
@@ -182,4 +185,37 @@ def test_lift_trim_assertions_fire(monkeypatch, bad_first, bad_last, message):
 
     monkeypatch.setattr(bijections, "francon_viennot", tampered)
     with pytest.raises(AssertionError, match=message):
-        lifted_francon_viennot((2, 3, 1))
+        oracle.lifted_paths((2, 3, 1))
+
+
+# -- the prefix walk against the per-permutation encoders -------------------------
+
+
+def test_walk_matches_the_per_permutation_encoding():
+    for n in range(1, 8):
+        walk = list(lifted_histories(n))
+        assert [t for t, _, _, _ in walk] == list(all_permutations(n))
+        for t, stats, full, reduced in walk:
+            want_full, want_reduced = oracle.lifted_paths(t)
+            assert full.records == want_full.records and full.family == "laguerre", t
+            assert reduced.records == want_reduced.records, t
+            assert reduced.family == "large_laguerre", t
+            assert stats == (ascents(t), pattern_31_2(t)), t
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_walk_rejects_an_empty_size(n):
+    with pytest.raises(ValueError, match="nonempty permutation"):
+        next(lifted_histories(n))
+
+
+@pytest.mark.parametrize("kind", list(bijections._KINDS))
+def test_walk_assertions_fire_in_the_check(monkeypatch, kind):
+    """Flipping the y mark of one step kind makes reduced_path_sum fail by an assertion."""
+    kinds = dict(bijections._KINDS)
+    delta, ypow = kinds[kind]
+    kinds[kind] = (delta, 1 - ypow)
+    monkeypatch.setattr(bijections, "_KINDS", kinds)
+    result = run_check(Check("th1", "reduced_path_sum/n=4", "reduced_path_sum", {"n": 4}))
+    assert result.status == "FAIL"
+    assert result.detail.startswith(("AssertionError", "ValueError")), result.detail

@@ -136,6 +136,17 @@ def test_verify_jobs(capsys):
     assert "parity_free/n=3" in out
 
 
+def test_verify_th1_data_does_not_depend_on_jobs(capsys):
+    """reduced_path_sum walks S_n inside a worker process under --jobs 2."""
+    data = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, "verify", "th1", "--n-max", "7", "--jobs", jobs)
+        assert code == 0
+        data.append(out.partition("\n# timing")[0])
+    assert "reduced_path_sum/n=7" in data[0]
+    assert data[0] == data[1]
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("QEULER_BUDGET_OVERRIDE", "th1=4, section6=2")
     assert budget_for("th1") == 4
