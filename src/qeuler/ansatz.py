@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import RelationMismatchError, check_budget, check_size
+from .errors import RelationMismatchError, check_size
 from .poly import ONE, Poly, poly_sum
 
 ANSATZ_BOUND = 14
@@ -168,19 +168,19 @@ def boundary_eval(relation: Relation, nf: NormalForm) -> Poly:
 
 def q_derangement_ansatz(n: int) -> Poly:
     """The derangement distribution via <W|(yD + E)^n|V> under MAIN."""
-    check_budget(n, ANSATZ_BOUND, "n")
+    check_size(n, ANSATZ_BOUND)
     return boundary_eval(MAIN, normal_power(MAIN, n, Poly.var_y(), ONE))
 
 
 def q_eulerian_ansatz(n: int) -> Poly:
     """The full distribution via <W|(yD' + E')^n|V> under PRIMED."""
-    check_budget(n, ANSATZ_BOUND, "n")
+    check_size(n, ANSATZ_BOUND)
     return boundary_eval(PRIMED, normal_power(PRIMED, n, Poly.var_y(), ONE))
 
 
 def weighted_involution_ansatz(n: int) -> Poly:
     """<W|(-Dh + Eh)^n|V> under HAT; a Laurent polynomial in q."""
-    check_budget(n, ANSATZ_BOUND, "n")
+    check_size(n, ANSATZ_BOUND)
     return boundary_eval(HAT, normal_power(HAT, n, Poly.const(-1), ONE))
 
 

@@ -19,21 +19,18 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .paths import UNIT_DOWN, WeightedPath, path_from_steps
-from .permutations import Permutation, ascents, pattern_31_2, _images
+from .permutations import ascents, pattern_31_2
 
 # The lifted image opens with an up step of weight y.
 _Y_UP = (1, 1, 1, 0)
 
 
-def francon_viennot(
-    p: Sequence[int] | Permutation, stats: tuple[int, int] | None = None
-) -> WeightedPath:
+def francon_viennot(p: Sequence[int]) -> WeightedPath:
     """Encode a permutation of size n >= 1 as a Laguerre history of n steps.
 
-    The path weight is asserted to be y^asc q^(31-2); stats passes the
-    (ascents, 31-2) pair of p when the caller has already computed it.
+    The path weight is asserted to be y^asc q^(31-2).
     """
-    t = _images(p)
+    t = tuple(p)
     n = len(t)
     if n < 1:
         raise ValueError("the encoding needs a nonempty permutation")
@@ -50,27 +47,20 @@ def francon_viennot(
             cover[v] += 1
         before = k
     path = path_from_steps("laguerre", records)
-    asc, p312 = (ascents(t), pattern_31_2(t)) if stats is None else stats
-    if path.exponents() != (1, asc, p312):
+    if path.exponents() != (1, ascents(t), pattern_31_2(t)):
         raise AssertionError(f"weight property failed for {t}")
     return path
 
 
-def _lift(t: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, int]]:
-    """The lift of t and its (ascents, 31-2) pair, asserted equal to that of t."""
-    lifted = (*[v + 1 for v in t], 1)
-    stats = (ascents(lifted), pattern_31_2(lifted))
-    if stats != (ascents(t), pattern_31_2(t)):
-        raise AssertionError(f"lift changed the statistics of {t}")
-    return lifted, stats
-
-
-def lift_append_one(p: Sequence[int] | Permutation) -> tuple[int, ...]:
+def lift_append_one(p: Sequence[int]) -> tuple[int, ...]:
     """Shift all values up by one and append the value 1 at the end.
 
     The lift preserves both the ascent count and the 31-2 count (asserted).
     """
-    return _lift(_images(p))[0]
+    lifted = (*[v + 1 for v in p], 1)
+    if (ascents(lifted), pattern_31_2(lifted)) != (ascents(p), pattern_31_2(p)):
+        raise AssertionError(f"lift changed the statistics of {p}")
+    return lifted
 
 
 # A value's step by its kind, (predecessor larger, successor larger) -> (delta,

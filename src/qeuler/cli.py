@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 from . import closedforms as cf
 from .bijections import francon_viennot, lift_append_one
 from .errors import BudgetExceededError, check_size
-from .permutations import Permutation, stat_vector
+from .permutations import parse_permutation, stat_vector
 from .poly import Poly
 from .verify import SUITES, render_reports, run_suites
 
@@ -87,7 +87,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bijection(args: argparse.Namespace) -> int:
     try:
-        perm = Permutation.parse(args.permutation)
+        perm = parse_permutation(args.permutation)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

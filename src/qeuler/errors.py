@@ -34,15 +34,9 @@ class RelationMismatchError(QEulerError):
     """A normal form was evaluated under a relation it was not built with."""
 
 
-def check_budget(value: int, bound: int, what: str) -> None:
-    """Refuse (rather than truncate) work above the configured bound."""
-    if value > bound:
-        raise BudgetExceededError(f"{what}={value} exceeds bound {bound}")
-
-
 def check_size(n: int, bound: int | None = None, what: str = "n") -> None:
-    """Reject a negative size; refuse one above the bound when one is given."""
+    """Reject a negative size; refuse (rather than truncate) one above the bound."""
     if n < 0:
         raise ValueError(f"{what}={n} must be nonnegative")
-    if bound is not None:
-        check_budget(n, bound, what)
+    if bound is not None and n > bound:
+        raise BudgetExceededError(f"{what}={n} exceeds bound {bound}")

@@ -21,8 +21,6 @@ from typing import Callable, Iterable, Iterator
 from .errors import check_size
 from .poly import ONE, Poly, binom_safe, poly_sum, q_integer
 
-PATH_BOUND = 8
-
 _DIRECTION = {1: "U", -1: "D", 0: "F"}
 
 
@@ -337,24 +335,24 @@ def derangement_motzkin_sum(n: int) -> Poly:
     return family_sum("derangement_motzkin", n)
 
 
-def secant_core_path_sum(k: int, bound: int | None = None) -> Poly:
+def secant_core_path_sum(k: int) -> Poly:
     """Signed Dyck paths of length 2k, up 1 or -q**(h+1), down 1 or -q**h,
     with no unit up step followed by a unit down step."""
-    check_size(k, PATH_BOUND if bound is None else bound, "k")
+    check_size(k, what="k")
     return family_sum("secant_core", 2 * k, restricted=True)
 
 
-def tangent_core_path_sum(k: int, bound: int | None = None) -> Poly:
+def tangent_core_path_sum(k: int) -> Poly:
     """As secant_core_path_sum with down weights 1 or -q**(h+1)."""
-    check_size(k, PATH_BOUND if bound is None else bound, "k")
+    check_size(k, what="k")
     return family_sum("tangent_core", 2 * k, restricted=True)
 
 
-def schroder_signed_sum(k: int, variant: str, bound: int | None = None) -> Poly:
+def schroder_signed_sum(k: int, variant: str) -> Poly:
     """Signed Schroeder paths of length 2k; flat steps weigh -1 and span 2 units."""
     if variant not in ("secant", "tangent"):
         raise ValueError("variant must be 'secant' or 'tangent'")
-    check_size(k, PATH_BOUND if bound is None else bound, "k")
+    check_size(k, what="k")
     return family_sum(f"schroder_{variant}", 2 * k)
 
 

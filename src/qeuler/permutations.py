@@ -1,6 +1,7 @@
 """Permutation classes, their statistics, and brute-force distributions.
 
-Permutations are tuples in one-line notation with values 1..n; the boundary
+Permutations are tuples in one-line notation with values 1..n, parsed from
+text by parse_permutation; the statistics take any sequence.  The boundary
 convention sigma(0) = 0 and sigma(n+1) = n+1 is applied by every statistic
 that needs a neighbor.  Exhaustive enumerations refuse a negative size
 (ValueError) and one above DEFAULT_BOUND (BudgetExceededError).
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _itperms
 from operator import lt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import OddCrossingError, check_size
 from .poly import Poly, binom_safe, poly_sum
@@ -21,51 +22,18 @@ from .poly import Poly, binom_safe, poly_sum
 DEFAULT_BOUND = 10
 
 
-class Permutation:
-    """One-line-notation permutation of {1..n}."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Iterable[int]):
-        imgs = tuple(images)
-        if sorted(imgs) != list(range(1, len(imgs) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
-        self.images = imgs
-
-    @classmethod
-    def parse(cls, text: str) -> Permutation:
-        """Accept one-line digits ("4371265") or comma-separated values."""
-        text = text.strip()
-        if "," in text:
-            return cls(int(part) for part in text.split(","))
-        if not text.isdigit():
-            raise ValueError(f"malformed permutation: {text!r}")
-        return cls(int(ch) for ch in text)
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.images)
-
-    def __len__(self) -> int:
-        return len(self.images)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Permutation):
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation({''.join(map(str, self.images)) or '()'})"
-
-
-def _images(p: Sequence[int] | Permutation) -> tuple[int, ...]:
-    return p.images if isinstance(p, Permutation) else tuple(p)
+def parse_permutation(text: str) -> tuple[int, ...]:
+    """Accept one-line digits ("4371265") or comma-separated values."""
+    text = text.strip()
+    if "," in text:
+        t = tuple(int(part) for part in text.split(","))
+    elif text.isdigit():
+        t = tuple(int(ch) for ch in text)
+    else:
+        raise ValueError(f"malformed permutation: {text!r}")
+    if sorted(t) != list(range(1, len(t) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(t)}: {t}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -84,56 +52,51 @@ class StatVector:
 # -- statistics -------------------------------------------------------------
 
 
-def crossings(p: Sequence[int] | Permutation) -> int:
+def crossings(p: Sequence[int]) -> int:
     """Pairs (i, j) with i < j <= sigma(i) < sigma(j) or sigma(i) < sigma(j) < i < j."""
-    t = _images(p)
-    n = len(t)
+    n = len(p)
     c = 0
     for i in range(n):
-        si = t[i]
+        si = p[i]
         for j in range(i + 1, n):
-            sj = t[j]
+            sj = p[j]
             # positions are 1-based: a = i + 1, b = j + 1
             if si < sj and (j < si or sj <= i):
                 c += 1
     return c
 
 
-def weak_exceedances(p: Sequence[int] | Permutation) -> int:
-    t = _images(p)
-    return sum(1 for i, v in enumerate(t) if v > i)
+def weak_exceedances(p: Sequence[int]) -> int:
+    return sum(1 for i, v in enumerate(p) if v > i)
 
 
-def ascents(p: Sequence[int] | Permutation) -> int:
+def ascents(p: Sequence[int]) -> int:
     """Positions i with sigma(i) < sigma(i+1); position n always counts."""
-    t = _images(p)
-    if not t:
+    if not p:
         return 0
-    return 1 + sum(map(lt, t, t[1:]))
+    return 1 + sum(map(lt, p, p[1:]))
 
 
-def pattern_31_2(p: Sequence[int] | Permutation) -> int:
+def pattern_31_2(p: Sequence[int]) -> int:
     """Pairs (u, j), u + 1 < j, with sigma(u) > sigma(j) > sigma(u+1)."""
-    t = _images(p)
-    n = len(t)
+    n = len(p)
     c = 0
     for u in range(n - 1):
-        hi = t[u]
-        lo = t[u + 1]
+        hi = p[u]
+        lo = p[u + 1]
         if hi > lo:
             for j in range(u + 2, n):
-                if lo < t[j] < hi:
+                if lo < p[j] < hi:
                     c += 1
     return c
 
 
-def fixed_points(p: Sequence[int] | Permutation) -> int:
-    t = _images(p)
-    return sum(1 for i, v in enumerate(t) if v == i + 1)
+def fixed_points(p: Sequence[int]) -> int:
+    return sum(1 for i, v in enumerate(p) if v == i + 1)
 
 
-def stat_vector(p: Sequence[int] | Permutation) -> StatVector:
-    t = _images(p)
+def stat_vector(p: Sequence[int]) -> StatVector:
+    t = tuple(p)
     sv = StatVector(
         wex=weak_exceedances(t),
         asc=ascents(t),
@@ -146,9 +109,9 @@ def stat_vector(p: Sequence[int] | Permutation) -> StatVector:
     return sv
 
 
-def is_alternating(p: Sequence[int] | Permutation) -> bool:
+def is_alternating(p: Sequence[int]) -> bool:
     """sigma(2i-1) > sigma(2i) < sigma(2i+1) for all i <= floor(n/2), with boundary."""
-    t = _images(p)
+    t = tuple(p)
     n = len(t)
     ext = (0,) + t + (n + 1,)
     return all(ext[2 * i - 1] > ext[2 * i] < ext[2 * i + 1] for i in range(1, n // 2 + 1))

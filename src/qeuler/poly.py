@@ -54,8 +54,8 @@ class Poly:
         return cls({(yexp, qexp): c})
 
     @classmethod
-    def var_y(cls, exp: int = 1) -> Poly:
-        return cls({(exp, 0): 1})
+    def var_y(cls) -> Poly:
+        return cls({(1, 0): 1})
 
     @classmethod
     def var_q(cls, exp: int = 1) -> Poly:

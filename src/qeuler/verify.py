@@ -192,11 +192,18 @@ def _chk_ansatz_distribution(n: int) -> tuple[bool, str]:
     return ok, f"matches {source}" if ok else f"disagrees with {source}"
 
 
-def _chk_confluence(seed: int, words: int = 80, max_len: int = 8) -> tuple[bool, str]:
+# Random words per relation in the confluence check, and their greatest length;
+# the greatest word length that the tableau oracle checks exhaustively.
+_CONFLUENCE_WORDS = 80
+_CONFLUENCE_MAX_LEN = 8
+_WORD_ORACLE_MAX_LEN = 6
+
+
+def _chk_confluence(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     for rel in (az.MAIN, az.PRIMED, az.HAT):
-        for _ in range(words):
-            length = rng.randint(0, max_len)
+        for _ in range(_CONFLUENCE_WORDS):
+            length = rng.randint(0, _CONFLUENCE_MAX_LEN)
             word = "".join(rng.choice("DE") for _ in range(length))
             cut = rng.randint(0, length)
             whole = az.word_normal_form(rel, word)
@@ -205,18 +212,18 @@ def _chk_confluence(seed: int, words: int = 80, max_len: int = 8) -> tuple[bool,
             )
             if whole != split:
                 return False, f"association order changed {word!r} under {rel.name}"
-    return True, f"{words} random words per relation"
+    return True, f"{_CONFLUENCE_WORDS} random words per relation"
 
 
-def _chk_word_oracle(max_len: int = 6) -> tuple[bool, str]:
-    for length in range(max_len + 1):
+def _chk_word_oracle() -> tuple[bool, str]:
+    for length in range(_WORD_ORACLE_MAX_LEN + 1):
         for letters in product("DE", repeat=length):
             word = "".join(letters)
             shape = tb.shape_of_word(word)
             expected = Poly.zero() if shape is None else tb.derangement_sum_for_shape(shape)
             if az.word_boundary_value(az.MAIN, word) != expected:
                 return False, f"word {word!r} disagrees with tableau enumeration"
-    return True, f"all words of length <= {max_len}"
+    return True, f"all words of length <= {_WORD_ORACLE_MAX_LEN}"
 
 
 def _chk_bijection_size(n: int) -> tuple[bool, str]:
@@ -365,13 +372,12 @@ AGREEMENTS: dict[str, Agreement] = {
             for k in range(n + 1))),
         ("ansatz", lambda n: az.q_derangement_ansatz(n)),
     ), "operator shift and inversion agree", "mismatch"),
-    # (secant core, tangent core); the path routes may reach past PATH_BOUND
+    # (secant core, tangent core)
     "core_sums": Agreement((
         ("closed", lambda k: (cf.secant_core_closed(k), cf.tangent_core_closed(k))),
-        ("paths", lambda k: (pa.secant_core_path_sum(k, max(k, pa.PATH_BOUND)),
-                             pa.tangent_core_path_sum(k, max(k, pa.PATH_BOUND)))),
-        ("schroder", lambda k: (pa.schroder_signed_sum(k, "secant", max(k, pa.PATH_BOUND)),
-                                pa.schroder_signed_sum(k, "tangent", max(k, pa.PATH_BOUND)))),
+        ("paths", lambda k: (pa.secant_core_path_sum(k), pa.tangent_core_path_sum(k))),
+        ("schroder", lambda k: (pa.schroder_signed_sum(k, "secant"),
+                                pa.schroder_signed_sum(k, "tangent"))),
         ("t_fraction", lambda k: (pa.cf_series(pa.secant_core_cf_spec(), k)[k],
                                   pa.cf_series(pa.tangent_core_cf_spec(), k)[k])),
     ), "closed = paths = Schroeder = T-fraction", "routes disagree"),
@@ -433,7 +439,7 @@ PLAN: dict[str, tuple[int, tuple[Row, ...]]] = {
     "ansatz": (12, (Row("ansatz_distribution ansatz_hat"),
                     Row("ansatz_shift", limit=("cap", 8)),
                     Row("confluence", "seed="),
-                    Row("word_oracle", "len<=6"))),
+                    Row("word_oracle", f"len<={_WORD_ORACLE_MAX_LEN}"))),
     "bijection": (7, (Row("bijection_size", first=1),)),
     "section5": (8, (Row("core_sums", "k="),
                      Row("penaud", "2n=", limit=("cap", 5)),

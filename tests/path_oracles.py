@@ -92,14 +92,10 @@ def lifted_francon_viennot(t):
 def lifted_paths(p):
     """(full image of the lift of p, trimmed large Laguerre history) as library paths.
 
-    The lift's statistics are asserted equal to those of p and handed to
-    francon_viennot, which checks the weight; both trimmed ends are checked.
+    lift_append_one checks that the lift keeps the statistics of p and
+    francon_viennot checks the weight; both trimmed ends are checked here.
     """
-    t = tuple(p)
-    if len(t) < 1:
-        raise ValueError("the encoding needs a nonempty permutation")
-    lifted, stats = bijections._lift(t)
-    full = bijections.francon_viennot(lifted, stats)
+    full = bijections.francon_viennot(bijections.lift_append_one(p))
     records = full.records
     if records[0] != bijections._Y_UP:
         raise AssertionError("lifted image must open with an up step of weight y")

@@ -174,8 +174,8 @@ def test_lift_trim_assertions_fire(monkeypatch, bad_first, bad_last, message):
     """An encoder whose lifted image breaks either end is caught by the oracle's trim checks."""
     encode = bijections.francon_viennot
 
-    def tampered(p, stats=None):
-        path = encode(p, stats)
+    def tampered(p):
+        path = encode(p)
         records = list(path.records)
         if bad_first is not None:
             records[0] = bad_first

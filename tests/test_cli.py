@@ -105,6 +105,8 @@ def test_bijection_small(capsys):
 def test_bijection_malformed(capsys):
     code, _, err = run_cli(capsys, "bijection", "441")
     assert code == 2 and "error" in err
+    code, out, err = run_cli(capsys, "bijection", "")
+    assert code == 2 and out == "" and "error" in err
 
 
 def test_verify_exit_codes(capsys):

@@ -75,3 +75,66 @@ def test_every_src_name_is_referenced():
                     for path in src for name, line in _defined_names(path).items()
                     if name not in refs and not name.startswith("_chk_")]
     assert not unreferenced, "names nothing refers to:\n" + "\n".join(unreferenced)
+
+
+def _defaulted_parameters(path: Path) -> list[tuple[str, str, int | None, int]]:
+    """(callee name, parameter, position in a call or None, line) per defaulted parameter.
+
+    A method's position leaves out self or cls, and __init__ is called by its class name.
+    """
+    found = []
+
+    def visit(node: ast.AST, cls: ast.ClassDef | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                skip = 0 if cls is None else 1
+                name = cls.name if cls is not None and child.name == "__init__" else child.name
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                found.extend((name, arg.arg, i - skip, child.lineno)
+                             for i, arg in enumerate(positional) if i >= first)
+                found.extend((name, arg.arg, None, child.lineno)
+                             for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                             if default is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def _passed_arguments(paths: list[Path]) -> dict[str, set[str | int | None]]:
+    """Per called name: the keywords and positions its calls pass; None marks * or **."""
+    passed: dict[str, set[str | int | None]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            got = passed.setdefault(name, set())
+            got.update(kw.arg for kw in node.keywords)  # kw.arg is None for **
+            got.update(range(len(node.args)))
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                got.add(None)
+    return passed
+
+
+def test_every_default_is_passed_somewhere():
+    # A default that no call overrides is a constant in disguise.
+    src = sorted((ROOT / "src" / "qeuler").glob("*.py"))
+    files = src + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    passed = _passed_arguments(files)
+    never = [f"{path.relative_to(ROOT)}:{line} {name}({param})"
+             for path in src for name, param, pos, line in _defaulted_parameters(path)
+             if not passed.get(name, set()) & {None, param, pos}]
+    assert not never, "defaults no call passes:\n" + "\n".join(never)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import path_oracles as oracle
-from qeuler.errors import BudgetExceededError
+from qeuler.closedforms import secant_core_closed, tangent_core_closed
 from qeuler.paths import (
     FAMILIES,
     CFSpec,
@@ -174,8 +174,8 @@ def test_core_path_sums():
     assert secant_core_path_sum(0) == ONE
     assert secant_core_path_sum(1) == Q**2 - 2 * Q
     assert tangent_core_path_sum(1) == -Q - Q**2 + Q**3
-    with pytest.raises(BudgetExceededError):
-        secant_core_path_sum(9)
+    assert secant_core_path_sum(9) == secant_core_closed(9)
+    assert tangent_core_path_sum(9) == tangent_core_closed(9)
 
 
 def test_schroder_sums():

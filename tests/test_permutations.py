@@ -8,7 +8,6 @@ import pytest
 from qeuler.errors import BudgetExceededError
 from qeuler.permutations import (
     DEFAULT_BOUND,
-    Permutation,
     _asc_312_counts,
     _census,
     _wex_cr_counts,
@@ -21,6 +20,7 @@ from qeuler.permutations import (
     inversion_check,
     involution_crossing_poly,
     is_alternating,
+    parse_permutation,
     pattern_31_2,
     q_derangement_poly,
     q_eulerian_poly,
@@ -34,15 +34,12 @@ FIG = (4, 3, 7, 1, 2, 6, 5)
 
 
 def test_permutation_type():
-    p = Permutation.parse("4371265")
-    assert p.n == 7 and p.images == FIG
-    assert p.images[0] == 4
-    assert ascents(Permutation.parse("21")) == 1  # sigma(n+1) = n+1: position n is an ascent
-    assert Permutation.parse("10,3,2,4,5,6,7,8,9,1").n == 10
-    with pytest.raises(ValueError):
-        Permutation.parse("441")
-    with pytest.raises(ValueError):
-        Permutation.parse("4x1")
+    assert parse_permutation("4371265") == FIG
+    assert ascents(parse_permutation("21")) == 1  # sigma(n+1) = n+1: position n is an ascent
+    assert parse_permutation("10,3,2,4,5,6,7,8,9,1") == (10, 3, 2, 4, 5, 6, 7, 8, 9, 1)
+    for text in ("441", "4x1", "", "1,,2", "0", "12 3"):
+        with pytest.raises(ValueError):
+            parse_permutation(text)
 
 
 def test_crossings():
