@@ -1,5 +1,10 @@
 """Command-line front end: value tables, verification suites, path dumps.
 
+`table` and `--help` load only the closed forms and the polynomial ring: the
+parser takes the suite names from qeuler.plan, and `verify` and `bijection`
+import their engines when they run.  json and print stay module globals that
+each command reads, so that a tracer can rebind them.
+
 Exit codes: 0 on success, 1 when a verification suite reports an identity
 failure, 2 on usage errors or budget violations, including a check that a
 budget refused (reported as REFUSED).  Data output is byte
@@ -14,11 +19,9 @@ import sys
 from typing import Callable, Sequence
 
 from . import closedforms as cf
-from .bijections import francon_viennot, lift_append_one
 from .errors import BudgetExceededError, check_size
-from .permutations import parse_permutation, stat_vector
+from .plan import SUITES
 from .poly import Poly
-from .verify import SUITES, render_reports, run_suites
 
 
 def _eulerian_entries(n_max: int) -> list[tuple[str, Poly]]:
@@ -72,6 +75,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import render_reports, run_suites
+
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     try:
         reports = run_suites(suites, n_max=args.n_max, seed=args.seed, jobs=args.jobs)
@@ -86,6 +91,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bijection(args: argparse.Namespace) -> int:
+    from .bijections import francon_viennot, lift_append_one
+    from .permutations import parse_permutation, stat_vector
+
     try:
         perm = parse_permutation(args.permutation)
     except ValueError as exc:

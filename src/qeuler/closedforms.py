@@ -8,6 +8,7 @@ size is a ValueError that names the size.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterator
 
 from .errors import HalfPowerResidueError, NotPolynomialError, check_size
@@ -136,6 +137,12 @@ def q_derangement_closed(n: int) -> Poly:
     ))
 
 
+@cache
+def _q_integer_power(m: int, n: int) -> Poly:
+    """[m]_q ** n, built once and shared by every k of one row of q-Eulerian numbers."""
+    return q_integer(m) ** n
+
+
 def q_eulerian_number_closed(k: int, n: int) -> Poly:
     """The q-Eulerian number refining permutations with k weak exceedances.
 
@@ -147,7 +154,7 @@ def q_eulerian_number_closed(k: int, n: int) -> Poly:
     acc = Poly.zero()
     for i in range(k):
         factor = Poly.monomial(binom_safe(n, i), 0, k - i) + Poly.const(binom_safe(n, i - 1))
-        term = (q_integer(k - i) ** n) * factor
+        term = _q_integer_power(k - i, n) * factor
         acc = acc + (-1) ** i * term.shift_q(k * i - k * k)
     if not acc.is_polynomial():
         raise NotPolynomialError(f"negative q-powers survive in q-Eulerian number ({k},{n})")

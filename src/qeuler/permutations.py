@@ -25,12 +25,17 @@ DEFAULT_BOUND = 10
 def parse_permutation(text: str) -> tuple[int, ...]:
     """Accept one-line digits ("4371265") or comma-separated values."""
     text = text.strip()
+    malformed = ValueError(f"malformed permutation: {text!r}")
     if "," in text:
-        t = tuple(int(part) for part in text.split(","))
+        parts = text.split(",")
     elif text.isdigit():
-        t = tuple(int(ch) for ch in text)
+        parts = list(text)
     else:
-        raise ValueError(f"malformed permutation: {text!r}")
+        raise malformed
+    try:
+        t = tuple(int(part) for part in parts)
+    except ValueError:  # an empty part, or a digit that int() rejects ("²")
+        raise malformed from None
     if sorted(t) != list(range(1, len(t) + 1)):
         raise ValueError(f"not a permutation of 1..{len(t)}: {t}")
     return t

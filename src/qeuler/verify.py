@@ -2,12 +2,13 @@
 
 Each suite bundles the cross-checks of one part of the library into a list
 of independent named checks; checks are pure and picklable so the runner
-may execute them in worker processes.  One table, PLAN, declares every
-suite's default bound and its index loops, with the caps and floors that
-override the bound; the report states those that bind.  Another, AGREEMENTS,
-names the routes of each check that only compares routes at one index; a
-check that loops or branches is a _chk_ function.  Report ordering follows
-declaration order (suite, then row, then index), never completion order.
+may execute them in worker processes.  One table, PLAN in qeuler.plan,
+declares every suite's default bound and its index loops, with the caps and
+floors that override the bound; the report states those that bind.  Another,
+AGREEMENTS, names the routes of each check that only compares routes at one
+index; a check that loops or branches is a _chk_ function.  Report ordering
+follows declaration order (suite, then row, then index), never completion
+order.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from . import paths as pa
 from . import permutations as pm
 from . import tableaux as tb
 from .errors import BudgetExceededError
+from .plan import PLAN, SUITES, WORD_ORACLE_MAX_LEN
 from .poly import ONE, Poly, binom_safe, one_minus_q, poly_sum
 
 
@@ -192,11 +194,9 @@ def _chk_ansatz_distribution(n: int) -> tuple[bool, str]:
     return ok, f"matches {source}" if ok else f"disagrees with {source}"
 
 
-# Random words per relation in the confluence check, and their greatest length;
-# the greatest word length that the tableau oracle checks exhaustively.
+# Random words per relation in the confluence check, and their greatest length.
 _CONFLUENCE_WORDS = 80
 _CONFLUENCE_MAX_LEN = 8
-_WORD_ORACLE_MAX_LEN = 6
 
 
 def _chk_confluence(seed: int) -> tuple[bool, str]:
@@ -216,14 +216,14 @@ def _chk_confluence(seed: int) -> tuple[bool, str]:
 
 
 def _chk_word_oracle() -> tuple[bool, str]:
-    for length in range(_WORD_ORACLE_MAX_LEN + 1):
+    for length in range(WORD_ORACLE_MAX_LEN + 1):
         for letters in product("DE", repeat=length):
             word = "".join(letters)
             shape = tb.shape_of_word(word)
             expected = Poly.zero() if shape is None else tb.derangement_sum_for_shape(shape)
             if az.word_boundary_value(az.MAIN, word) != expected:
                 return False, f"word {word!r} disagrees with tableau enumeration"
-    return True, f"all words of length <= {_WORD_ORACLE_MAX_LEN}"
+    return True, f"all words of length <= {WORD_ORACLE_MAX_LEN}"
 
 
 def _chk_bijection_size(n: int) -> tuple[bool, str]:
@@ -394,60 +394,9 @@ def _agree(agreement: Agreement, index: int) -> tuple[bool, str]:
     return ok, agreement.agree if ok else agreement.disagree
 
 
-# -- the plan: every suite, its default bound and its checks --------------------
+# -- the plan (qeuler.plan) made into checks, budgets and limit notes -----------
 
 
-class Row(NamedTuple):
-    """One index loop of a suite; checks sharing it run interleaved per index.
-
-    "n=", "k=" and "2n=" loop over an index n (passed as k for "k="); "n<=" runs
-    once with n_max, "seed=" once with the seed, any other label once with no
-    arguments.  A loop reaches its limit when the size of n (n, 2n, 2n+1) does.
-    """
-
-    checks: str  # names in AGREEMENTS or of _chk_* functions, separated by spaces
-    label: str = "n="
-    first: int = 0
-    limit: tuple[str, int] | None = None  # ("cap", N): min(bound, N); "floor": max; "fixed": N
-    size: str = "n"
-    step: int = 1
-
-    def reach(self, bound: int) -> int:
-        kind, n = self.limit or ("", bound)
-        return {"cap": min(bound, n), "floor": max(bound, n), "fixed": n}.get(kind, bound)
-
-
-# Default bounds keep a full run of every suite below ten desktop minutes.
-PLAN: dict[str, tuple[int, tuple[Row, ...]]] = {
-    "th1": (9, (Row("equidistribution", first=1, limit=("cap", 8)),
-                Row("non_equidistribution_derangements", "n<=", limit=("cap", 8)),
-                Row("signed_wex_sum", first=1),
-                Row("reduced_path_sum", first=1),
-                Row("closed_form_even_vanishing", first=2, step=2, limit=("floor", 12)))),
-    "th2": (9, (Row("signed_derangement_sum"), Row("inversion", limit=("cap", 8)))),
-    "th3": (10, (Row("g_identity"), Row("tangent_routes", limit=("cap", 9), size="2n+1"))),
-    "th4": (12, (Row("secant_routes", limit=("cap", 8), size="2n"),
-                 Row("touchard", limit=("cap", 10), size="2n"),
-                 Row("involution_relation", limit=("cap", 12), size="2n"))),
-    "tableaux": (7, (Row("tableau_distributions signed_tableau_sum"),
-                     Row("williams_numbers", first=1),
-                     Row("transpose", limit=("cap", 6)))),
-    "paths": (9, (Row("laguerre_transfer motzkin_transfer"),
-                  Row("large_history_count", first=1, limit=("cap", 8)),
-                  Row("cf_coefficients", "n<=", limit=("floor", 12)),
-                  Row("path_enumeration_oracle", limit=("fixed", 4)))),
-    "ansatz": (12, (Row("ansatz_distribution ansatz_hat"),
-                    Row("ansatz_shift", limit=("cap", 8)),
-                    Row("confluence", "seed="),
-                    Row("word_oracle", f"len<={_WORD_ORACLE_MAX_LEN}"))),
-    "bijection": (7, (Row("bijection_size", first=1),)),
-    "section5": (8, (Row("core_sums", "k="),
-                     Row("penaud", "2n=", limit=("cap", 5)),
-                     Row("left_factors", "2n=", limit=("cap", 5)),
-                     Row("rearrangement", limit=("cap", 6)))),
-    "section6": (10, (Row("parity_free"),)),
-}
-SUITES = tuple(PLAN)
 DEFAULT_BUDGETS = {suite: budget for suite, (budget, _) in PLAN.items()}
 
 
@@ -491,7 +440,7 @@ def _env_budgets() -> dict[str, int]:
             budgets[name] = int(num)
         except ValueError:
             raise ValueError(f"bad {BUDGET_ENV_VAR} entry: {pair!r}") from None
-    unknown = sorted(set(budgets) - set(PLAN))
+    unknown = sorted(set(budgets) - set(SUITES))
     if unknown:
         raise ValueError(f"unknown suite in {BUDGET_ENV_VAR}: {', '.join(unknown)}")
     return budgets

@@ -107,6 +107,9 @@ def test_bijection_malformed(capsys):
     assert code == 2 and "error" in err
     code, out, err = run_cli(capsys, "bijection", "")
     assert code == 2 and out == "" and "error" in err
+    for text in (",1", "1,,2", "1²"):
+        code, out, err = run_cli(capsys, "bijection", text)
+        assert (code, out, err) == (2, "", f"error: malformed permutation: {text!r}\n")
 
 
 def test_verify_exit_codes(capsys):
@@ -187,18 +190,117 @@ def test_verify_negative_bound_env_is_usage_error(capsys, monkeypatch):
     assert code == 2 and out == "" and "nonnegative" in err
 
 
-def test_console_script_entry_point():
-    # the child imports the same qeuler as this process, installed or not
+def _child_env():
+    """The environment of a child that imports the same qeuler as this process."""
     src = os.path.dirname(os.path.dirname(qeuler.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "qeuler.cli", "table", "etangent", "--n-max", "1"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert out.returncode == 0
     assert out.stdout.splitlines() == ["E_1 = 1", "E_3 = 1 + q"]
+
+
+# Runs qeuler.cli as `python -m` does; its last line of output names the modules
+# that the command loaded beyond those of a bare interpreter.
+_LOADED_MODULES = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv = ["qeuler", *sys.argv[1:]]
+try:
+    runpy.run_module("qeuler.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+# What only verify and bijection run: the check engines, and dataclasses, which
+# alone takes several milliseconds to import.
+_ENGINES = {"qeuler.verify", "qeuler.paths", "qeuler.bijections", "qeuler.permutations",
+            "qeuler.tableaux", "qeuler.ansatz", "dataclasses"}
+
+
+@pytest.mark.parametrize("argv", [["table", "A", "--n-max", "2"], ["--help"]])
+def test_table_and_help_load_no_engine(argv):
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.splitlines()[-1].split())
+    assert {"qeuler.closedforms", "qeuler.poly"} <= loaded
+    assert not loaded & _ENGINES, sorted(loaded & _ENGINES)
+
+
+# The help of qeuler and of each command at 80 columns, byte for byte.
+HELP_TEXT = {
+    (): """\
+usage: qeuler [-h] {table,verify,bijection} ...
+
+Exact q-Euler-number toolkit: tables, identity verification, path dumps.
+
+positional arguments:
+  {table,verify,bijection}
+    table               print a value table
+    verify              run identity-verification suites
+    bijection           dump the path image of a permutation
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("table",): """\
+usage: qeuler table [-h] [--n-max N_MAX] [--format {json,csv,text}]
+                    {etangent,esecant,A,B,eulerian,touchard}
+
+positional arguments:
+  {etangent,esecant,A,B,eulerian,touchard}
+
+options:
+  -h, --help            show this help message and exit
+  --n-max N_MAX
+  --format {json,csv,text}
+""",
+    ("verify",): """\
+usage: qeuler verify [-h] [--n-max N_MAX] [--jobs JOBS] [--seed SEED]
+                     {all,th1,th2,th3,th4,tableaux,paths,ansatz,bijection,section5,section6}
+
+positional arguments:
+  {all,th1,th2,th3,th4,tableaux,paths,ansatz,bijection,section5,section6}
+
+options:
+  -h, --help            show this help message and exit
+  --n-max N_MAX
+  --jobs JOBS
+  --seed SEED
+""",
+    ("bijection",): """\
+usage: qeuler bijection [-h] permutation
+
+positional arguments:
+  permutation  one-line digits or comma-separated values
+
+options:
+  -h, --help   show this help message and exit
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP_TEXT, ids=lambda c: " ".join(c) or "qeuler")
+def test_help_text(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXT[command]
 
 
 def test_verify_exit_code_on_identity_failure(capsys, monkeypatch):

@@ -66,7 +66,7 @@ def _referenced_names(path: Path) -> set[str]:
 
 def test_every_src_name_is_referenced():
     # __init__.py re-exports names, which is no use of them.  The _chk_* checks
-    # are looked up by name for the verify.PLAN rows that verify.AGREEMENTS does
+    # are looked up by name for the plan.PLAN rows that verify.AGREEMENTS does
     # not hold, which test_verify_plan.py covers.
     src = [p for p in sorted((ROOT / "src" / "qeuler").glob("*.py")) if p.name != "__init__.py"]
     files = src + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))

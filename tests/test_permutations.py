@@ -1,6 +1,7 @@
 """Statistics, classifiers, and brute-force distribution polynomials."""
 
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -37,8 +38,13 @@ def test_permutation_type():
     assert parse_permutation("4371265") == FIG
     assert ascents(parse_permutation("21")) == 1  # sigma(n+1) = n+1: position n is an ascent
     assert parse_permutation("10,3,2,4,5,6,7,8,9,1") == (10, 3, 2, 4, 5, 6, 7, 8, 9, 1)
-    for text in ("441", "4x1", "", "1,,2", "0", "12 3"):
-        with pytest.raises(ValueError):
+    assert parse_permutation(" 2, 1 ") == (2, 1)
+    for text in ("441", "0"):
+        with pytest.raises(ValueError, match="not a permutation"):
+            parse_permutation(text)
+    # an empty comma part, or a digit that int() rejects, is malformed text too
+    for text in ("4x1", "", "12 3", ",1", "1,,2", "1,2,", "1²"):
+        with pytest.raises(ValueError, match=re.escape(f"malformed permutation: {text!r}")):
             parse_permutation(text)
 
 
