@@ -9,8 +9,8 @@ summands, each left multiplication re-normalizes the table directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import RelationMismatchError, check_size
 from .poly import ONE, Poly, poly_sum
@@ -20,10 +20,7 @@ ANSATZ_BOUND = 14
 _Q = Poly.var_q()
 
 
-# The relations are module singletons, so identity equality and hashing
-# suffice and keep the _d_times_epow cache key from hashing four Poly fields.
-@dataclass(frozen=True, eq=False)
-class Relation:
+class Relation(NamedTuple):
     """D*E = c_ed E*D + c_id I + c_e E + c_d D, plus a boundary functional."""
 
     name: str
@@ -32,6 +29,10 @@ class Relation:
     c_e: Poly
     c_d: Poly
     boundary: str  # "constant", "row", or "total"
+
+    # The relations are module singletons, so identity equality and hashing
+    # suffice and keep the _d_times_epow cache key from hashing four Poly fields.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 # DE - qED = I + qE + D; <W|E = 0, D|V> = 0: only the constant term survives.
@@ -44,8 +45,7 @@ HAT = Relation("hat", _Q, Poly.monomial(1, 0, -1) - ONE, Poly.zero(), Poly.zero(
 _Table = dict[tuple[int, int], Poly]
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """A finite combination sum c_ij E^i D^j under a fixed relation."""
 
     relation: Relation

@@ -14,9 +14,8 @@ heights are derived.  Step and Weight objects are built only to show a path
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import check_size
 from .poly import ONE, Poly, binom_safe, poly_sum, q_integer
@@ -24,17 +23,16 @@ from .poly import ONE, Poly, binom_safe, poly_sum, q_integer
 _DIRECTION = {1: "U", -1: "D", 0: "F"}
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
+class Weight(NamedTuple("Weight", [("sign", int), ("ypow", int), ("qpow", int)])):
     """A monomial step weight: sign * y**ypow * q**qpow."""
 
-    sign: int = 1
-    ypow: int = 0
-    qpow: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1) or self.ypow not in (0, 1) or self.qpow < 0:
+    def __new__(cls, sign: int = 1, ypow: int = 0, qpow: int = 0) -> Weight:
+        self = tuple.__new__(cls, (sign, ypow, qpow))
+        if sign not in (1, -1) or ypow not in (0, 1) or qpow < 0:
             raise ValueError(f"invalid step weight {self}")
+        return self
 
     def monomial(self) -> Poly:
         return Poly.monomial(self.sign, self.ypow, self.qpow)
@@ -54,17 +52,16 @@ step_weight = cache(Weight)
 UNIT_WEIGHT = step_weight(1, 0, 0)
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple("Step", [("direction", str), ("start_height", int), ("weight", Weight)])):
     """One step of a path as shown to users; paths themselves hold records."""
 
-    direction: str  # "U", "D", or "F"
-    start_height: int
-    weight: Weight = UNIT_WEIGHT
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("U", "D", "F") or self.start_height < 0:
+    def __new__(cls, direction: str, start_height: int, weight: Weight = UNIT_WEIGHT) -> Step:
+        self = tuple.__new__(cls, (direction, start_height, weight))
+        if direction not in ("U", "D", "F") or start_height < 0:
             raise ValueError(f"invalid step {self}")
+        return self
 
     def dump(self) -> str:
         return self.direction + self.weight.dump()
@@ -87,8 +84,7 @@ def _no_steps(h: int) -> tuple[Weight, ...]:
     return ()
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One path family: the weights allowed on each step from height h.
 
     up, down and flat map the start height to the admissible weights, in
@@ -113,7 +109,7 @@ def _signed_core(down_shift: int) -> Family:
 
 
 def _schroder(core: Family) -> Family:
-    return replace(core, flat=lambda h: (step_weight(-1, 0, 0),), flat_length=2)
+    return core._replace(flat=lambda h: (step_weight(-1, 0, 0),), flat_length=2)
 
 
 # Laguerre histories: up y[h+1], flat [h] + y[h+1], down [h] (Francon-Viennot);
@@ -176,8 +172,7 @@ def _allowed(family: str, steps: int) -> tuple[frozenset[Record], ...]:
     )
 
 
-@dataclass(frozen=True)
-class WeightedPath:
+class WeightedPath(NamedTuple):
     """A path as one tuple of step records; start heights are derived.
 
     Build it with path_from_steps, which validates the records.
@@ -359,8 +354,7 @@ def schroder_signed_sum(k: int, variant: str) -> Poly:
 # -- continued fractions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CFSpec:
+class CFSpec(NamedTuple("CFSpec", [("kind", str), ("level_weight", Callable[[int], Poly])])):
     """A J- or T-fraction given by its level-weight function.
 
     level_weight(h) is the coefficient at nesting depth h, h = 0 outermost:
@@ -368,12 +362,12 @@ class CFSpec:
     1/(1 + t - w(0) t / (1 + t - w(1) t / ...)).
     """
 
-    kind: str  # "J" or "T"
-    level_weight: Callable[[int], Poly]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("J", "T"):
+    def __new__(cls, kind: str, level_weight: Callable[[int], Poly]) -> CFSpec:
+        if kind not in ("J", "T"):
             raise ValueError("kind must be 'J' or 'T'")
+        return tuple.__new__(cls, (kind, level_weight))
 
 
 def _times_b(cur: list[Poly], shift: bool) -> list[Poly]:

@@ -10,11 +10,10 @@ that needs a neighbor.  Exhaustive enumerations refuse a negative size
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _itperms
 from operator import lt
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import OddCrossingError, check_size
 from .poly import Poly, binom_safe, poly_sum
@@ -41,17 +40,12 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     return t
 
 
-@dataclass(frozen=True)
-class StatVector:
+class StatVector(NamedTuple):
     wex: int
     asc: int
     cr: int
     fix: int
     p312: int
-
-    def __post_init__(self) -> None:
-        if self.fix > self.wex:
-            raise AssertionError("every fixed point is a weak exceedance")
 
 
 # -- statistics -------------------------------------------------------------
@@ -109,6 +103,8 @@ def stat_vector(p: Sequence[int]) -> StatVector:
         fix=fixed_points(t),
         p312=pattern_31_2(t),
     )
+    if sv.fix > sv.wex:
+        raise AssertionError("every fixed point is a weak exceedance")
     if len(t) >= 1 and sv.asc < 1:
         raise AssertionError("position n is always an ascent")
     return sv

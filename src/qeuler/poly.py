@@ -47,11 +47,11 @@ class Poly:
 
     @classmethod
     def const(cls, c: int) -> Poly:
-        return cls({(0, 0): c})
+        return _from_terms({(0, 0): c} if c else {})
 
     @classmethod
     def monomial(cls, c: int, yexp: int = 0, qexp: int = 0) -> Poly:
-        return cls({(yexp, qexp): c})
+        return _from_terms({(yexp, qexp): c} if c else {})
 
     @classmethod
     def var_y(cls) -> Poly:
@@ -105,18 +105,12 @@ class Poly:
                 data[k] = nc
             elif k in data:
                 del data[k]
-        out = Poly.__new__(Poly)
-        out._terms = data
-        out._key = None
-        return out
+        return _from_terms(data)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        out = Poly.__new__(Poly)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        out._key = None
-        return out
+        return _from_terms({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: Poly | int) -> Poly:
         if isinstance(other, int):
@@ -130,10 +124,7 @@ class Poly:
         if isinstance(other, int):
             if other == 0:
                 return _ZERO
-            out = Poly.__new__(Poly)
-            out._terms = {k: c * other for k, c in self._terms.items()}
-            out._key = None
-            return out
+            return _from_terms({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self._terms, other._terms
@@ -141,10 +132,7 @@ class Poly:
         if len(a) >= _PACK_MIN_TERMS and len(b) >= _PACK_MIN_TERMS:
             box_a = _dense_box(a)
             box_b = box_a and _dense_box(b)
-        out = Poly.__new__(Poly)
-        out._terms = _packed_product(a, box_a, b, box_b) if box_b else _dict_product(a, b)
-        out._key = None
-        return out
+        return _from_terms(_packed_product(a, box_a, b, box_b) if box_b else _dict_product(a, b))
 
     __rmul__ = __mul__
 
@@ -249,6 +237,14 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({str(self)})"
+
+
+def _from_terms(data: dict[_TermKey, int]) -> Poly:
+    """A Poly owning data, which must already hold no zero coefficient."""
+    out = Poly.__new__(Poly)
+    out._terms = data
+    out._key = None
+    return out
 
 
 _ZERO = Poly()
@@ -405,12 +401,9 @@ def exact_div_one_minus_q_pow(p: Poly, m: int) -> Poly:
                     f"remainder {run} in y^{ye} slice when dividing by (1 - q)"
                 )
             rows[ye] = (lo, row)
-    out = Poly.__new__(Poly)
-    out._terms = {
-        (ye, lo + i): c for ye, (lo, row) in rows.items() for i, c in enumerate(row) if c
-    }
-    out._key = None
-    return out
+    return _from_terms(
+        {(ye, lo + i): c for ye, (lo, row) in rows.items() for i, c in enumerate(row) if c}
+    )
 
 
 def poly_sum(items: Iterator[Poly] | Iterable[Poly]) -> Poly:
@@ -423,10 +416,7 @@ def poly_sum(items: Iterator[Poly] | Iterable[Poly]) -> Poly:
                 data[k] = nc
             elif k in data:
                 del data[k]
-    out = Poly.__new__(Poly)
-    out._terms = data
-    out._key = None
-    return out
+    return _from_terms(data)
 
 
 # Shared monomials, handy as building blocks everywhere.

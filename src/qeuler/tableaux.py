@@ -13,10 +13,9 @@ Enumerations refuse a negative size (ValueError) and one above TABLEAU_BOUND
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidTransposeError, check_size
 from .poly import Poly
@@ -24,15 +23,15 @@ from .poly import Poly
 TABLEAU_BOUND = 7
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(NamedTuple("Shape", [("rows", tuple[int, ...])])):
     """Weakly decreasing row lengths; columns = first row length."""
 
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(a < b for a, b in zip(self.rows, self.rows[1:])) or any(r < 0 for r in self.rows):
-            raise ValueError(f"row lengths must be weakly decreasing and nonnegative: {self.rows}")
+    def __new__(cls, rows: tuple[int, ...]) -> Shape:
+        if any(a < b for a, b in zip(rows, rows[1:])) or any(r < 0 for r in rows):
+            raise ValueError(f"row lengths must be weakly decreasing and nonnegative: {rows}")
+        return tuple.__new__(cls, (rows,))
 
     @property
     def cols(self) -> int:
@@ -67,8 +66,7 @@ def shapes_of_half_perimeter(n: int) -> Iterator[Shape]:
         yield from rec([], m - 1, c)
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(NamedTuple):
     shape: Shape
     filling: tuple[tuple[int, ...], ...]  # row i holds shape.rows[i] entries
 

@@ -1,8 +1,9 @@
 """Identity-verification suites behind the command-line front end.
 
 Each suite bundles the cross-checks of one part of the library into a list
-of independent named checks; checks are pure and picklable so the runner
-may execute them in worker processes.  One table, PLAN in qeuler.plan,
+of independent named checks.  Checks are pure, and they and their results
+are plain named tuples of picklable fields, so the runner may execute them
+in worker processes.  One table, PLAN in qeuler.plan,
 declares every suite's default bound and its index loops, with the caps and
 floors that override the bound; the report states those that bind.  Another,
 AGREEMENTS, names the routes of each check that only compares routes at one
@@ -17,7 +18,6 @@ import os
 import random
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 from typing import NamedTuple
@@ -33,16 +33,14 @@ from .plan import PLAN, SUITES, WORD_ORACLE_MAX_LEN
 from .poly import ONE, Poly, binom_safe, one_minus_q, poly_sum
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     suite: str
     check_id: str
     func: str
     kwargs: dict
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     check_id: str
     status: str  # "PASS", "FAIL", or "REFUSED" when a budget refused the work
@@ -50,11 +48,10 @@ class CheckResult:
     elapsed: float
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
-    checks: list[CheckResult] = field(default_factory=list)
-    limits: list[str] = field(default_factory=list)  # limit_notes at the run's bound
+    checks: list[CheckResult]
+    limits: list[str]  # limit_notes at the run's bound
 
     @property
     def status(self) -> str:
@@ -432,7 +429,8 @@ BUDGET_ENV_VAR = "QEULER_BUDGET_OVERRIDE"
 
 
 def _env_budgets() -> dict[str, int]:
-    """The whole override variable; an unknown suite or a malformed entry is a usage error."""
+    """The whole override variable; an unknown suite, a malformed entry or a
+    negative bound is a usage error, whichever suites run."""
     budgets = {}
     for pair in os.environ.get(BUDGET_ENV_VAR, "").replace(",", " ").split():
         name, _, num = pair.partition("=")
@@ -443,6 +441,9 @@ def _env_budgets() -> dict[str, int]:
     unknown = sorted(set(budgets) - set(SUITES))
     if unknown:
         raise ValueError(f"unknown suite in {BUDGET_ENV_VAR}: {', '.join(unknown)}")
+    for name, value in budgets.items():
+        if value < 0:
+            raise ValueError(f"{BUDGET_ENV_VAR} bound of {name} must be nonnegative, got {value}")
     return budgets
 
 
@@ -491,7 +492,7 @@ def run_suites(
             results = list(pool.map(run_check, all_checks))
     else:
         results = [run_check(c) for c in all_checks]
-    reports = {s: SuiteReport(s, limits=limit_notes(s, n_max)) for s in suites}
+    reports = {s: SuiteReport(s, [], limit_notes(s, n_max)) for s in suites}
     for res in results:
         reports[res.suite].checks.append(res)
     return [reports[s] for s in suites]

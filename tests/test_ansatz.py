@@ -11,6 +11,7 @@ from qeuler.ansatz import (
     MAIN,
     PRIMED,
     NormalForm,
+    Relation,
     boundary_eval,
     left_mul_d,
     nf_mul,
@@ -51,6 +52,20 @@ def test_relation_mismatch():
         boundary_eval(PRIMED, nf)
     with pytest.raises(RelationMismatchError):
         nf_mul(nf, NormalForm.identity(HAT))
+
+
+def test_relations_compare_by_identity():
+    twin = Relation(*(getattr(MAIN, f) for f in ("name", "c_ed", "c_id", "c_e", "c_d", "boundary")))
+    assert twin != MAIN and not twin == MAIN and MAIN == MAIN and not MAIN != MAIN
+    assert len({MAIN, twin}) == 2
+
+
+def test_normal_forms_are_immutable():
+    nf = normal_power(MAIN, 2, Y, ONE)
+    for field in ("relation", "table", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(nf, field, ())
+    assert nf.relation is MAIN
 
 
 def test_budget():

@@ -152,6 +152,17 @@ def test_verify_th1_data_does_not_depend_on_jobs(capsys):
     assert data[0] == data[1]
 
 
+def test_verify_all_data_does_not_depend_on_jobs(capsys):
+    """Every suite's checks and results cross to worker processes and back."""
+    data = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, "verify", "all", "--n-max", "3", "--jobs", jobs)
+        assert code == 0
+        data.append(out.partition("\n# timing")[0])
+    assert "section6  suite result" in data[0]
+    assert data[0] == data[1]
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("QEULER_BUDGET_OVERRIDE", "th1=4, section6=2")
     assert budget_for("th1") == 4
@@ -183,11 +194,22 @@ def test_verify_negative_bound_flag_is_usage_error(capsys, argv):
 
 def test_verify_negative_bound_env_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("QEULER_BUDGET_OVERRIDE", "th1=-1")
-    with pytest.raises(ValueError):
-        budget_for("th1")
-    assert budget_for("th2") == 9
+    for suite in ("th1", "th2"):  # the variable is checked as a whole
+        with pytest.raises(ValueError, match="nonnegative"):
+            budget_for(suite)
     code, out, err = run_cli(capsys, "verify", "th1")
     assert code == 2 and out == "" and "nonnegative" in err
+
+
+@pytest.mark.parametrize("raw, argv", [
+    ("th1=-3", ("th2", "--n-max", "1")),  # an entry for a suite that does not run
+    ("th2=-3", ("th2", "--n-max", "2")),  # an entry that the flag overrides
+])
+def test_verify_negative_env_entry_is_usage_error_under_n_max(capsys, monkeypatch, raw, argv):
+    monkeypatch.setenv("QEULER_BUDGET_OVERRIDE", raw)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "QEULER_BUDGET_OVERRIDE bound of th" in err and "must be nonnegative, got -3" in err
 
 
 def _child_env():
@@ -221,14 +243,15 @@ except SystemExit as exc:
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
-# What only verify and bijection run: the check engines, and dataclasses, which
-# alone takes several milliseconds to import.
+# What only verify and bijection run: the check engines.
 _ENGINES = {"qeuler.verify", "qeuler.paths", "qeuler.bijections", "qeuler.permutations",
-            "qeuler.tableaux", "qeuler.ansatz", "dataclasses"}
+            "qeuler.tableaux", "qeuler.ansatz"}
+# Modules that no command needs; dataclasses (with inspect) alone takes several
+# milliseconds to import.
+_UNUSED = {"dataclasses", "inspect"}
 
 
-@pytest.mark.parametrize("argv", [["table", "A", "--n-max", "2"], ["--help"]])
-def test_table_and_help_load_no_engine(argv):
+def _loaded_modules(argv):
     out = subprocess.run(
         [sys.executable, "-c", _LOADED_MODULES, *argv],
         capture_output=True,
@@ -236,9 +259,21 @@ def test_table_and_help_load_no_engine(argv):
         env=_child_env(),
     )
     assert out.returncode == 0, out.stderr
-    loaded = set(out.stdout.splitlines()[-1].split())
+    return set(out.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv", [["table", "A", "--n-max", "2"], ["--help"]])
+def test_table_and_help_load_no_engine(argv):
+    loaded = _loaded_modules(argv)
     assert {"qeuler.closedforms", "qeuler.poly"} <= loaded
-    assert not loaded & _ENGINES, sorted(loaded & _ENGINES)
+    assert not loaded & (_ENGINES | _UNUSED), sorted(loaded & (_ENGINES | _UNUSED))
+
+
+@pytest.mark.parametrize("argv", [["verify", "th2", "--n-max", "2"], ["bijection", "21"]])
+def test_verify_and_bijection_load_no_dataclasses(argv):
+    loaded = _loaded_modules(argv)
+    assert {"qeuler.paths", "qeuler.permutations"} <= loaded
+    assert not loaded & _UNUSED, sorted(loaded & _UNUSED)
 
 
 # The help of qeuler and of each command at 80 columns, byte for byte.

@@ -80,7 +80,8 @@ def test_every_src_name_is_referenced():
 def _defaulted_parameters(path: Path) -> list[tuple[str, str, int | None, int]]:
     """(callee name, parameter, position in a call or None, line) per defaulted parameter.
 
-    A method's position leaves out self or cls, and __init__ is called by its class name.
+    A method's position leaves out self or cls, and __init__ and __new__ are called
+    by their class name.
     """
     found = []
 
@@ -91,7 +92,8 @@ def _defaulted_parameters(path: Path) -> list[tuple[str, str, int | None, int]]:
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = child.args
                 skip = 0 if cls is None else 1
-                name = cls.name if cls is not None and child.name == "__init__" else child.name
+                constructor = cls is not None and child.name in ("__init__", "__new__")
+                name = cls.name if constructor else child.name
                 positional = args.posonlyargs + args.args
                 first = len(positional) - len(args.defaults)
                 found.extend((name, arg.arg, i - skip, child.lineno)

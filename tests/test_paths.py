@@ -1,6 +1,7 @@
 """Transfer sums, continued fractions, enumeration oracle, decomposition."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -281,7 +282,30 @@ def test_step_weights_are_interned():
         step_weight(1, 2, 0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Weight(2, 0, 0), "invalid step weight Weight(sign=2, ypow=0, qpow=0)"),
+    (lambda: Weight(1, 2, 0), "invalid step weight Weight(sign=1, ypow=2, qpow=0)"),
+    (lambda: Weight(qpow=-1), "invalid step weight Weight(sign=1, ypow=0, qpow=-1)"),
+    (lambda: Step("X", 0),
+     "invalid step Step(direction='X', start_height=0, weight=Weight(sign=1, ypow=0, qpow=0))"),
+    (lambda: Step("U", -1, Weight(-1, 1, 2)),
+     "invalid step Step(direction='U', start_height=-1, weight=Weight(sign=-1, ypow=1, qpow=2))"),
+    (lambda: CFSpec("K", lambda h: ONE), "kind must be 'J' or 'T'"),
+])
+def test_value_types_reject_bad_fields(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 Y_UP, UNIT_UP_R, UNIT_DOWN_R = (1, 1, 1, 0), (1, 1, 0, 0), (-1, 1, 0, 0)
+
+
+def test_paths_are_immutable():
+    p = path_from_steps("laguerre", [Y_UP, UNIT_DOWN_R])
+    for field in ("records", "family", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, ())
+    assert p.records == (Y_UP, UNIT_DOWN_R) and p.family == "laguerre"
 
 
 def test_path_validation_and_dump():

@@ -91,6 +91,18 @@ def test_stat_vector():
     assert (sv.wex, sv.asc, sv.cr, sv.fix, sv.p312) == (4, 4, 3, 1, 3)
 
 
+@pytest.mark.parametrize("stat, value, message", [
+    ("fixed_points", 5, "every fixed point is a weak exceedance"),
+    ("ascents", 0, "position n is always an ascent"),
+])
+def test_stat_vector_rejects_inconsistent_statistics(monkeypatch, stat, value, message):
+    import qeuler.permutations as pm
+
+    monkeypatch.setattr(pm, stat, lambda p: value)
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        stat_vector(FIG)
+
+
 def test_generators():
     assert sum(1 for _ in all_permutations(5)) == 120
     assert sum(map(_is_derangement, all_permutations(5))) == 44

@@ -1,6 +1,7 @@
 """Tableau enumeration, statistics, signed sums, and the transpose pairing."""
 
 import math
+import re
 from itertools import product
 
 import pytest
@@ -29,8 +30,19 @@ def test_shapes():
     assert three == {(2,), (1, 1), (1, 0), (0, 0, 0)}
     assert Shape((2, 1)).column_heights() == (2, 1)
     assert Shape((3, 1)).conjugate() == Shape((2, 1, 1))
-    with pytest.raises(ValueError):
-        Shape((1, 2))
+    for rows in ((1, 2), (1, -1)):
+        with pytest.raises(
+            ValueError, match=re.escape(f"must be weakly decreasing and nonnegative: {rows}")
+        ):
+            Shape(rows)
+
+
+def test_tableaux_are_immutable():
+    t = Tableau(Shape((1,)), ((1,),))
+    for field in ("shape", "filling", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(t, field, ())
+    assert t.shape == Shape((1,)) and t.filling == ((1,),)
 
 
 def test_counts():
