@@ -9,11 +9,12 @@ summands, each left multiplication re-normalizes the table directly.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import RelationMismatchError, check_size
-from .poly import ONE, Poly, poly_sum
+from .poly import ONE, Poly, poly_dot, poly_sum
 
 ANSATZ_BOUND = 14
 
@@ -43,13 +44,14 @@ PRIMED = Relation("primed", _Q, Poly.zero(), ONE, ONE, boundary="row")
 HAT = Relation("hat", _Q, Poly.monomial(1, 0, -1) - ONE, Poly.zero(), Poly.zero(), boundary="total")
 
 _Table = dict[tuple[int, int], Poly]
+_Entries = tuple[tuple[tuple[int, int], Poly], ...]
 
 
 class NormalForm(NamedTuple):
     """A finite combination sum c_ij E^i D^j under a fixed relation."""
 
     relation: Relation
-    table: tuple[tuple[tuple[int, int], Poly], ...]
+    table: _Entries
 
     @classmethod
     def from_dict(cls, relation: Relation, data: _Table) -> NormalForm:
@@ -61,28 +63,24 @@ class NormalForm(NamedTuple):
         return cls.from_dict(relation, {(0, 0): ONE})
 
 
-def _accumulate(acc: _Table, key: tuple[int, int], value: Poly) -> None:
-    cur = acc.get(key)
-    new = value if cur is None else cur + value
-    if new.is_zero:
-        acc.pop(key, None)
-    else:
-        acc[key] = new
+def _entries(pairs: dict[tuple[int, int], list[tuple[Poly, Poly]]]) -> _Entries:
+    """The sorted nonzero entries of a table given, per (i, j), as the pairs of
+    coefficients whose products sum to the entry of E^i D^j: one poly_dot per key."""
+    return tuple(sorted((k, v) for k, v in ((k, poly_dot(p)) for k, p in pairs.items()) if v))
 
 
 @lru_cache(maxsize=None)
-def _d_times_epow(relation: Relation, i: int) -> tuple[tuple[tuple[int, int], Poly], ...]:
+def _d_times_epow(relation: Relation, i: int) -> _Entries:
     """Normal form of D * E^i, by one application of the relation at a time."""
     if i == 0:
         return (((0, 1), ONE),)
-    prev = _d_times_epow(relation, i - 1)
-    acc: _Table = {}
-    for (a, b), c in prev:
-        _accumulate(acc, (a + 1, b), relation.c_ed * c)  # E * (D E^(i-1)) part
-        _accumulate(acc, (a, b), relation.c_d * c)
-    _accumulate(acc, (i - 1, 0), relation.c_id)
-    _accumulate(acc, (i, 0), relation.c_e)
-    return tuple(sorted(acc.items()))
+    pairs = defaultdict(list)
+    for (a, b), c in _d_times_epow(relation, i - 1):
+        pairs[a + 1, b].append((relation.c_ed, c))  # E * (D E^(i-1)) part
+        pairs[a, b].append((relation.c_d, c))
+    pairs[i - 1, 0].append((relation.c_id, ONE))
+    pairs[i, 0].append((relation.c_e, ONE))
+    return _entries(pairs)
 
 
 def left_mul_e(nf: NormalForm) -> NormalForm:
@@ -90,32 +88,26 @@ def left_mul_e(nf: NormalForm) -> NormalForm:
 
 
 def left_mul_d(nf: NormalForm) -> NormalForm:
-    acc: _Table = {}
+    pairs = defaultdict(list)
     for (i, j), c in nf.table:
         for (a, b), t in _d_times_epow(nf.relation, i):
-            _accumulate(acc, (a, b + j), t * c)
-    return NormalForm.from_dict(nf.relation, acc)
-
-
-def nf_scale(nf: NormalForm, factor: Poly) -> NormalForm:
-    if factor.is_zero:
-        return NormalForm.from_dict(nf.relation, {})
-    return NormalForm(nf.relation, tuple((k, factor * c) for k, c in nf.table))
+            pairs[a, b + j].append((t, c))
+    return NormalForm(nf.relation, _entries(pairs))
 
 
 def nf_mul(x: NormalForm, y: NormalForm) -> NormalForm:
     """Product of two normal forms, re-normalized."""
     if x.relation != y.relation:
         raise RelationMismatchError("cannot multiply forms built under different relations")
-    acc: _Table = {}
+    pairs = defaultdict(list)
     part, power = y, 0  # part is D^power y; the left terms come by increasing power of D
     for (i, j), c in sorted(x.table, key=lambda item: item[0][1]):
         for _ in range(j - power):
             part = left_mul_d(part)
         power = j
         for (a, b), t in part.table:
-            _accumulate(acc, (a + i, b), c * t)
-    return NormalForm.from_dict(x.relation, acc)
+            pairs[a + i, b].append((c, t))
+    return NormalForm(x.relation, _entries(pairs))
 
 
 def word_normal_form(relation: Relation, word: str) -> NormalForm:
@@ -142,14 +134,12 @@ def normal_power(
     check_size(n)
     nf = NormalForm.identity(relation)
     for _ in range(n):
-        parts = [nf_scale(left_mul_d(nf), coeff_d), nf_scale(left_mul_e(nf), coeff_e)]
-        if not coeff_id.is_zero:
-            parts.append(nf_scale(nf, coeff_id))
-        acc: _Table = {}
-        for part in parts:
-            for k, c in part.table:
-                _accumulate(acc, k, c)
-        nf = NormalForm.from_dict(relation, acc)
+        pairs = defaultdict(list)
+        for coeff, part in ((coeff_d, left_mul_d(nf)), (coeff_e, left_mul_e(nf)), (coeff_id, nf)):
+            if coeff:
+                for k, c in part.table:
+                    pairs[k].append((coeff, c))
+        nf = NormalForm(relation, _entries(pairs))
     return nf
 
 

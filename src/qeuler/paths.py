@@ -14,16 +14,31 @@ heights are derived.  Step and Weight objects are built only to show a path
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import check_size
-from .poly import ONE, Poly, binom_safe, poly_sum, q_integer
+from .poly import ONE, Poly, binom_safe, poly_dot, poly_sum, q_integer
 
 _DIRECTION = {1: "U", -1: "D", 0: "F"}
 
 
-class Weight(NamedTuple("Weight", [("sign", int), ("ypow", int), ("qpow", int)])):
+class CheckedTuple:
+    """Mixin, listed before the named-tuple base, for a tuple whose __new__ checks its fields.
+
+    The named tuple's own _make, which _replace calls, builds through
+    tuple.__new__ and would skip the check; this one builds through the class.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Weight(CheckedTuple, NamedTuple("Weight", [("sign", int), ("ypow", int), ("qpow", int)])):
     """A monomial step weight: sign * y**ypow * q**qpow."""
 
     __slots__ = ()
@@ -52,7 +67,7 @@ step_weight = cache(Weight)
 UNIT_WEIGHT = step_weight(1, 0, 0)
 
 
-class Step(NamedTuple("Step", [("direction", str), ("start_height", int), ("weight", Weight)])):
+class Step(CheckedTuple, NamedTuple("Step", [("direction", str), ("start_height", int), ("weight", Weight)])):
     """One step of a path as shown to users; paths themselves hold records."""
 
     __slots__ = ()
@@ -267,30 +282,41 @@ def _step_sums(family: str, direction: str, h: int, restricted: bool) -> tuple[t
     return tuple((p, unit) for p, unit in parts if not p.is_zero)
 
 
-def family_sum(family: str, length: int, restricted: bool = False) -> Poly:
-    """Total weight of the closed paths of a family, length in units.
+def family_sums(family: str, length: int, restricted: bool) -> list[Poly]:
+    """Total weight of the closed paths of a family of every length 0..length, in units.
 
     Layer u holds the paths of u units keyed by (height, last step was a unit
-    up step).  With restricted=True a unit down step never follows a unit up
-    step (the core-family condition).
+    up step), as the pairs (path weight, step weight) whose products sum to
+    it; each key is summed by one poly_dot when its layer is reached.  The
+    height cap of the longest length keeps every path that can still close
+    by then, so each shorter closed sum is read off the same pass.  With
+    restricted=True a unit down step never follows a unit up step (the
+    core-family condition).
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     flat_length = FAMILIES[family].flat_length
-    layers: list[dict[tuple[int, bool], Poly]] = [{} for _ in range(length + 1)]
-    layers[0][(0, False)] = ONE
-    for u in range(length):
-        for (h, unit_up), val in layers[u].items():
+    pending: list[defaultdict[tuple[int, bool], list[tuple[Poly, Poly]]]] = [
+        defaultdict(list) for _ in range(length + 1)
+    ]
+    pending[0][0, False].append((ONE, ONE))
+    sums = []
+    for u in range(length + 1):
+        layer = {key: poly_dot(pairs) for key, pairs in pending[u].items()}
+        sums.append(layer.get((0, False), Poly.zero()))
+        for (h, unit_up), val in layer.items():
             for d, nh, ln in (("U", h + 1, 1), ("D", h - 1, 1), ("F", h, flat_length)):
                 if nh < 0 or nh > length - u - ln:
                     continue
-                layer = layers[u + ln]
                 for w, unit in _step_sums(family, d, h, restricted):
-                    if unit and unit_up and d == "D":
-                        continue
-                    key = (nh, unit and d == "U")
-                    layer[key] = layer.get(key, Poly.zero()) + val * w
-    return layers[length].get((0, False), Poly.zero())
+                    if not (unit and unit_up and d == "D"):
+                        pending[u + ln][nh, unit and d == "U"].append((val, w))
+    return sums
+
+
+def family_sum(family: str, length: int, restricted: bool = False) -> Poly:
+    """Total weight of the closed paths of a family, length in units."""
+    return family_sums(family, length, restricted)[-1]
 
 
 def euler_dyck_sum(n: int, delta: int) -> Poly:
@@ -354,7 +380,7 @@ def schroder_signed_sum(k: int, variant: str) -> Poly:
 # -- continued fractions -------------------------------------------------------
 
 
-class CFSpec(NamedTuple("CFSpec", [("kind", str), ("level_weight", Callable[[int], Poly])])):
+class CFSpec(CheckedTuple, NamedTuple("CFSpec", [("kind", str), ("level_weight", Callable[[int], Poly])])):
     """A J- or T-fraction given by its level-weight function.
 
     level_weight(h) is the coefficient at nesting depth h, h = 0 outermost:
@@ -370,17 +396,14 @@ class CFSpec(NamedTuple("CFSpec", [("kind", str), ("level_weight", Callable[[int
         return tuple.__new__(cls, (kind, level_weight))
 
 
-def _times_b(cur: list[Poly], shift: bool) -> list[Poly]:
-    """b * cur, truncated; b is 1 + x when shift, else 1."""
-    return [c + cur[m - 1] if shift and m else c for m, c in enumerate(cur)]
-
-
-def _wallis_step(cur: list[Poly], prev: list[Poly], w: Poly, shift: bool) -> list[Poly]:
-    """b * cur - w * x * prev, truncated: one Euler-Wallis step."""
-    out = _times_b(cur, shift)
+def _wallis_step(cur: list[Poly], prev: list[Poly], minus_w: Poly, shift: bool) -> list[Poly]:
+    """b * cur - w * x * prev, truncated: one Euler-Wallis step, given -w."""
+    out = [cur[0]]
     for m in range(1, len(cur)):
-        if not prev[m - 1].is_zero:
-            out[m] = out[m] - w * prev[m - 1]
+        pairs = [(ONE, cur[m]), (minus_w, prev[m - 1])]
+        if shift:
+            pairs.append((ONE, cur[m - 1]))
+        out.append(poly_dot(pairs))
     return out
 
 
@@ -405,18 +428,18 @@ def cf_series(spec: CFSpec, n_max: int, depth: int | None = None) -> list[Poly]:
     unit = [ONE] + [zero] * n_max
     # A_0 = 0, A_1 = 1; B_0 = 1, B_1 = b_1, the tail 1 when depth is 0.
     num_prev, num = [zero] * (n_max + 1), unit
-    den_prev, den = unit, _times_b(unit, t_fraction and depth > 0)
+    den_prev, den = unit, list(unit)
+    if t_fraction and depth > 0 and n_max:
+        den[1] = ONE  # b_1 = 1 + x
     for h in range(depth):
-        w = spec.level_weight(h)
+        minus_w = -spec.level_weight(h)
         shift = t_fraction and h < depth - 1
-        num_prev, num = num, _wallis_step(num, num_prev, w, shift)
-        den_prev, den = den, _wallis_step(den, den_prev, w, shift)
+        num_prev, num = num, _wallis_step(num, num_prev, minus_w, shift)
+        den_prev, den = den, _wallis_step(den, den_prev, minus_w, shift)
+    minus_den = [-d for d in den]
     g: list[Poly] = []
     for m, acc in enumerate(num):
-        for r in range(1, m + 1):
-            if not den[r].is_zero and not g[m - r].is_zero:
-                acc = acc - den[r] * g[m - r]
-        g.append(acc)
+        g.append(poly_dot([(ONE, acc)] + [(minus_den[r], g[m - r]) for r in range(1, m + 1)]))
     return g
 
 

@@ -29,6 +29,8 @@ class Poly:
         data: dict[_TermKey, int] = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for (ye, qe), c in items:
+            if type(c) is not int:
+                raise _not_int(c, ye, qe)
             if c:
                 k = (ye, qe)
                 nc = data.get(k, 0) + c
@@ -47,10 +49,12 @@ class Poly:
 
     @classmethod
     def const(cls, c: int) -> Poly:
-        return _from_terms({(0, 0): c} if c else {})
+        return cls.monomial(c, 0, 0)
 
     @classmethod
     def monomial(cls, c: int, yexp: int = 0, qexp: int = 0) -> Poly:
+        if type(c) is not int:
+            raise _not_int(c, yexp, qexp)
         return _from_terms({(yexp, qexp): c} if c else {})
 
     @classmethod
@@ -73,7 +77,7 @@ class Poly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = Poly.const(other)
+            other = Poly.const(int(other))  # a bool compares as its int
         if not isinstance(other, Poly):
             return NotImplemented
         return self.terms() == other.terms()
@@ -99,12 +103,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         data = dict(self._terms)
-        for k, c in other._terms.items():
-            nc = data.get(k, 0) + c
-            if nc:
-                data[k] = nc
-            elif k in data:
-                del data[k]
+        _add_terms(data, other._terms)
         return _from_terms(data)
 
     __radd__ = __add__
@@ -122,17 +121,16 @@ class Poly:
 
     def __mul__(self, other: Poly | int) -> Poly:
         if isinstance(other, int):
-            if other == 0:
-                return _ZERO
-            return _from_terms({k: c * other for k, c in self._terms.items()})
+            return _times_monomial(self, {(0, 0): other}) if other else _ZERO
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self._terms, other._terms
-        box_b = None
-        if len(a) >= _PACK_MIN_TERMS and len(b) >= _PACK_MIN_TERMS:
-            box_a = _dense_box(a)
-            box_b = box_a and _dense_box(b)
-        return _from_terms(_packed_product(a, box_a, b, box_b) if box_b else _dict_product(a, b))
+        if len(b) == 1:
+            return _times_monomial(self, b)
+        if len(a) == 1:
+            return _times_monomial(other, a)
+        boxes = _packing(a, b)
+        return _from_terms(_packed_product(a, boxes[0], b, boxes[1]) if boxes else _dict_product(a, b))
 
     __rmul__ = __mul__
 
@@ -165,7 +163,7 @@ class Poly:
 
     def shift_q(self, qexp: int) -> Poly:
         """Multiply by q**qexp (qexp may be negative)."""
-        return Poly({(ye, qe + qexp): c for (ye, qe), c in self._terms.items()})
+        return _times_monomial(self, {(0, qexp): 1})
 
     def evaluate(self, yval: int, qval: int) -> int:
         """Evaluate at integer points; negative exponents require |base| = 1."""
@@ -247,6 +245,28 @@ def _from_terms(data: dict[_TermKey, int]) -> Poly:
     return out
 
 
+def _not_int(c: object, ye: int, qe: int) -> ValueError:
+    return ValueError(f"coefficient {c!r} of term y^{ye} q^{qe} is not an int")
+
+
+def _add_terms(data: dict[_TermKey, int], terms: dict[_TermKey, int]) -> None:
+    """Add the terms into data, dropping every coefficient that cancels to zero."""
+    if not data:
+        data.update(terms)
+        return
+    for k, c in terms.items():
+        nc = data.get(k, 0) + c
+        if nc:
+            data[k] = nc
+        elif k in data:
+            del data[k]
+
+
+def _nonzero(data: dict[_TermKey, int]) -> dict[_TermKey, int]:
+    """data without its zero coefficients."""
+    return {k: c for k, c in data.items() if c} if 0 in data.values() else data
+
+
 _ZERO = Poly()
 _ONE = Poly({(0, 0): 1})
 
@@ -263,18 +283,43 @@ _PACK_MIN_FILL = 2  # box cells per term, at most
 _Box = tuple[int, int, int, int]  # (lowest y, lowest q, y rows, q columns)
 
 
-def _dict_product(a: dict[_TermKey, int], b: dict[_TermKey, int]) -> dict[_TermKey, int]:
-    """Term-pair product; the packed product's test oracle."""
-    data: dict[_TermKey, int] = {}
+def _add_products(data: dict[_TermKey, int], a: dict[_TermKey, int], b: dict[_TermKey, int]) -> None:
+    """Add a * b into data, one term pair at a time: the one term-pair loop.
+
+    data may be left holding zero coefficients.
+    """
+    get = data.get
     for (y1, q1), c1 in a.items():
         for (y2, q2), c2 in b.items():
             k = (y1 + y2, q1 + q2)
-            nc = data.get(k, 0) + c1 * c2
-            if nc:
-                data[k] = nc
-            elif k in data:
-                del data[k]
-    return data
+            data[k] = get(k, 0) + c1 * c2
+
+
+def _dict_product(a: dict[_TermKey, int], b: dict[_TermKey, int]) -> dict[_TermKey, int]:
+    """Term-pair product; the packed product's test oracle."""
+    data: dict[_TermKey, int] = {}
+    _add_products(data, a, b)
+    return _nonzero(data)
+
+
+def _times_monomial(p: Poly, mono: dict[_TermKey, int]) -> Poly:
+    """p times the one-term polynomial with terms mono: a shift and a scaling.
+
+    A unit factor returns p itself, which is safe because a Poly never changes.
+    """
+    ((ye, qe), c), = mono.items()
+    if ye == 0 and qe == 0:
+        return p if c == 1 else _from_terms({k: c * d for k, d in p._terms.items()})
+    return _from_terms({(y + ye, q + qe): c * d for (y, q), d in p._terms.items()})
+
+
+def _packing(a: dict[_TermKey, int], b: dict[_TermKey, int]) -> tuple[_Box, _Box] | None:
+    """The boxes of two operands that the packed product takes, else None."""
+    if len(a) < _PACK_MIN_TERMS or len(b) < _PACK_MIN_TERMS:
+        return None
+    box_a = _dense_box(a)
+    box_b = box_a and _dense_box(b)
+    return (box_a, box_b) if box_b else None
 
 
 def _dense_box(terms: dict[_TermKey, int]) -> _Box | None:
@@ -410,13 +455,31 @@ def poly_sum(items: Iterator[Poly] | Iterable[Poly]) -> Poly:
     """Sum many polynomials with one shared accumulator dict."""
     data: dict[_TermKey, int] = {}
     for p in items:
-        for k, c in p._terms.items():
-            nc = data.get(k, 0) + c
-            if nc:
-                data[k] = nc
-            elif k in data:
-                del data[k]
+        _add_terms(data, p._terms)
     return _from_terms(data)
+
+
+def poly_dot(pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
+    """The sum of a * b over the pairs, built in one accumulator dict.
+
+    A pair past the packing gate is multiplied by the packed product and
+    merged, a unit factor adds the other operand as it is, and every other
+    pair runs the term-pair loop straight into the accumulator, the shorter
+    operand outside.  No product Poly is built and no partial sum is copied.
+    """
+    data: dict[_TermKey, int] = {}
+    for a, b in pairs:
+        x, y = a._terms, b._terms
+        if len(x) > len(y):
+            x, y = y, x
+        boxes = _packing(x, y)
+        if boxes:
+            _add_terms(data, _packed_product(x, boxes[0], y, boxes[1]))
+        elif x == _ONE._terms:
+            _add_terms(data, y)
+        else:
+            _add_products(data, x, y)
+    return _from_terms(_nonzero(data))
 
 
 # Shared monomials, handy as building blocks everywhere.

@@ -18,12 +18,13 @@ from itertools import product
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidTransposeError, check_size
+from .paths import CheckedTuple
 from .poly import Poly
 
 TABLEAU_BOUND = 7
 
 
-class Shape(NamedTuple("Shape", [("rows", tuple[int, ...])])):
+class Shape(CheckedTuple, NamedTuple("Shape", [("rows", tuple[int, ...])])):
     """Weakly decreasing row lengths; columns = first row length."""
 
     __slots__ = ()

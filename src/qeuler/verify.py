@@ -160,8 +160,12 @@ def _chk_cf_coefficients(n_max: int) -> tuple[bool, str]:
     deeper_s = pa.cf_series(pa.secant_cf_spec(), n_max, depth=n_max + 2)
     if tangent != deeper_t or secant != deeper_s:
         return False, "truncation depth is not stable"
+    # One transfer per parity holds every shorter closed sum: E_{2n+1} and E_{2n}
+    # are the Dyck sums of length 2n.
+    tangent_paths = pa.family_sums("euler_dyck_1", 2 * n_max, False)
+    secant_paths = pa.family_sums("euler_dyck_0", 2 * n_max, False)
     for n in range(n_max + 1):
-        if tangent[n] != pa.euler_dyck_sum(n, 1) or secant[n] != pa.euler_dyck_sum(n, 0):
+        if tangent[n] != tangent_paths[2 * n] or secant[n] != secant_paths[2 * n]:
             return False, f"coefficient mismatch at n={n}"
     return True, f"all coefficients to order {n_max}, depth-stable"
 

@@ -1,7 +1,10 @@
 """Closed-formula evaluators, each cross-checked against an independent route."""
 
+import re
+
 import pytest
 
+import qeuler.closedforms as cf
 from qeuler.closedforms import (
     _s_to_q,
     alternating_binom_convolution,
@@ -30,7 +33,8 @@ from qeuler.permutations import (
     q_derangement_poly,
     q_eulerian_poly,
 )
-from qeuler.poly import ONE, Poly, Q, Y, one_minus_q
+from qeuler.poly import ONE, Poly, Q, Y, binom_safe, one_minus_q
+from qeuler.verify import build_suite, run_check
 
 
 def test_tangent_closed():
@@ -125,6 +129,24 @@ def test_secant_involution_relation():
         lhs = q_secant_closed(n) * one_minus_q() ** (2 * n)
         rhs = Poly.monomial((-1) ** n, 0, n) * weighted_involution_sum(2 * n)
         assert lhs == rhs
+
+
+def _parity_free_terms_with_k_minus_i(n):
+    """_parity_free_terms with (-1) ** (k - i): the same signs, but a float whenever i > k."""
+    for k in range(n // 2 + 1):
+        b = binom_safe(n, k) - binom_safe(n, k - 1)
+        r = n - 2 * k
+        for i in range(r + 1):
+            yield (-1) ** (k - i) * b, i, r
+
+
+def test_a_float_coefficient_fails_the_parity_free_check(monkeypatch):
+    check = next(c for c in build_suite("section6") if c.check_id == "parity_free/n=4")
+    assert run_check(check).status == "PASS"
+    monkeypatch.setattr(cf, "_parity_free_terms", _parity_free_terms_with_k_minus_i)
+    result = run_check(check)
+    assert result.status == "FAIL"
+    assert re.fullmatch(r"ValueError: coefficient -1\.0 of term y\^0 q\^\d+ is not an int", result.detail)
 
 
 def test_parity_free_formula():

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import path_oracles as oracle
+import qeuler.paths as pa
+import qeuler.verify as verify
 from qeuler.closedforms import secant_core_closed, tangent_core_closed
 from qeuler.paths import (
     FAMILIES,
@@ -20,7 +22,9 @@ from qeuler.paths import (
     enumerate_dyck_shapes,
     enumerate_family,
     euler_dyck_sum,
+    family_sum,
     family_sum_by_enumeration,
+    family_sums,
     laguerre_sum,
     large_laguerre_sum,
     left_factor_count,
@@ -225,6 +229,47 @@ def test_enumeration_oracle_matches_transfer():
         assert family_sum_by_enumeration("tangent_core", 2 * k, restricted=True) == tangent_core_path_sum(k)
         assert family_sum_by_enumeration("schroder_secant", 2 * k) == secant_core_path_sum(k)
         assert family_sum_by_enumeration("schroder_tangent", 2 * k) == tangent_core_path_sum(k)
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["all", "restricted"])
+@pytest.mark.parametrize("family", [f for f, fam in FAMILIES.items() if fam.closed])
+def test_one_pass_holds_every_shorter_closed_sum(family, restricted):
+    sums = family_sums(family, 12, restricted)
+    assert len(sums) == 13
+    for length, total in enumerate(sums):
+        assert total == family_sum(family, length, restricted), length
+        if length <= 6:
+            assert total == family_sum_by_enumeration(family, length, restricted), length
+
+
+@pytest.mark.parametrize("family", ["euler_dyck_0", "euler_dyck_1"])
+def test_cf_coefficients_compares_every_order_of_the_one_pass(family, monkeypatch):
+    n_max = 6
+    assert verify._chk_cf_coefficients(n_max)[0]
+    one_pass = pa.family_sums
+    for n in range(n_max + 1):
+        def perturbed(fam, length, restricted, n=n):
+            sums = one_pass(fam, length, restricted)
+            if fam == family:
+                sums[2 * n] += Q
+            return sums
+
+        monkeypatch.setattr(pa, "family_sums", perturbed)
+        assert verify._chk_cf_coefficients(n_max) == (False, f"coefficient mismatch at n={n}")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Weight()._replace(sign=5),
+    lambda: Weight._make((1, 2, 0)),
+    lambda: Step("U", 0)._replace(start_height=-1),
+    lambda: Step._make(("X", 0, UNIT_WEIGHT)),
+    lambda: CFSpec("J", lambda h: ONE)._replace(kind="S"),
+    lambda: CFSpec._make(("S", lambda h: ONE)),
+], ids=["weight-replace", "weight-make", "step-replace", "step-make", "cfspec-replace", "cfspec-make"])
+def test_a_copy_of_a_checked_value_is_checked(build):
+    with pytest.raises(ValueError, match=r"^(invalid step|kind must be)"):
+        build()
+    assert Weight()._replace(qpow=2) == Weight(1, 0, 2)
 
 
 def test_family_table_step_sums():

@@ -23,6 +23,8 @@ from qeuler.poly import (
     binom_safe,
     exact_div_one_minus_q_pow,
     one_minus_q,
+    poly_dot,
+    poly_sum,
     q_integer,
 )
 
@@ -248,6 +250,60 @@ def test_product_gate_takes_the_packed_path_only_on_dense_operands(monkeypatch):
     calls.clear()
     assert q_integer(7) * dense == dense * q_integer(7)  # 7 terms: below the gate
     assert calls == {"_dict_product": 2}
+
+
+@given(product_operands)
+def test_monomial_factor_shifts_and_scales(p):
+    for mono in (ONE, Y, Poly.monomial(1, 0, -3), Poly.monomial(-7, 2, -1), Poly.monomial(2**70, -4, 5)):
+        expected = _dict_product(p._terms, mono._terms)
+        assert (p * mono)._terms == expected and (mono * p)._terms == expected
+    assert p * ONE is p  # a unit factor returns the other operand
+    assert ONE * p is p or len(p) == 1  # a one-term p is taken as the factor
+    assert (p * -3)._terms == _dict_product(p._terms, {(0, 0): -3})
+
+
+# Operands for poly_dot: the unit, monomials, sparse operands and dense ones past
+# the packing gate (at least _PACK_MIN_TERMS terms).
+dot_operands = st.one_of(
+    st.just(ONE), st.just(ZERO), one_term_polys, sparse_polys, dense_polys(),
+    st.integers(8, 20).map(q_integer),
+)
+
+
+@st.composite
+def dot_pairs(draw):
+    """A list of pairs; some are followed by their negation, so that sums cancel to zero."""
+    pairs = draw(st.lists(st.tuples(dot_operands, dot_operands), max_size=6))
+    cancel = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return pairs + [(-a, b) for (a, b), c in zip(pairs, cancel) if c]
+
+
+@given(dot_pairs())
+def test_poly_dot_is_the_sum_of_the_products(pairs):
+    assert poly_dot(pairs) == poly_sum(a * b for a, b in pairs)
+    assert 0 not in poly_dot(pairs)._terms.values()
+
+
+def test_poly_dot_cancels_to_zero_and_takes_each_kernel(monkeypatch):
+    dense = q_integer(8) ** 6
+    sparse = _wex_factor(12)
+    calls = _count_kernel_calls(monkeypatch)
+    pairs = [(dense, dense), (sparse, dense), (ONE, dense), (-dense, dense), (dense, -sparse)]
+    assert poly_dot(pairs) == ONE * dense
+    assert calls == {"_packed_product": 2}  # the other pairs run the term-pair loop in place
+    assert poly_dot([]) == ZERO and poly_dot([(Y, Q), (-Q, Y)]) == ZERO
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poly({(0, 0): 1.0}),
+    lambda: Poly([((1, 2), 3), ((1, 2), 0.5)]),
+    lambda: Poly.monomial(2.5),
+    lambda: Poly.monomial(True, 1, 2),
+    lambda: Poly.const(1.0),
+], ids=["dict", "pairs", "monomial", "bool", "const"])
+def test_a_coefficient_that_is_not_an_int_is_refused(build):
+    with pytest.raises(ValueError, match=r"coefficient .* of term y\^-?\d+ q\^-?\d+ is not an int"):
+        build()
 
 
 @given(laurent_polys, st.integers(0, 8))

@@ -37,6 +37,15 @@ def test_shapes():
             Shape(rows)
 
 
+def test_a_copy_of_a_shape_is_checked():
+    message = re.escape("must be weakly decreasing and nonnegative: (1, 2)")
+    with pytest.raises(ValueError, match=message):
+        Shape((2, 1))._replace(rows=(1, 2))
+    with pytest.raises(ValueError, match=message):
+        Shape._make([(1, 2)])
+    assert Shape((2, 1))._replace(rows=(3, 1)) == Shape((3, 1))
+
+
 def test_tableaux_are_immutable():
     t = Tableau(Shape((1,)), ((1,),))
     for field in ("shape", "filling", "extra"):
