@@ -7,45 +7,56 @@ each command reads, so that a tracer can rebind them.
 
 Exit codes: 0 on success, 1 when a verification suite reports an identity
 failure, 2 on usage errors or budget violations, including a check that a
-budget refused (reported as REFUSED).  Data output is byte
-deterministic; timing lines are segregated behind a comment marker.
+budget refused (reported as REFUSED), and 141 when the reader closes stdout
+before the output ends (the status a shell gives a tool ended by SIGPIPE).
+Data output is byte deterministic; timing lines are segregated behind a
+comment marker.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import closedforms as cf
 from .errors import BudgetExceededError, check_size
 from .plan import SUITES
 from .poly import Poly
 
-
-def _eulerian_entries(n_max: int) -> list[tuple[str, Poly]]:
-    return [
-        (f"Ehat_{k},{n}", cf.q_eulerian_number_closed(k, n))
-        for n in range(1, n_max + 1) for k in range(n + 1)
-    ]
+# The exit status when the reader closes stdout early; not 1, which means FAIL.
+EXIT_CLOSED_PIPE = 141
 
 
-# kind -> (cap on --n-max, function of n-max giving the labelled entries).
+def _eulerian_entries(n_max: int) -> Iterator[tuple[str, Poly]]:
+    for n in range(1, n_max + 1):
+        for k in range(n + 1):
+            yield f"Ehat_{k},{n}", cf.q_eulerian_number_closed(k, n)
+
+
+# kind -> (cap on --n-max, function of n-max yielding the labelled entries).
+# Entries are computed as they are written, so a table holds one at a time.
 # Closed-form tables stay exact at any size; caps keep runtimes sane.
-TABLES: dict[str, tuple[int, Callable[[int], list[tuple[str, Poly]]]]] = {
-    "etangent": (40, lambda n_max: [
-        (f"E_{2 * n + 1}", cf.q_tangent_closed(n)) for n in range(n_max + 1)]),
-    "esecant": (40, lambda n_max: [
-        (f"E_{2 * n}", cf.q_secant_closed(n)) for n in range(n_max + 1)]),
-    "A": (24, lambda n_max: [(f"A_{n}", cf.q_eulerian_closed(n)) for n in range(n_max + 1)]),
-    "B": (24, lambda n_max: [(f"B_{n}", cf.q_derangement_closed(n)) for n in range(n_max + 1)]),
+TABLES: dict[str, tuple[int, Callable[[int], Iterator[tuple[str, Poly]]]]] = {
+    "etangent": (40, lambda n_max: (
+        (f"E_{2 * n + 1}", cf.q_tangent_closed(n)) for n in range(n_max + 1))),
+    "esecant": (40, lambda n_max: (
+        (f"E_{2 * n}", cf.q_secant_closed(n)) for n in range(n_max + 1))),
+    "A": (24, lambda n_max: ((f"A_{n}", cf.q_eulerian_closed(n)) for n in range(n_max + 1))),
+    "B": (24, lambda n_max: ((f"B_{n}", cf.q_derangement_closed(n)) for n in range(n_max + 1))),
     "eulerian": (12, _eulerian_entries),
-    "touchard": (40, lambda n_max: [(f"T_{n}", cf.touchard_riordan(n)) for n in range(n_max + 1)]),
+    "touchard": (40, lambda n_max: ((f"T_{n}", cf.touchard_riordan(n)) for n in range(n_max + 1))),
 }
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    """Write the table entry by entry, each as soon as it is computed.
+
+    If a closed form raises, the entries before it have been written and the
+    exception propagates.
+    """
     kind = args.kind
     cap, entries_for = TABLES[kind]
     try:
@@ -58,14 +69,12 @@ def cmd_table(args: argparse.Namespace) -> int:
         for label, poly in entries:
             print(f"{label} = {poly}")
     elif args.format == "json":
-        doc = {
-            "kind": kind,
-            "entries": [
-                {"index": i, "label": label, "poly": poly.to_json_obj()}
-                for i, (label, poly) in enumerate(entries)
-            ],
-        }
-        print(json.dumps(doc, separators=(",", ":")))
+        # The layout of json.dumps({"kind": ..., "entries": [...]}) with compact separators.
+        print(f'{{"kind":{json.dumps(kind)},"entries":[', end="")
+        for i, (label, poly) in enumerate(entries):
+            entry = {"index": i, "label": label, "poly": poly.to_json_obj()}
+            print("," if i else "", json.dumps(entry, separators=(",", ":")), sep="", end="")
+        print("]}")
     else:
         print("n,coef,yExp,qExp")
         for i, (_, poly) in enumerate(entries):
@@ -140,7 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`qeuler table ... | head`).  Point stdout at
+        # devnull, so that the interpreter's own flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,9 @@ from functools import cache
 from typing import Callable, Iterator
 
 from .errors import HalfPowerResidueError, NotPolynomialError, check_size
-from .poly import ONE, Poly, binom_safe, exact_div_one_minus_q_pow, poly_sum, q_integer
+from .poly import (
+    ONE, Poly, binom_safe, exact_div_one_minus_q_pow, poly_dot, poly_sum, q_integer,
+)
 
 
 def _ballot(m: int, k: int) -> int:
@@ -99,7 +101,7 @@ def _wex_factor(k: int) -> Poly:
 
 def _wex_expansion(n: int, inner: Callable[[int], Poly]) -> Poly:
     """sum_{k <= n} (-1)^k inner(k) wex_factor(k), divided exactly by (1 - q)^n."""
-    total = poly_sum((-1) ** k * (inner(k) * _wex_factor(k)) for k in range(n + 1))
+    total = poly_dot((inner(k), (-1) ** k * _wex_factor(k)) for k in range(n + 1))
     return exact_div_one_minus_q_pow(total, n)
 
 
@@ -113,28 +115,22 @@ def q_eulerian_closed(n: int) -> Poly:
     ))
 
 
-def _derangement_coeff(n: int, k: int, j: int) -> Poly:
-    first = Poly(
-        [
-            ((0, j - i), binom_safe(j, i) * binom_safe(n - j, i + k))
-            for i in range(j + 1)
-        ]
-    ) * binom_safe(n, j)
-    second = Poly(
-        [
-            ((0, j - i), binom_safe(j - 1, i - 1) * binom_safe(n - j + 1, i + k + 1))
-            for i in range(j + 1)
-        ]
-    ) * binom_safe(n, j - 1)
-    return first - second
+def _derangement_inner(n: int, k: int) -> Poly:
+    """The k-th inner sum of the derangement closed form, sum_j y^j D(n, k, j), as one Poly.
+
+    D(n, k, j) = sum_i (C(n, j) C(j, i) C(n-j, i+k) - C(n, j-1) C(j-1, i-1) C(n-j+1, i+k+1)) q^(j-i).
+    """
+    return Poly({
+        (j, j - i): binom_safe(n, j) * binom_safe(j, i) * binom_safe(n - j, i + k)
+        - binom_safe(n, j - 1) * binom_safe(j - 1, i - 1) * binom_safe(n - j + 1, i + k + 1)
+        for j in range(n - k + 1) for i in range(j + 1)
+    })
 
 
 def q_derangement_closed(n: int) -> Poly:
     """Closed form of the (wex, cr) distribution over derangements."""
     check_size(n)
-    return _wex_expansion(n, lambda k: poly_sum(
-        Poly.monomial(1, j, 0) * _derangement_coeff(n, k, j) for j in range(n - k + 1)
-    ))
+    return _wex_expansion(n, lambda k: _derangement_inner(n, k))
 
 
 @cache

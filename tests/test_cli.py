@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import qeuler
-from qeuler.cli import TABLES, main
+from qeuler.cli import EXIT_CLOSED_PIPE, TABLES, main
 from qeuler.verify import budget_for
 
 
@@ -82,6 +82,89 @@ def test_table_n_max_outside_its_range_is_usage_error(capsys, kind):
     for n_max, message in ((-1, "n-max=-1 must be nonnegative"), (cap + 1, f"exceeds bound {cap}")):
         code, out, err = run_cli(capsys, "table", kind, "--n-max", str(n_max))
         assert (code, out) == (2, "") and message in err
+
+
+def _materialized_table(kind, n_max, fmt):
+    """The whole table built as one document: the layout the streamed output must match."""
+    entries = list(TABLES[kind][1](n_max))
+    if fmt == "json":
+        doc = {
+            "kind": kind,
+            "entries": [
+                {"index": i, "label": label, "poly": poly.to_json_obj()}
+                for i, (label, poly) in enumerate(entries)
+            ],
+        }
+        return json.dumps(doc, separators=(",", ":")) + "\n"
+    if fmt == "text":
+        return "".join(f"{label} = {poly}\n" for label, poly in entries)
+    rows = [f"{i},{c},{ye},{qe}\n" for i, (_, poly) in enumerate(entries) for ye, qe, c in poly.terms()]
+    return "n,coef,yExp,qExp\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("kind", TABLES)
+@pytest.mark.parametrize("n_max", [0, 4])
+def test_streamed_table_equals_the_materialized_document(capsys, kind, fmt, n_max):
+    code, out, err = run_cli(capsys, "table", kind, "--n-max", str(n_max), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _materialized_table(kind, n_max, fmt)
+    if (kind, n_max, fmt) == ("eulerian", 0, "json"):  # the one empty table
+        assert out == '{"kind":"eulerian","entries":[]}\n'
+
+
+# How each format shows that entry i has been written.
+_WRITTEN = {
+    "text": lambda line, i: line.startswith(f"E_{2 * i + 1} = "),
+    "json": lambda line, i: f'{{"index":{i},' in line,
+    "csv": lambda line, i: line.startswith(f"{i},"),
+}
+
+
+@pytest.mark.parametrize("fmt", _WRITTEN)
+def test_table_writes_each_entry_before_computing_the_next(monkeypatch, fmt):
+    import qeuler.cli as cli
+    import qeuler.closedforms as cf
+    from qeuler.poly import Poly
+
+    writes = []
+
+    def record(*args, sep=" ", end="\n"):
+        writes.append(sep.join(map(str, args)) + end)
+
+    monkeypatch.setattr(cli, "print", record, raising=False)
+
+    def written(i):
+        return any(_WRITTEN[fmt](line, i) for line in writes)
+
+    def closed_form(n):
+        assert n == 0 or written(n - 1), f"entry {n - 1} not written before entry {n} is computed"
+        if n == 3:
+            raise ZeroDivisionError("closed form failed at n=3")
+        return Poly.monomial(1, 0, n)
+
+    monkeypatch.setattr(cf, "q_tangent_closed", closed_form)
+    with pytest.raises(ZeroDivisionError, match="n=3"):
+        cli.main(["table", "etangent", "--n-max", "5", "--format", fmt])
+    assert [i for i in range(6) if written(i)] == [0, 1, 2]
+
+
+def test_closed_pipe_ends_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qeuler.cli", "table", "etangent", "--n-max", "40", "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    try:
+        assert proc.stdout.readline() == b"n,coef,yExp,qExp\n"
+        proc.stdout.close()  # the 1.5 MB table cannot fit in the pipe, so a write fails
+        assert proc.wait(timeout=60) == EXIT_CLOSED_PIPE == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_bijection_figure(capsys):

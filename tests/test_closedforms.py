@@ -26,7 +26,10 @@ from qeuler.closedforms import (
     weighted_involution_sum,
 )
 from qeuler.errors import HalfPowerResidueError
-from qeuler.paths import euler_dyck_sum, secant_core_path_sum, tangent_core_path_sum, touchard_dyck_sum
+from qeuler.paths import (
+    derangement_motzkin_sum, euler_dyck_sum, laguerre_sum, secant_core_path_sum,
+    tangent_core_path_sum, touchard_dyck_sum,
+)
 from qeuler.permutations import (
     alternating_31_2_poly,
     involution_crossing_poly,
@@ -84,6 +87,13 @@ def test_bivariate_closed_forms():
     for n in range(7):
         assert q_eulerian_closed(n) == q_eulerian_poly(n)
         assert q_derangement_closed(n) == q_derangement_poly(n)
+
+
+def test_bivariate_closed_forms_equal_their_path_transfers():
+    """Past the reach of enumeration, each closed form meets its Laguerre or Motzkin transfer."""
+    for n in range(17):
+        assert q_eulerian_closed(n) == laguerre_sum(n), n
+        assert q_derangement_closed(n) == derangement_motzkin_sum(n), n
 
 
 def test_q_eulerian_numbers():
