@@ -7,8 +7,10 @@ each command reads, so that a tracer can rebind them.
 
 Exit codes: 0 on success, 1 when a verification suite reports an identity
 failure, 2 on usage errors or budget violations, including a check that a
-budget refused (reported as REFUSED), and 141 when the reader closes stdout
-before the output ends (the status a shell gives a tool ended by SIGPIPE).
+budget refused (reported as REFUSED), 70 on an internal error (an unexpected
+exception, whose traceback goes to stderr), and 141 when the reader closes
+stdout before the output ends (the status a shell gives a tool ended by
+SIGPIPE).
 Data output is byte deterministic; timing lines are segregated behind a
 comment marker.
 """
@@ -26,8 +28,10 @@ from .errors import BudgetExceededError, check_size
 from .plan import SUITES
 from .poly import Poly
 
-# The exit status when the reader closes stdout early; not 1, which means FAIL.
+# Exit statuses that are not 1, which means FAIL: the reader closed stdout
+# early, and an internal error (EX_SOFTWARE of sysexits.h).
 EXIT_CLOSED_PIPE = 141
+EXIT_INTERNAL_ERROR = 70
 
 
 def _eulerian_entries(n_max: int) -> Iterator[tuple[str, Poly]]:
@@ -157,6 +161,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         # devnull, so that the interpreter's own flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_PIPE
+    except Exception:
+        import traceback  # only on this path, so that startup does not load it
+
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
     return code
 
 

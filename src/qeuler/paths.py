@@ -6,10 +6,11 @@ every closed-family sum, and the explicit enumeration oracle for small sizes
 all read it.  Schroeder flat steps span two length units so that "length 2k"
 matches the t-degree accounting of the associated T-fractions.
 
-A path holds its steps as one tuple of small integer records
-(delta, sign, ypow, qpow), delta being +1 up, -1 down and 0 flat; start
-heights are derived.  Step and Weight objects are built only to show a path
-(WeightedPath.steps and dump).
+A step weight is a (sign, ypow, qpow) triple standing for the monomial
+sign * y**ypow * q**qpow; the table lists triples and the transfer makes
+them monomials.  A path holds its steps as one tuple of small integer
+records (delta, sign, ypow, qpow): delta, +1 up, -1 down and 0 flat,
+followed by the weight triple.  Start heights are derived.
 """
 
 from __future__ import annotations
@@ -38,79 +39,40 @@ class CheckedTuple:
         return cls(*iterable)
 
 
-class Weight(CheckedTuple, NamedTuple("Weight", [("sign", int), ("ypow", int), ("qpow", int)])):
-    """A monomial step weight: sign * y**ypow * q**qpow."""
-
-    __slots__ = ()
-
-    def __new__(cls, sign: int = 1, ypow: int = 0, qpow: int = 0) -> Weight:
-        self = tuple.__new__(cls, (sign, ypow, qpow))
-        if sign not in (1, -1) or ypow not in (0, 1) or qpow < 0:
-            raise ValueError(f"invalid step weight {self}")
-        return self
-
-    def monomial(self) -> Poly:
-        return Poly.monomial(self.sign, self.ypow, self.qpow)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.sign == 1 and self.ypow == 0 and self.qpow == 0
-
-    def dump(self) -> str:
-        return f"[{self.sign:+d},{self.ypow},{self.qpow}]"
-
-
-# The interning constructor: every weight of the family table and of a path's
-# Step objects is built here, once per distinct weight.
-step_weight = cache(Weight)
-
-UNIT_WEIGHT = step_weight(1, 0, 0)
-
-
-class Step(CheckedTuple, NamedTuple("Step", [("direction", str), ("start_height", int), ("weight", Weight)])):
-    """One step of a path as shown to users; paths themselves hold records."""
-
-    __slots__ = ()
-
-    def __new__(cls, direction: str, start_height: int, weight: Weight = UNIT_WEIGHT) -> Step:
-        self = tuple.__new__(cls, (direction, start_height, weight))
-        if direction not in ("U", "D", "F") or start_height < 0:
-            raise ValueError(f"invalid step {self}")
-        return self
-
-    def dump(self) -> str:
-        return self.direction + self.weight.dump()
-
-
 # -- the family table ---------------------------------------------------------
 
+# A step weight: (sign, ypow, qpow), the monomial sign * y**ypow * q**qpow.
+Monomial = tuple[int, int, int]
 
-def _qint(n: int, ypow: int = 0, shift: int = 0) -> tuple[Weight, ...]:
+_UNIT: Monomial = (1, 0, 0)  # weight 1
+
+
+def _qint(n: int, ypow: int = 0, shift: int = 0) -> tuple[Monomial, ...]:
     """The monomials of y**ypow q**shift [n]: y**ypow q**(shift+i) for i < n."""
-    return tuple(step_weight(1, ypow, shift + i) for i in range(n))
+    return tuple((1, ypow, shift + i) for i in range(n))
 
 
-def _signed(qpow: int) -> tuple[Weight, ...]:
+def _signed(qpow: int) -> tuple[Monomial, ...]:
     """A signed-core step: weight 1 or -q**qpow."""
-    return (UNIT_WEIGHT, step_weight(-1, 0, qpow))
+    return (_UNIT, (-1, 0, qpow))
 
 
-def _no_steps(h: int) -> tuple[Weight, ...]:
+def _no_steps(h: int) -> tuple[Monomial, ...]:
     return ()
 
 
 class Family(NamedTuple):
     """One path family: the weights allowed on each step from height h.
 
-    up, down and flat map the start height to the admissible weights, in
-    enumeration order.  Flat steps span flat_length units (2 in the
+    up, down and flat map the start height to the admissible weight
+    triples, in enumeration order.  Flat steps span flat_length units (2 in the
     Schroeder families, so that length 2k matches the T-fraction t-degree);
     paths of a closed family return to height 0.
     """
 
-    up: Callable[[int], tuple[Weight, ...]]
-    down: Callable[[int], tuple[Weight, ...]]
-    flat: Callable[[int], tuple[Weight, ...]] = _no_steps
+    up: Callable[[int], tuple[Monomial, ...]]
+    down: Callable[[int], tuple[Monomial, ...]]
+    flat: Callable[[int], tuple[Monomial, ...]] = _no_steps
     flat_length: int = 1
     closed: bool = True
 
@@ -124,7 +86,7 @@ def _signed_core(down_shift: int) -> Family:
 
 
 def _schroder(core: Family) -> Family:
-    return core._replace(flat=lambda h: (step_weight(-1, 0, 0),), flat_length=2)
+    return core._replace(flat=lambda h: ((-1, 0, 0),), flat_length=2)
 
 
 # Laguerre histories: up y[h+1], flat [h] + y[h+1], down [h] (Francon-Viennot);
@@ -142,7 +104,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "euler_dyck_0": _euler_dyck(0),
     "euler_dyck_1": _euler_dyck(1),
-    "touchard_dyck": Family(up=lambda h: (UNIT_WEIGHT,), down=lambda h: _qint(h)),
+    "touchard_dyck": Family(up=lambda h: (_UNIT,), down=lambda h: _qint(h)),
     "derangement_motzkin": Family(
         up=lambda h: _qint(h + 1, 1),
         down=lambda h: _qint(h),
@@ -152,15 +114,8 @@ FAMILIES: dict[str, Family] = {
     "tangent_core": _signed_core(1),
     "schroder_secant": _schroder(_signed_core(0)),
     "schroder_tangent": _schroder(_signed_core(1)),
-    "left_factor": Family(up=lambda h: (UNIT_WEIGHT,), down=lambda h: (UNIT_WEIGHT,), closed=False),
+    "left_factor": Family(up=lambda h: (_UNIT,), down=lambda h: (_UNIT,), closed=False),
 }
-
-
-@cache
-def _options(family: str, direction: str, h: int) -> tuple[Weight, ...]:
-    """The weights a step of the family may carry from height h."""
-    fam = FAMILIES[family]
-    return {"U": fam.up, "D": fam.down, "F": fam.flat}[direction](h)
 
 
 # A step record: (delta, sign, ypow, qpow), delta +1 up, -1 down, 0 flat.
@@ -168,13 +123,13 @@ Record = tuple[int, int, int, int]
 
 UNIT_UP: Record = (1, 1, 0, 0)
 UNIT_DOWN: Record = (-1, 1, 0, 0)
-_UNIT = (1, 0, 0)  # the (sign, ypow, qpow) of weight 1
 
 
 @cache
 def _records(family: str, delta: int, h: int) -> tuple[Record, ...]:
     """The step records of the family from height h, in enumeration order."""
-    return tuple((delta, w.sign, w.ypow, w.qpow) for w in _options(family, _DIRECTION[delta], h))
+    fam = FAMILIES[family]
+    return tuple((delta, *w) for w in {1: fam.up, -1: fam.down, 0: fam.flat}[delta](h))
 
 
 @cache
@@ -205,14 +160,6 @@ class WeightedPath(NamedTuple):
             h += r[0]
         return out
 
-    @property
-    def steps(self) -> tuple[Step, ...]:
-        """The steps as Step objects, for display and inspection."""
-        return tuple(
-            Step(_DIRECTION[d], h, step_weight(sign, ypow, qpow))
-            for h, (d, sign, ypow, qpow) in zip(self.heights(), self.records)
-        )
-
     def exponents(self) -> tuple[int, int, int]:
         """(sign, y exponent, q exponent) of the path weight: the step signs
         multiplied, the step exponents added."""
@@ -234,7 +181,8 @@ class WeightedPath(NamedTuple):
         return any(r[0] == 0 for r in self.records)
 
     def dump(self) -> str:
-        return " ".join(s.dump() for s in self.steps)
+        """Each step as its direction letter and [sign,ypow,qpow], e.g. U[+1,1,0]."""
+        return " ".join(f"{_DIRECTION[d]}[{s:+d},{y},{q}]" for d, s, y, q in self.records)
 
 
 def path_from_steps(family: str, records: Iterable[Record]) -> WeightedPath:
@@ -265,20 +213,20 @@ def path_from_steps(family: str, records: Iterable[Record]) -> WeightedPath:
 
 
 @cache
-def _step_sums(family: str, direction: str, h: int, restricted: bool) -> tuple[tuple[Poly, bool], ...]:
+def _step_sums(family: str, delta: int, h: int, restricted: bool) -> tuple[tuple[Poly, bool], ...]:
     """Summed weights of the steps from height h, as (polynomial, is unit) pairs.
 
     When restricted, the unit weight is split off from the others so that the
     transfer can forbid a unit down step right after a unit up step.
     """
-    opts = _options(family, direction, h)
+    weights = [r[1:] for r in _records(family, delta, h)]
     if restricted:
         parts = [
-            (poly_sum(w.monomial() for w in opts if w.is_unit), True),
-            (poly_sum(w.monomial() for w in opts if not w.is_unit), False),
+            (poly_sum(Poly.monomial(*w) for w in weights if w == _UNIT), True),
+            (poly_sum(Poly.monomial(*w) for w in weights if w != _UNIT), False),
         ]
     else:
-        parts = [(poly_sum(w.monomial() for w in opts), False)]
+        parts = [(poly_sum(Poly.monomial(*w) for w in weights), False)]
     return tuple((p, unit) for p, unit in parts if not p.is_zero)
 
 
@@ -305,12 +253,13 @@ def family_sums(family: str, length: int, restricted: bool) -> list[Poly]:
         layer = {key: poly_dot(pairs) for key, pairs in pending[u].items()}
         sums.append(layer.get((0, False), Poly.zero()))
         for (h, unit_up), val in layer.items():
-            for d, nh, ln in (("U", h + 1, 1), ("D", h - 1, 1), ("F", h, flat_length)):
+            for d, ln in ((1, 1), (-1, 1), (0, flat_length)):
+                nh = h + d
                 if nh < 0 or nh > length - u - ln:
                     continue
                 for w, unit in _step_sums(family, d, h, restricted):
-                    if not (unit and unit_up and d == "D"):
-                        pending[u + ln][nh, unit and d == "U"].append((val, w))
+                    if not (unit and unit_up and d == -1):
+                        pending[u + ln][nh, unit and d == 1].append((val, w))
     return sums
 
 

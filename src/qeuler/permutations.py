@@ -16,7 +16,7 @@ from operator import lt
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import OddCrossingError, check_size
-from .poly import Poly, binom_safe, poly_sum
+from .poly import Poly
 
 DEFAULT_BOUND = 10
 
@@ -294,21 +294,3 @@ def involution_crossing_poly(m: int) -> Poly:
     check_size(m, DEFAULT_BOUND, "m")
     return Poly({(0, e): mult for e, mult in _involution_half_cr_counts(m).items()})
 
-
-def inversion_check(n: int) -> bool:
-    """Binomial inversion between the full and derangement distributions.
-
-    Checks A_n = sum_k C(n,k) y^(n-k) B_k and B_n = sum_k C(n,k) (-y)^(n-k) A_k.
-    """
-    check_size(n, DEFAULT_BOUND)
-    a_n = q_eulerian_poly(n)
-    b_n = q_derangement_poly(n)
-    lhs_a = poly_sum(
-        Poly.monomial(binom_safe(n, k), n - k, 0) * q_derangement_poly(k)
-        for k in range(n + 1)
-    )
-    lhs_b = poly_sum(
-        Poly.monomial((-1) ** (n - k) * binom_safe(n, k), n - k, 0) * q_eulerian_poly(k)
-        for k in range(n + 1)
-    )
-    return lhs_a == a_n and lhs_b == b_n

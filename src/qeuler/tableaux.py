@@ -87,9 +87,6 @@ class Tableau(NamedTuple):
     def so(self) -> int:
         return self.o - self.c
 
-    def stats(self) -> tuple[int, int, int, int]:
-        return (self.r, self.c, self.o, self.so)
-
     def zero_rows(self) -> int:
         """Rows containing no 1 (length-0 rows always count)."""
         return sum(1 for row in self.filling if not any(row))

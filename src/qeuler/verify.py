@@ -115,11 +115,6 @@ def _chk_signed_derangement_sum(n: int) -> tuple[bool, str]:
     return _zero_or_euler(value, n % 2 == 1, Poly.monomial((-1) ** half, 0, -half), n, "q-secant")
 
 
-def _chk_inversion(n: int) -> tuple[bool, str]:
-    ok = pm.inversion_check(n)
-    return ok, "both inversion formulas hold" if ok else "inversion failed"
-
-
 def _chk_g_identity(n: int) -> tuple[bool, str]:
     for k in range(0, 2 * n + 2):
         if cf.alternating_binom_convolution(n, k) != cf.alternating_binom_convolution_closed(n, k):
@@ -301,6 +296,13 @@ def _chk_parity_free(n: int) -> tuple[bool, str]:
     return True, "equals E_n; intermediate sum vanishes; s-powers cancel"
 
 
+def _binomial_transform(n: int, f: Callable[[int], Poly], sign: int) -> Poly:
+    """sum_k C(n,k) (sign y)^(n-k) f(k) over k <= n; sign -1 inverts the transform with sign 1."""
+    return poly_sum(
+        Poly.monomial(sign ** (n - k) * binom_safe(n, k), n - k, 0) * f(k) for k in range(n + 1)
+    )
+
+
 # -- agreements: checks that compare independent routes at one index -----------
 # A route calls the library through its module when it runs (pa.f(n), never a
 # stored pa.f), so that a name rebound after import is the one it calls.
@@ -319,6 +321,12 @@ AGREEMENTS: dict[str, Agreement] = {
         ("wex_cr", lambda n: pm.wex_cr_multiset(n)),
         ("asc_312", lambda n: pm.asc_312_multiset(n)),
     ), "multisets equal", "multisets differ"),
+    # A_n = sum_k C(n,k) y^(n-k) B_k and B_n = sum_k C(n,k) (-y)^(n-k) A_k
+    "inversion": Agreement((
+        ("census", lambda n: (pm.q_eulerian_poly(n), pm.q_derangement_poly(n))),
+        ("inversion", lambda n: (_binomial_transform(n, pm.q_derangement_poly, 1),
+                                 _binomial_transform(n, pm.q_eulerian_poly, -1))),
+    ), "both inversion formulas hold", "inversion failed"),
     "tangent_routes": Agreement((
         ("closed", lambda n: cf.q_tangent_closed(n)),
         ("dyck", lambda n: pa.euler_dyck_sum(n, 1)),
@@ -368,9 +376,7 @@ AGREEMENTS: dict[str, Agreement] = {
     "ansatz_shift": Agreement((
         ("shift", lambda n: az.boundary_eval(
             az.PRIMED, az.normal_power(az.PRIMED, n, y := Poly.var_y(), ONE, -y))),
-        ("inversion", lambda n: poly_sum(
-            Poly.monomial((-1) ** (n - k) * binom_safe(n, k), n - k, 0) * az.q_eulerian_ansatz(k)
-            for k in range(n + 1))),
+        ("inversion", lambda n: _binomial_transform(n, az.q_eulerian_ansatz, -1)),
         ("ansatz", lambda n: az.q_derangement_ansatz(n)),
     ), "operator shift and inversion agree", "mismatch"),
     # (secant core, tangent core)

@@ -1,30 +1,33 @@
-"""Test oracles: the path encodings as first written, one Step-like object per step.
+"""Test oracles: the path encodings as first written, one pair per step.
 
-Each step is a (direction, Weight) pair and each path a list of them,
-validated against the FAMILIES table by walking the objects.  The library
-now stores a path as a tuple of integer records; these functions are the
-independent reference the record code is compared with.
+Each step is a (direction letter, weight) pair, the weight a (sign, ypow,
+qpow) triple of the FAMILIES table, and each path a list of them, validated
+by walking the pairs and weighed by multiplying the step monomials.  The
+library stores a path as a tuple of integer records; these functions are
+the independent reference the record code is compared with.
 
 lifted_paths is the per-permutation record encoding of a lift, which the
 walk bijections.lifted_histories replaced in qeuler verify.
 """
 
 from qeuler import bijections
-from qeuler.paths import FAMILIES, UNIT_DOWN, UNIT_WEIGHT, path_from_steps, step_weight
+from qeuler.paths import FAMILIES, UNIT_DOWN, path_from_steps
 from qeuler.permutations import ascents, pattern_31_2
 from qeuler.poly import ONE, Poly
 
 DELTA = {"U": 1, "D": -1, "F": 0}
+UNIT = (1, 0, 0)  # the weight triple of weight 1
 
 
 def as_records(items):
-    """The (delta, sign, ypow, qpow) records of (direction, Weight) pairs."""
-    return tuple((DELTA[d], w.sign, w.ypow, w.qpow) for d, w in items)
+    """The (delta, sign, ypow, qpow) records of (direction, weight) pairs."""
+    return tuple((DELTA[d], *w) for d, w in items)
 
 
 def as_items(path):
-    """The (direction, Weight) pairs of a library path."""
-    return [(s.direction, s.weight) for s in path.steps]
+    """The (direction, weight) pairs of a library path."""
+    letter = {delta: d for d, delta in DELTA.items()}
+    return [(letter[delta], tuple(w)) for delta, *w in path.records]
 
 
 def validate(family, items):
@@ -33,7 +36,7 @@ def validate(family, items):
     h = 0
     for d, w in items:
         if w not in {"U": fam.up, "D": fam.down, "F": fam.flat}[d](h):
-            raise ValueError(f"step {d}{w.dump()} violates {family} weight rule")
+            raise ValueError(f"step {d}{w} violates {family} weight rule")
         h += DELTA[d]
         if h < 0:
             raise ValueError("path dips below height 0")
@@ -68,11 +71,11 @@ def francon_viennot(t):
             direction = "F"
         delta = 1 if k < after else 0
         exp = sum(1 for u in range(1, j - 1) if t[u - 1] > k > t[u])
-        items.append((direction, step_weight(1, delta, exp)))
+        items.append((direction, (1, delta, exp)))
     validate("laguerre", items)
     weight = ONE
     for _, w in items:
-        weight = weight * w.monomial()
+        weight = weight * Poly.monomial(*w)
     if weight != Poly.monomial(1, ascents(t), pattern_31_2(t)):
         raise AssertionError(f"weight property failed for {t}")
     return items
@@ -84,7 +87,7 @@ def lifted_francon_viennot(t):
     if ascents(lifted) != ascents(t) or pattern_31_2(lifted) != pattern_31_2(t):
         raise AssertionError(f"lift changed the statistics of {t}")
     full = francon_viennot(lifted)
-    if full[0] != ("U", step_weight(1, 1, 0)) or full[-1] != ("D", UNIT_WEIGHT):
+    if full[0] != ("U", (1, 1, 0)) or full[-1] != ("D", UNIT):
         raise AssertionError("lifted image must open with U weight y and close with D weight 1")
     return full, validate("large_laguerre", full[1:-1])
 
@@ -113,7 +116,7 @@ def maximal_unit_factors(items):
         h = 0
         best = -1
         j = pos
-        while j < n and items[j][1].is_unit:
+        while j < n and items[j][1] == UNIT:
             h += DELTA[items[j][0]]
             j += 1
             if h < 0:
@@ -137,8 +140,8 @@ def penaud_decompose(family, items):
     left, core = [], []
     for flag, (d, w) in zip(in_factor, items):
         if flag:
-            left.append((d, UNIT_WEIGHT))
+            left.append((d, UNIT))
         else:
-            left.append(("U", UNIT_WEIGHT))
+            left.append(("U", UNIT))
             core.append((d, w))
     return validate("left_factor", left), validate(family, core)

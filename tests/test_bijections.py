@@ -15,7 +15,7 @@ from qeuler.bijections import (
     path_saturated_step_free,
     returns_to_zero_early,
 )
-from qeuler.paths import WeightedPath, euler_dyck_sum, laguerre_sum, step_weight
+from qeuler.paths import WeightedPath, euler_dyck_sum, laguerre_sum
 from qeuler.permutations import all_permutations, ascents, is_alternating, pattern_31_2
 from qeuler.poly import Poly, poly_sum
 from qeuler.verify import Check, run_check
@@ -41,7 +41,7 @@ def test_small_images():
     assert francon_viennot((2, 1)).dump() == "U[+1,1,0] D[+1,0,0]"
     ident = francon_viennot((1, 2, 3, 4))
     assert ident.shape() == "FFFF"
-    assert all(s.start_height == 0 and s.weight.ypow == 1 for s in ident.steps)
+    assert ident.heights() == [0] * 4 and all(ypow == 1 for _, _, ypow, _ in ident.records)
     with pytest.raises(ValueError):
         francon_viennot(())
 
@@ -72,7 +72,7 @@ def _lifted(n):
 
 def test_lifted_images():
     full, reduced = _lifted(1)[(1,)]
-    assert full.shape() == "UD" and reduced.steps == () and reduced.records == ()
+    assert full.shape() == "UD" and reduced.records == ()
     full, reduced = _lifted(3)[2, 3, 1]
     assert full.shape() == "UFFD" and full.family == "laguerre"
     assert full.weight() == Poly.monomial(1, 2, 0)
@@ -107,8 +107,6 @@ def test_encoding_multiplies_no_polynomials(monkeypatch):
     image = francon_viennot(p)
     assert image.weight() == Poly.monomial(1, ascents(p), pattern_31_2(p))
     assert calls == []
-    for s in image.steps:
-        assert s.weight is step_weight(s.weight.sign, s.weight.ypow, s.weight.qpow)
 
 
 def test_alternating_characterizations():
@@ -159,7 +157,7 @@ def test_records_match_object_oracle_on_random_permutations(p):
 
 def test_steps_carry_derived_start_heights():
     image = francon_viennot(FIG)
-    assert [s.start_height for s in image.steps] == image.heights() == [0, 1, 1, 2, 1, 2, 1]
+    assert image.heights() == [0, 1, 1, 2, 1, 2, 1]
     assert oracle.as_items(image) == oracle.francon_viennot(FIG)
 
 

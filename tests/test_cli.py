@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import qeuler
-from qeuler.cli import EXIT_CLOSED_PIPE, TABLES, main
+from qeuler.cli import EXIT_CLOSED_PIPE, EXIT_INTERNAL_ERROR, TABLES, main
 from qeuler.verify import budget_for
 
 
@@ -122,7 +122,7 @@ _WRITTEN = {
 
 
 @pytest.mark.parametrize("fmt", _WRITTEN)
-def test_table_writes_each_entry_before_computing_the_next(monkeypatch, fmt):
+def test_table_writes_each_entry_before_computing_the_next(capsys, monkeypatch, fmt):
     import qeuler.cli as cli
     import qeuler.closedforms as cf
     from qeuler.poly import Poly
@@ -144,9 +144,27 @@ def test_table_writes_each_entry_before_computing_the_next(monkeypatch, fmt):
         return Poly.monomial(1, 0, n)
 
     monkeypatch.setattr(cf, "q_tangent_closed", closed_form)
-    with pytest.raises(ZeroDivisionError, match="n=3"):
-        cli.main(["table", "etangent", "--n-max", "5", "--format", fmt])
+    assert cli.main(["table", "etangent", "--n-max", "5", "--format", fmt]) == EXIT_INTERNAL_ERROR
+    assert "ZeroDivisionError: closed form failed at n=3" in capsys.readouterr().err
     assert [i for i in range(6) if written(i)] == [0, 1, 2]
+
+
+def test_internal_error_exits_70_after_the_entries_before_it(capsys, monkeypatch):
+    import qeuler.closedforms as cf
+
+    real = cf.q_tangent_closed
+
+    def closed_form(n):
+        if n == 2:
+            raise RuntimeError("closed form failed at n=2")
+        return real(n)
+
+    monkeypatch.setattr(cf, "q_tangent_closed", closed_form)
+    code, out, err = run_cli(capsys, "table", "etangent", "--n-max", "4")
+    assert code == EXIT_INTERNAL_ERROR == 70
+    assert out.splitlines() == ["E_1 = 1", "E_3 = 1 + q"]
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("RuntimeError: closed form failed at n=2\n")
 
 
 def test_closed_pipe_ends_quietly():

@@ -13,9 +13,6 @@ from qeuler.closedforms import secant_core_closed, tangent_core_closed
 from qeuler.paths import (
     FAMILIES,
     CFSpec,
-    Step,
-    UNIT_WEIGHT,
-    Weight,
     WeightedPath,
     cf_series,
     derangement_motzkin_sum,
@@ -33,7 +30,6 @@ from qeuler.paths import (
     schroder_signed_sum,
     secant_core_cf_spec,
     secant_core_path_sum,
-    step_weight,
     tangent_cf_spec,
     secant_cf_spec,
     tangent_core_cf_spec,
@@ -259,17 +255,14 @@ def test_cf_coefficients_compares_every_order_of_the_one_pass(family, monkeypatc
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Weight()._replace(sign=5),
-    lambda: Weight._make((1, 2, 0)),
-    lambda: Step("U", 0)._replace(start_height=-1),
-    lambda: Step._make(("X", 0, UNIT_WEIGHT)),
     lambda: CFSpec("J", lambda h: ONE)._replace(kind="S"),
     lambda: CFSpec._make(("S", lambda h: ONE)),
-], ids=["weight-replace", "weight-make", "step-replace", "step-make", "cfspec-replace", "cfspec-make"])
+], ids=["cfspec-replace", "cfspec-make"])
 def test_a_copy_of_a_checked_value_is_checked(build):
-    with pytest.raises(ValueError, match=r"^(invalid step|kind must be)"):
+    with pytest.raises(ValueError, match=r"^kind must be"):
         build()
-    assert Weight()._replace(qpow=2) == Weight(1, 0, 2)
+    spec = CFSpec("J", lambda h: ONE)
+    assert spec._replace(kind="T") == CFSpec("T", spec.level_weight)
 
 
 def test_family_table_step_sums():
@@ -277,7 +270,7 @@ def test_family_table_step_sums():
     def summed(family, direction, h):
         fam = FAMILIES[family]
         options = {"U": fam.up, "D": fam.down, "F": fam.flat}[direction](h)
-        return poly_sum(w.monomial() for w in options)
+        return poly_sum(Poly.monomial(*w) for w in options)
 
     zero, qi = Poly.zero(), q_integer
     for h in range(7):
@@ -311,30 +304,23 @@ def test_path_weight_is_product_of_step_monomials():
             for restricted in (False, True) if family.endswith("_core") else (False,):
                 for path in enumerate_family(family, length, restricted):
                     product = ONE
-                    for s in path.steps:
-                        product = product * s.weight.monomial()
+                    for _, *w in path.records:
+                        product = product * Poly.monomial(*w)
                     assert path.weight() == product, (family, path.dump())
     assert WeightedPath((), "laguerre").weight() == ONE
 
 
-def test_step_weights_are_interned():
-    assert step_weight(1, 0, 0) is UNIT_WEIGHT and step_weight(1, 0, 0) == Weight()
+def test_family_table_weights_are_monomials():
+    """Every weight of the table is a (sign, ypow, qpow) triple: sign +-1, ypow 0 or 1, qpow >= 0."""
     for family, fam in FAMILIES.items():
-        for h in range(5):
+        for h in range(12):
             for w in fam.up(h) + fam.down(h) + fam.flat(h):
-                assert w is step_weight(w.sign, w.ypow, w.qpow), (family, h, w)
-    with pytest.raises(ValueError):
-        step_weight(1, 2, 0)
+                assert type(w) is tuple and len(w) == 3, (family, h, w)
+                sign, ypow, qpow = w
+                assert sign in (1, -1) and ypow in (0, 1) and qpow >= 0, (family, h, w)
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: Weight(2, 0, 0), "invalid step weight Weight(sign=2, ypow=0, qpow=0)"),
-    (lambda: Weight(1, 2, 0), "invalid step weight Weight(sign=1, ypow=2, qpow=0)"),
-    (lambda: Weight(qpow=-1), "invalid step weight Weight(sign=1, ypow=0, qpow=-1)"),
-    (lambda: Step("X", 0),
-     "invalid step Step(direction='X', start_height=0, weight=Weight(sign=1, ypow=0, qpow=0))"),
-    (lambda: Step("U", -1, Weight(-1, 1, 2)),
-     "invalid step Step(direction='U', start_height=-1, weight=Weight(sign=-1, ypow=1, qpow=2))"),
     (lambda: CFSpec("K", lambda h: ONE), "kind must be 'J' or 'T'"),
 ])
 def test_value_types_reject_bad_fields(build, message):
@@ -357,7 +343,7 @@ def test_path_validation_and_dump():
     p = path_from_steps("laguerre", [Y_UP, UNIT_DOWN_R])
     assert p.dump() == "U[+1,1,0] D[+1,0,0]"
     assert p.weight() == Y
-    assert p.steps == (Step("U", 0, Weight(1, 1, 0)), Step("D", 1, Weight(1, 0, 0)))
+    assert p.heights() == [0, 1]
     with pytest.raises(ValueError):
         path_from_steps("laguerre", [UNIT_DOWN_R])
     with pytest.raises(ValueError):  # down from height 1 may not carry q
@@ -405,7 +391,7 @@ def test_open_family_may_end_above_zero():
 def test_penaud_examples():
     both_unit = path_from_steps("secant_core", [UNIT_UP_R, UNIT_DOWN_R])
     h1, h2 = penaud_decompose(both_unit)
-    assert h1.shape() == "UD" and h2.steps == () and h2.records == ()
+    assert h1.shape() == "UD" and h2.records == ()
     mixed = path_from_steps("secant_core", [UNIT_UP_R, (-1, -1, 0, 1)])
     h1, h2 = penaud_decompose(mixed)
     assert h1.shape() == "UU" and h2.shape() == "UD" and h2.weight() == -Q

@@ -65,10 +65,13 @@ def test_counts():
 
 
 def test_stats_examples():
-    assert Tableau(Shape((1,)), ((1,),)).stats() == (1, 1, 1, 0)
-    assert Tableau(Shape((0,)), ((),)).stats() == (1, 0, 0, 0)
+    def stats(t):
+        return (t.r, t.c, t.o, t.so)
+
+    assert stats(Tableau(Shape((1,)), ((1,),))) == (1, 1, 1, 0)
+    assert stats(Tableau(Shape((0,)), ((),))) == (1, 0, 0, 0)
     column = Tableau(Shape((1, 1)), ((1,), (1,)))
-    assert column.is_valid() and column.stats() == (2, 1, 2, 1)
+    assert column.is_valid() and stats(column) == (2, 1, 2, 1)
 
 
 def test_distribution_identities():

@@ -6,7 +6,16 @@ import json
 import pytest
 
 import qeuler.verify as verify
-from qeuler.verify import AGREEMENTS, PLAN, SUITES, build_suite, limit_notes, run_check
+from qeuler.verify import (
+    AGREEMENTS,
+    PLAN,
+    SUITES,
+    build_suite,
+    limit_notes,
+    render_reports,
+    run_check,
+    run_suites,
+)
 
 # sha256 of [[(check_id, func, kwargs) for each check] for b in 0..13 for seed in (0, 5)],
 # recorded from the if/elif chain that the plan table replaced.
@@ -24,6 +33,12 @@ PLAN_DIGESTS = {
 }
 
 
+# sha256 of the data section of every suite's report at n_max=4: each check id,
+# status and detail string.  Recorded before the inversion check became an
+# agreement row and the step-weight objects were deleted.
+REPORT_DIGEST = "ef2036cf08bfe4c7a5913d3fafb3fb9eb0ea67c830b5c9bf6431b5c6f2aa7fb8"
+
+
 @pytest.mark.parametrize("suite", SUITES)
 def test_plan_builds_the_recorded_checks(suite, monkeypatch):
     monkeypatch.delenv(verify.BUDGET_ENV_VAR, raising=False)
@@ -34,6 +49,12 @@ def test_plan_builds_the_recorded_checks(suite, monkeypatch):
     ]
     digest = hashlib.sha256(json.dumps(plan, sort_keys=True).encode()).hexdigest()
     assert digest == PLAN_DIGESTS[suite], f"suite {suite} builds a different plan"
+
+
+def test_report_data_at_n_max_4_is_the_recorded_one(monkeypatch):
+    monkeypatch.delenv(verify.BUDGET_ENV_VAR, raising=False)
+    data = render_reports(run_suites(list(SUITES), n_max=4)).partition("\n# timing")[0]
+    assert hashlib.sha256(data.encode()).hexdigest() == REPORT_DIGEST
 
 
 def test_every_check_function_has_a_row_and_every_row_a_function():
