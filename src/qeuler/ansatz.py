@@ -14,11 +14,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import RelationMismatchError, check_size
-from .poly import ONE, Poly, poly_dot, poly_sum
+from .poly import ONE, Q, Y, ZERO, Poly, poly_dot, poly_sum
 
 ANSATZ_BOUND = 14
-
-_Q = Poly.var_q()
 
 
 class Relation(NamedTuple):
@@ -37,11 +35,11 @@ class Relation(NamedTuple):
 
 
 # DE - qED = I + qE + D; <W|E = 0, D|V> = 0: only the constant term survives.
-MAIN = Relation("main", _Q, ONE, _Q, ONE, boundary="constant")
+MAIN = Relation("main", Q, ONE, Q, ONE, boundary="constant")
 # D'E' - qE'D' = D' + E'; <W|E' = 0, D'|V> = |V>: row i = 0 survives.
-PRIMED = Relation("primed", _Q, Poly.zero(), ONE, ONE, boundary="row")
+PRIMED = Relation("primed", Q, ZERO, ONE, ONE, boundary="row")
 # Dh*Eh - q Eh*Dh = (1-q)/q; <W|Eh = <W|, Dh|V> = |V>: everything survives.
-HAT = Relation("hat", _Q, Poly.monomial(1, 0, -1) - ONE, Poly.zero(), Poly.zero(), boundary="total")
+HAT = Relation("hat", Q, Poly.monomial(1, 0, -1) - ONE, ZERO, ZERO, boundary="total")
 
 _Table = dict[tuple[int, int], Poly]
 _Entries = tuple[tuple[tuple[int, int], Poly], ...]
@@ -128,7 +126,7 @@ def normal_power(
     n: int,
     coeff_d: Poly,
     coeff_e: Poly,
-    coeff_id: Poly = Poly.zero(),
+    coeff_id: Poly = ZERO,
 ) -> NormalForm:
     """Normal form of (coeff_d D + coeff_e E + coeff_id I)^n."""
     check_size(n)
@@ -159,19 +157,19 @@ def boundary_eval(relation: Relation, nf: NormalForm) -> Poly:
 def q_derangement_ansatz(n: int) -> Poly:
     """The derangement distribution via <W|(yD + E)^n|V> under MAIN."""
     check_size(n, ANSATZ_BOUND)
-    return boundary_eval(MAIN, normal_power(MAIN, n, Poly.var_y(), ONE))
+    return boundary_eval(MAIN, normal_power(MAIN, n, Y, ONE))
 
 
 def q_eulerian_ansatz(n: int) -> Poly:
     """The full distribution via <W|(yD' + E')^n|V> under PRIMED."""
     check_size(n, ANSATZ_BOUND)
-    return boundary_eval(PRIMED, normal_power(PRIMED, n, Poly.var_y(), ONE))
+    return boundary_eval(PRIMED, normal_power(PRIMED, n, Y, ONE))
 
 
 def weighted_involution_ansatz(n: int) -> Poly:
     """<W|(-Dh + Eh)^n|V> under HAT; a Laurent polynomial in q."""
     check_size(n, ANSATZ_BOUND)
-    return boundary_eval(HAT, normal_power(HAT, n, Poly.const(-1), ONE))
+    return boundary_eval(HAT, normal_power(HAT, n, -ONE, ONE))
 
 
 def word_boundary_value(relation: Relation, word: str) -> Poly:

@@ -13,19 +13,21 @@ from typing import Callable, Iterator
 
 from .errors import HalfPowerResidueError, NotPolynomialError, check_size
 from .poly import (
-    ONE, Poly, binom_safe, exact_div_one_minus_q_pow, poly_dot, poly_sum, q_integer,
+    ONE, ZERO, Poly, binom_safe, exact_div_one_minus_q_pow, poly_dot, poly_sum, q_integer,
 )
 
 
-def _ballot(m: int, k: int) -> int:
-    """binom(m, m//2 - k) - binom(m, m//2 - k - 1) for even m treated via halves."""
+def ballot(m: int, k: int) -> int:
+    """The number of Dyck-path left factors of m steps ending at height m % 2 + 2k."""
+    if m < 0 or k < 0:
+        raise ValueError(f"ballot numbers need m >= 0 and k >= 0, got m={m}, k={k}")
     half = m // 2
     return binom_safe(m, half - k) - binom_safe(m, half - k - 1)
 
 
 def _ballot_sum(m: int, core: Callable[[int], Poly], power: int) -> Poly:
     """sum_{k <= m//2} ballot(m, k) core(k), divided exactly by (1 - q)^power."""
-    num = poly_sum(_ballot(m, k) * core(k) for k in range(m // 2 + 1))
+    num = poly_sum(ballot(m, k) * core(k) for k in range(m // 2 + 1))
     return exact_div_one_minus_q_pow(num, power)
 
 
@@ -44,7 +46,7 @@ def tangent_core_piece(k: int) -> Poly:
     if k < -1:
         raise ValueError("piece index must be >= -1")
     if k == -1:
-        return Poly.zero()
+        return ZERO
     return Poly([((0, j * (2 * k + 2 - j)), (-1) ** (j + k)) for j in range(2 * k + 2)])
 
 
@@ -147,9 +149,9 @@ def q_eulerian_number_closed(k: int, n: int) -> Poly:
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    acc = Poly.zero()
+    acc = ZERO
     for i in range(k):
-        factor = Poly.monomial(binom_safe(n, i), 0, k - i) + Poly.const(binom_safe(n, i - 1))
+        factor = Poly.monomial(binom_safe(n, i), 0, k - i) + Poly.monomial(binom_safe(n, i - 1))
         term = _q_integer_power(k - i, n) * factor
         acc = acc + (-1) ** i * term.shift_q(k * i - k * k)
     if not acc.is_polynomial():

@@ -20,7 +20,7 @@ from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import check_size
-from .poly import ONE, Poly, binom_safe, poly_dot, poly_sum, q_integer
+from .poly import ONE, ZERO, Poly, poly_dot, poly_sum, q_integer
 
 _DIRECTION = {1: "U", -1: "D", 0: "F"}
 
@@ -251,7 +251,7 @@ def family_sums(family: str, length: int, restricted: bool) -> list[Poly]:
     sums = []
     for u in range(length + 1):
         layer = {key: poly_dot(pairs) for key, pairs in pending[u].items()}
-        sums.append(layer.get((0, False), Poly.zero()))
+        sums.append(layer.get((0, False), ZERO))
         for (h, unit_up), val in layer.items():
             for d, ln in ((1, 1), (-1, 1), (0, flat_length)):
                 nh = h + d
@@ -373,10 +373,9 @@ def cf_series(spec: CFSpec, n_max: int, depth: int | None = None) -> list[Poly]:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     t_fraction = spec.kind == "T"
-    zero = Poly.zero()
-    unit = [ONE] + [zero] * n_max
+    unit = [ONE] + [ZERO] * n_max
     # A_0 = 0, A_1 = 1; B_0 = 1, B_1 = b_1, the tail 1 when depth is 0.
-    num_prev, num = [zero] * (n_max + 1), unit
+    num_prev, num = [ZERO] * (n_max + 1), unit
     den_prev, den = unit, list(unit)
     if t_fraction and depth > 0 and n_max:
         den[1] = ONE  # b_1 = 1 + x
@@ -401,23 +400,13 @@ def secant_cf_spec() -> CFSpec:
 
 
 def secant_core_cf_spec() -> CFSpec:
-    return CFSpec("T", lambda h: (ONE - Poly.var_q(h + 1)) ** 2)
+    return CFSpec("T", lambda h: (ONE - Poly.monomial(1, 0, h + 1)) ** 2)
 
 
 def tangent_core_cf_spec() -> CFSpec:
-    return CFSpec("T", lambda h: (ONE - Poly.var_q(h + 1)) * (ONE - Poly.var_q(h + 2)))
-
-
-# -- ballot numbers -------------------------------------------------------------
-
-
-def left_factor_count(steps: int, final_height: int) -> int:
-    """Dyck-path left factors of the given even length and even final height."""
-    if steps < 0 or final_height < 0 or steps % 2 or final_height % 2:
-        raise ValueError("left factors are counted for even steps and even height")
-    n = steps // 2
-    k = final_height // 2
-    return binom_safe(steps, n - k) - binom_safe(steps, n - k - 1)
+    return CFSpec(
+        "T", lambda h: (ONE - Poly.monomial(1, 0, h + 1)) * (ONE - Poly.monomial(1, 0, h + 2))
+    )
 
 
 # -- explicit enumeration (independent oracle, exponential) ---------------------

@@ -6,6 +6,11 @@ pure, so they are safe to share between concurrent enumeration workers.
 The canonical form (terms sorted by (y exponent, q exponent), no zero
 coefficients, no duplicate keys) is unique: two polynomials are equal iff
 their term tuples are identical.
+
+Every sum adds coefficients into one dict and drops the zeros once at the
+end; every product, ``*`` included, is a poly_dot, the one place that picks
+a product kernel.  The ring's values have one name each: ZERO, ONE, Y, Q
+and Poly.monomial(c, y, q).
 """
 
 from __future__ import annotations
@@ -31,39 +36,19 @@ class Poly:
         for (ye, qe), c in items:
             if type(c) is not int:
                 raise _not_int(c, ye, qe)
-            if c:
-                k = (ye, qe)
-                nc = data.get(k, 0) + c
-                if nc:
-                    data[k] = nc
-                elif k in data:
-                    del data[k]
-        self._terms = data
+            k = (ye, qe)
+            data[k] = data.get(k, 0) + c
+        self._terms = _nonzero(data)
         self._key: tuple[tuple[int, int, int], ...] | None = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> Poly:
-        return _ZERO
-
-    @classmethod
-    def const(cls, c: int) -> Poly:
-        return cls.monomial(c, 0, 0)
-
-    @classmethod
     def monomial(cls, c: int, yexp: int = 0, qexp: int = 0) -> Poly:
+        """c * y**yexp * q**qexp; with the defaults, the constant c."""
         if type(c) is not int:
             raise _not_int(c, yexp, qexp)
         return _from_terms({(yexp, qexp): c} if c else {})
-
-    @classmethod
-    def var_y(cls) -> Poly:
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def var_q(cls, exp: int = 1) -> Poly:
-        return cls({(0, exp): 1})
 
     # -- canonical form ----------------------------------------------------
 
@@ -77,7 +62,7 @@ class Poly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = Poly.const(int(other))  # a bool compares as its int
+            other = Poly.monomial(int(other))  # a bool compares as its int
         if not isinstance(other, Poly):
             return NotImplemented
         return self.terms() == other.terms()
@@ -99,12 +84,12 @@ class Poly:
 
     def __add__(self, other: Poly | int) -> Poly:
         if isinstance(other, int):
-            other = Poly.const(other)
+            other = Poly.monomial(other)
         if not isinstance(other, Poly):
             return NotImplemented
         data = dict(self._terms)
         _add_terms(data, other._terms)
-        return _from_terms(data)
+        return _from_terms(_nonzero(data))
 
     __radd__ = __add__
 
@@ -113,31 +98,25 @@ class Poly:
 
     def __sub__(self, other: Poly | int) -> Poly:
         if isinstance(other, int):
-            other = Poly.const(other)
+            other = Poly.monomial(other)  # a bool is refused, as by + and *
         return self + (-other)
 
     def __rsub__(self, other: int) -> Poly:
-        return Poly.const(other) + (-self)
+        return -self + other
 
     def __mul__(self, other: Poly | int) -> Poly:
         if isinstance(other, int):
-            return _times_monomial(self, {(0, 0): other}) if other else _ZERO
+            other = Poly.monomial(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(b) == 1:
-            return _times_monomial(self, b)
-        if len(a) == 1:
-            return _times_monomial(other, a)
-        boxes = _packing(a, b)
-        return _from_terms(_packed_product(a, boxes[0], b, boxes[1]) if boxes else _dict_product(a, b))
+        return poly_dot(((self, other),))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = _ONE
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -163,7 +142,7 @@ class Poly:
 
     def shift_q(self, qexp: int) -> Poly:
         """Multiply by q**qexp (qexp may be negative)."""
-        return _times_monomial(self, {(0, qexp): 1})
+        return _from_terms({(ye, qe + qexp): c for (ye, qe), c in self._terms.items()})
 
     def evaluate(self, yval: int, qval: int) -> int:
         """Evaluate at integer points; negative exponents require |base| = 1."""
@@ -250,16 +229,13 @@ def _not_int(c: object, ye: int, qe: int) -> ValueError:
 
 
 def _add_terms(data: dict[_TermKey, int], terms: dict[_TermKey, int]) -> None:
-    """Add the terms into data, dropping every coefficient that cancels to zero."""
+    """Add the terms into data, which may be left holding zero coefficients."""
     if not data:
         data.update(terms)
         return
+    get = data.get
     for k, c in terms.items():
-        nc = data.get(k, 0) + c
-        if nc:
-            data[k] = nc
-        elif k in data:
-            del data[k]
+        data[k] = get(k, 0) + c
 
 
 def _nonzero(data: dict[_TermKey, int]) -> dict[_TermKey, int]:
@@ -267,15 +243,11 @@ def _nonzero(data: dict[_TermKey, int]) -> dict[_TermKey, int]:
     return {k: c for k, c in data.items() if c} if 0 in data.values() else data
 
 
-_ZERO = Poly()
-_ONE = Poly({(0, 0): 1})
-
-
 # -- products ---------------------------------------------------------------
 
 # A product is packed when both operands have at least _PACK_MIN_TERMS terms
 # and each fills at least half of its own dense (y x q) box.  Below that the
-# dict loop is faster; a sparse operand (a few far-apart terms, such as
+# term-pair loop is faster; a sparse operand (a few far-apart terms, such as
 # closedforms._wex_factor) would pack mostly zero digits.
 _PACK_MIN_TERMS = 8
 _PACK_MIN_FILL = 2  # box cells per term, at most
@@ -286,31 +258,14 @@ _Box = tuple[int, int, int, int]  # (lowest y, lowest q, y rows, q columns)
 def _add_products(data: dict[_TermKey, int], a: dict[_TermKey, int], b: dict[_TermKey, int]) -> None:
     """Add a * b into data, one term pair at a time: the one term-pair loop.
 
-    data may be left holding zero coefficients.
+    data may be left holding zero coefficients.  Into an empty dict and
+    followed by _nonzero, it is the packed product's test oracle.
     """
     get = data.get
     for (y1, q1), c1 in a.items():
         for (y2, q2), c2 in b.items():
             k = (y1 + y2, q1 + q2)
             data[k] = get(k, 0) + c1 * c2
-
-
-def _dict_product(a: dict[_TermKey, int], b: dict[_TermKey, int]) -> dict[_TermKey, int]:
-    """Term-pair product; the packed product's test oracle."""
-    data: dict[_TermKey, int] = {}
-    _add_products(data, a, b)
-    return _nonzero(data)
-
-
-def _times_monomial(p: Poly, mono: dict[_TermKey, int]) -> Poly:
-    """p times the one-term polynomial with terms mono: a shift and a scaling.
-
-    A unit factor returns p itself, which is safe because a Poly never changes.
-    """
-    ((ye, qe), c), = mono.items()
-    if ye == 0 and qe == 0:
-        return p if c == 1 else _from_terms({k: c * d for k, d in p._terms.items()})
-    return _from_terms({(y + ye, q + qe): c * d for (y, q), d in p._terms.items()})
 
 
 def _packing(a: dict[_TermKey, int], b: dict[_TermKey, int]) -> tuple[_Box, _Box] | None:
@@ -405,10 +360,6 @@ def binom_safe(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def one_minus_q() -> Poly:
-    return Poly({(0, 0): 1, (0, 1): -1})
-
-
 def exact_div_one_minus_q_pow(p: Poly, m: int) -> Poly:
     """Divide by (1 - q)**m, verifying a zero remainder at every stage.
 
@@ -456,16 +407,18 @@ def poly_sum(items: Iterator[Poly] | Iterable[Poly]) -> Poly:
     data: dict[_TermKey, int] = {}
     for p in items:
         _add_terms(data, p._terms)
-    return _from_terms(data)
+    return _from_terms(_nonzero(data))
 
 
 def poly_dot(pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
     """The sum of a * b over the pairs, built in one accumulator dict.
 
-    A pair past the packing gate is multiplied by the packed product and
-    merged, a unit factor adds the other operand as it is, and every other
-    pair runs the term-pair loop straight into the accumulator, the shorter
-    operand outside.  No product Poly is built and no partial sum is copied.
+    This is the ring's one product dispatcher; ``a * b`` is poly_dot of the
+    one pair.  Of its three kernels, a pair past the packing gate is
+    multiplied by the packed product and merged, a unit factor adds the
+    other operand as it is, and every other pair runs the term-pair loop
+    straight into the accumulator, the shorter operand outside.  No product
+    Poly is built and no partial sum is copied; the zeros are dropped once.
     """
     data: dict[_TermKey, int] = {}
     for a, b in pairs:
@@ -475,15 +428,15 @@ def poly_dot(pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
         boxes = _packing(x, y)
         if boxes:
             _add_terms(data, _packed_product(x, boxes[0], y, boxes[1]))
-        elif x == _ONE._terms:
+        elif x == ONE._terms:
             _add_terms(data, y)
         else:
             _add_products(data, x, y)
     return _from_terms(_nonzero(data))
 
 
-# Shared monomials, handy as building blocks everywhere.
-ZERO = _ZERO
-ONE = _ONE
-Y = Poly.var_y()
-Q = Poly.var_q()
+# The ring's constants and variables.
+ZERO = Poly()
+ONE = Poly.monomial(1)
+Y = Poly.monomial(1, 1)
+Q = Poly.monomial(1, 0, 1)

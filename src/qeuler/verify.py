@@ -30,7 +30,7 @@ from . import permutations as pm
 from . import tableaux as tb
 from .errors import BudgetExceededError
 from .plan import PLAN, SUITES, WORD_ORACLE_MAX_LEN
-from .poly import ONE, Poly, binom_safe, one_minus_q, poly_sum
+from .poly import ONE, Q, Y, ZERO, Poly, binom_safe, poly_sum
 
 
 class Check(NamedTuple):
@@ -91,7 +91,7 @@ def _zero_or_euler(value: Poly, zero: bool, factor: Poly, n: int, what: str) -> 
 def _chk_signed_wex_sum(n: int) -> tuple[bool, str]:
     """Signed (wex, cr) sum: 0 for even n, (-1)^((n+1)/2) E_n(q) for odd n."""
     value = pm.q_eulerian_poly(n).substitute_y(-1)
-    sign = Poly.const((-1) ** ((n + 1) // 2))
+    sign = Poly.monomial((-1) ** ((n + 1) // 2))
     return _zero_or_euler(value, n % 2 == 0, sign, n, "q-tangent")
 
 
@@ -104,7 +104,7 @@ def _chk_closed_form_even_vanishing(n: int) -> tuple[bool, str]:
 def _chk_reduced_path_sum(n: int) -> tuple[bool, str]:
     """Trimmed lifted-path weights at y = -1 give (-1)^((n-1)/2) E_n(q)."""
     total = poly_sum(reduced.weight() for _, _, _, reduced in bj.lifted_histories(n))
-    sign = Poly.const((-1) ** ((n - 1) // 2))
+    sign = Poly.monomial((-1) ** ((n - 1) // 2))
     return _zero_or_euler(total.substitute_y(-1), n % 2 == 0, sign, n, "q-tangent")
 
 
@@ -216,7 +216,7 @@ def _chk_word_oracle() -> tuple[bool, str]:
         for letters in product("DE", repeat=length):
             word = "".join(letters)
             shape = tb.shape_of_word(word)
-            expected = Poly.zero() if shape is None else tb.derangement_sum_for_shape(shape)
+            expected = ZERO if shape is None else tb.derangement_sum_for_shape(shape)
             if az.word_boundary_value(az.MAIN, word) != expected:
                 return False, f"word {word!r} disagrees with tableau enumeration"
     return True, f"all words of length <= {WORD_ORACLE_MAX_LEN}"
@@ -268,7 +268,7 @@ def _chk_penaud(n: int) -> tuple[bool, str]:
             pairs.add(key)
             count += 1
         expected = sum(
-            pa.left_factor_count(2 * n, 2 * k) * _restricted_core_count(family, 2 * k)
+            cf.ballot(2 * n, k) * _restricted_core_count(family, 2 * k)
             for k in range(n + 1)
         )
         if count != expected:
@@ -279,7 +279,7 @@ def _chk_penaud(n: int) -> tuple[bool, str]:
 def _chk_left_factors(n: int) -> tuple[bool, str]:
     for k in range(n + 2):
         counted = sum(1 for _ in pa.enumerate_dyck_shapes(2 * n, 2 * k))
-        if counted != pa.left_factor_count(2 * n, 2 * k):
+        if counted != cf.ballot(2 * n, k):
             return False, f"ballot mismatch at height {2 * k}"
     return True, "ballot numbers count left factors"
 
@@ -344,7 +344,7 @@ AGREEMENTS: dict[str, Agreement] = {
     ), "closed = involutions = path family", "routes disagree"),
     # E_2n (1-q)^2n = (-q)^n <W|(-Dh+Eh)^2n|V>, by the double sum and by the operators
     "involution_relation": Agreement((
-        ("closed", lambda n: cf.q_secant_closed(n) * one_minus_q() ** (2 * n)
+        ("closed", lambda n: cf.q_secant_closed(n) * (ONE - Q) ** (2 * n)
                              * Poly.monomial((-1) ** n, 0, -n)),
         ("double_sum", lambda n: cf.weighted_involution_sum(2 * n)),
         ("ansatz", lambda n: az.weighted_involution_ansatz(2 * n)),
@@ -375,7 +375,7 @@ AGREEMENTS: dict[str, Agreement] = {
     # the derangement ansatz by (y(D'-I) + E')^n under the primed relation, by inversion
     "ansatz_shift": Agreement((
         ("shift", lambda n: az.boundary_eval(
-            az.PRIMED, az.normal_power(az.PRIMED, n, y := Poly.var_y(), ONE, -y))),
+            az.PRIMED, az.normal_power(az.PRIMED, n, Y, ONE, -Y))),
         ("inversion", lambda n: _binomial_transform(n, az.q_eulerian_ansatz, -1)),
         ("ansatz", lambda n: az.q_derangement_ansatz(n)),
     ), "operator shift and inversion agree", "mismatch"),

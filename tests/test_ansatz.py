@@ -25,10 +25,8 @@ from qeuler.ansatz import (
 from qeuler.closedforms import q_secant_closed, weighted_involution_sum
 from qeuler.errors import BudgetExceededError, RelationMismatchError
 from qeuler.permutations import q_derangement_poly, q_eulerian_poly
-from qeuler.poly import ONE, Poly, binom_safe, one_minus_q, poly_sum
+from qeuler.poly import ONE, Q, Y, ZERO, Poly, binom_safe, poly_sum
 from qeuler.tableaux import derangement_sum_for_shape, shape_of_word
-
-Y, Q = Poly.var_y(), Poly.var_q()
 
 
 def test_normal_power_examples():
@@ -36,7 +34,7 @@ def test_normal_power_examples():
     assert dict(nf.table) == {(0, 1): Y, (1, 0): ONE}
     nf2 = normal_power(MAIN, 2, Y, ONE)
     assert dict(nf2.table)[(0, 0)] == Y
-    hat2 = normal_power(HAT, 2, Poly.const(-1), ONE)
+    hat2 = normal_power(HAT, 2, -ONE, ONE)
     assert boundary_eval(HAT, hat2) == Poly({(0, 0): 2, (0, 1): -1, (0, -1): -1})
 
 
@@ -98,7 +96,7 @@ def test_binomial_inversion_through_operators():
 
 def test_secant_relation_through_operators():
     for n in range(6):
-        lhs = q_secant_closed(n) * one_minus_q() ** (2 * n)
+        lhs = q_secant_closed(n) * (ONE - Q) ** (2 * n)
         rhs = Poly.monomial((-1) ** n, 0, n) * weighted_involution_ansatz(2 * n)
         assert lhs == rhs
 
@@ -132,7 +130,7 @@ def _nf_mul_oracle(x, y):
         for _ in range(j):
             part = left_mul_d(part)
         for (a, b), t in part.table:
-            acc[a + i, b] = acc.get((a + i, b), Poly.zero()) + c * t
+            acc[a + i, b] = acc.get((a + i, b), ZERO) + c * t
     return NormalForm.from_dict(x.relation, acc)
 
 
@@ -146,7 +144,7 @@ def test_nf_mul_matches_the_rebuilding_oracle():
                     word = "".join(rng.choice("DE") for _ in range(rng.randint(0, 6)))
                     forms.append(word_normal_form(rel, word))
                 else:
-                    forms.append(normal_power(rel, rng.randint(0, 2), Y, Q + ONE, Poly.const(-2)))
+                    forms.append(normal_power(rel, rng.randint(0, 2), Y, Q + ONE, Poly.monomial(-2)))
             a, b, c = forms
             assert nf_mul(a, b) == _nf_mul_oracle(a, b)
             assert nf_mul(nf_mul(a, b), c) == _nf_mul_oracle(_nf_mul_oracle(a, b), c)
@@ -158,7 +156,7 @@ def test_word_oracle_against_tableaux():
         for letters in product("DE", repeat=length):
             word = "".join(letters)
             shape = shape_of_word(word)
-            expected = Poly.zero() if shape is None else derangement_sum_for_shape(shape)
+            expected = ZERO if shape is None else derangement_sum_for_shape(shape)
             assert word_boundary_value(MAIN, word) == expected
 
 

@@ -128,7 +128,7 @@ def test_signed_reduced_path_sums():
         if n % 2 == 0:
             assert value.is_zero
         else:
-            assert value == Poly.const((-1) ** ((n - 1) // 2)) * euler_dyck_sum(n // 2, 1)
+            assert value == Poly.monomial((-1) ** ((n - 1) // 2)) * euler_dyck_sum(n // 2, 1)
 
 
 # -- the record encoding against the object-based oracle ------------------------

@@ -331,6 +331,18 @@ def test_console_script_entry_point():
     assert out.stdout.splitlines() == ["E_1 = 1", "E_3 = 1 + q"]
 
 
+def test_python_m_qeuler_is_the_cli():
+    def run(module, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=_child_env()
+        )
+
+    package, cli = (run(m, "table", "etangent", "--n-max", "2") for m in ("qeuler", "qeuler.cli"))
+    assert package.returncode == cli.returncode == 0
+    assert package.stdout == cli.stdout and package.stdout.startswith("E_1 = 1\n")
+    assert run("qeuler", "verify", "nosuch").returncode == 2
+
+
 # Runs qeuler.cli as `python -m` does; its last line of output names the modules
 # that the command loaded beyond those of a bare interpreter.
 _LOADED_MODULES = """
@@ -441,9 +453,9 @@ def test_help_text(command, capsys, monkeypatch):
 
 def test_verify_exit_code_on_identity_failure(capsys, monkeypatch):
     import qeuler.closedforms as cf
-    from qeuler.poly import Poly
+    from qeuler.poly import ZERO
 
-    monkeypatch.setattr(cf, "parity_free_euler_closed", lambda n: Poly.zero())
+    monkeypatch.setattr(cf, "parity_free_euler_closed", lambda n: ZERO)
     code, out, _ = run_cli(capsys, "verify", "section6", "--n-max", "2")
     assert code == 1
     assert "FAIL  formula value differs from E_n" in out

@@ -36,7 +36,7 @@ from qeuler.permutations import (
     q_derangement_poly,
     q_eulerian_poly,
 )
-from qeuler.poly import ONE, Poly, Q, Y, binom_safe, one_minus_q
+from qeuler.poly import ONE, ZERO, Poly, Q, Y, binom_safe
 from qeuler.verify import build_suite, run_check
 
 
@@ -136,7 +136,7 @@ def test_weighted_involution_sum():
 
 def test_secant_involution_relation():
     for n in range(6):
-        lhs = q_secant_closed(n) * one_minus_q() ** (2 * n)
+        lhs = q_secant_closed(n) * (ONE - Q) ** (2 * n)
         rhs = Poly.monomial((-1) ** n, 0, n) * weighted_involution_sum(2 * n)
         assert lhs == rhs
 
@@ -178,7 +178,7 @@ def test_parity_free_formula():
 def test_half_exponent_residue():
     # s-exponents live in the q slot: s^2 + 2s^4 is q + 2q^2
     assert _s_to_q(Y * Q**2 + 2 * Q**4) == Y * Q + 2 * Q**2
-    assert _s_to_q(Poly.zero()).is_zero
+    assert _s_to_q(ZERO).is_zero
     with pytest.raises(HalfPowerResidueError, match=r"^odd half-exponent terms survive: q\^3$"):
         _s_to_q(ONE + Q**3)
 

@@ -64,16 +64,24 @@ def _referenced_names(path: Path) -> set[str]:
     return refs
 
 
+# Names that nothing in src/ or perfbench/ uses but that stay, with the reason.
+UNREFERENCED_BY_DESIGN = {
+    "from_json_obj": "Poly's reader of the documented wire format",
+}
+
+
 def test_every_src_name_is_referenced():
+    # Code that only tests use is dead code, so tests/ does not count as a user.
     # __init__.py re-exports names, which is no use of them.  The _chk_* checks
     # are looked up by name for the plan.PLAN rows that verify.AGREEMENTS does
     # not hold, which test_verify_plan.py covers.
     src = [p for p in sorted((ROOT / "src" / "qeuler").glob("*.py")) if p.name != "__init__.py"]
-    files = src + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    files = src + sorted((ROOT / "perfbench").glob("*.py"))
     refs = set().union(*map(_referenced_names, files))
     unreferenced = [f"{path.relative_to(ROOT)}:{line} {name}"
                     for path in src for name, line in _defined_names(path).items()
-                    if name not in refs and not name.startswith("_chk_")]
+                    if name not in refs and not name.startswith("_chk_")
+                    and name not in UNREFERENCED_BY_DESIGN]
     assert not unreferenced, "names nothing refers to:\n" + "\n".join(unreferenced)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 import path_oracles as oracle
 import qeuler.paths as pa
 import qeuler.verify as verify
-from qeuler.closedforms import secant_core_closed, tangent_core_closed
+from qeuler.closedforms import ballot, secant_core_closed, tangent_core_closed
 from qeuler.paths import (
     FAMILIES,
     CFSpec,
@@ -24,7 +24,6 @@ from qeuler.paths import (
     family_sums,
     laguerre_sum,
     large_laguerre_sum,
-    left_factor_count,
     path_from_steps,
     penaud_decompose,
     schroder_signed_sum,
@@ -42,7 +41,7 @@ from qeuler.permutations import (
     q_derangement_poly,
     q_eulerian_poly,
 )
-from qeuler.poly import ONE, Poly, Q, Y, poly_sum, q_integer
+from qeuler.poly import ONE, Q, Y, ZERO, Poly, poly_sum, q_integer
 
 
 def test_euler_dyck_values():
@@ -95,14 +94,13 @@ def bottom_up_cf_series(spec, n_max, depth=None):
     b = 1 for a J-fraction and 1 + x for a T-fraction; O(n^3) Poly products.
     """
     depth = n_max + 1 if depth is None else depth
-    zero = Poly.zero()
-    f = [ONE] + [zero] * n_max
+    f = [ONE] + [ZERO] * n_max
     for level in reversed(range(depth)):
         w = spec.level_weight(level)
         d = [ONE] + [-(w * f[m - 1]) for m in range(1, n_max + 1)]
         if spec.kind == "T" and n_max >= 1:
             d[1] = d[1] + ONE
-        f = [ONE] + [zero] * n_max
+        f = [ONE] + [ZERO] * n_max
         for m in range(1, n_max + 1):
             f[m] = -poly_sum(d[r] * f[m - r] for r in range(1, m + 1))
     return f
@@ -190,19 +188,16 @@ def test_schroder_sums():
         schroder_signed_sum(1, "other")
 
 
-def test_left_factor_count():
-    assert left_factor_count(2, 0) == 1
-    assert left_factor_count(4, 2) == 3
-    assert left_factor_count(4, 6) == 0
-    with pytest.raises(ValueError):
-        left_factor_count(3, 1)
-    with pytest.raises(ValueError):
-        left_factor_count(4, 3)
-    for n in range(5):
-        for k in range(n + 2):
-            assert left_factor_count(2 * n, 2 * k) == sum(
-                1 for _ in enumerate_dyck_shapes(2 * n, 2 * k)
-            )
+def test_ballot_numbers_count_left_factors():
+    # ballot(m, k) counts the left factors with m steps ending at height m % 2 + 2k;
+    # the odd m are the ones the q-tangent closed form uses.
+    assert ballot(2, 0) == 1 and ballot(4, 1) == 3 and ballot(4, 3) == 0 and ballot(3, 1) == 1
+    for m in range(13):
+        for k in range(m // 2 + 2):
+            assert ballot(m, k) == sum(1 for _ in enumerate_dyck_shapes(m, m % 2 + 2 * k)), (m, k)
+    for m, k in ((-1, 0), (-2, 0), (4, -1), (3, -2)):
+        with pytest.raises(ValueError):
+            ballot(m, k)
 
 
 def test_touchard_path_family():
@@ -272,21 +267,21 @@ def test_family_table_step_sums():
         options = {"U": fam.up, "D": fam.down, "F": fam.flat}[direction](h)
         return poly_sum(Poly.monomial(*w) for w in options)
 
-    zero, qi = Poly.zero(), q_integer
+    qi = q_integer
     for h in range(7):
         core_up = ONE - Q ** (h + 1)
         expected = {
             "laguerre": (Y * qi(h + 1), qi(h), Y * qi(h + 1) + qi(h)),
             "large_laguerre": (Y * qi(h + 1), qi(h + 1), (ONE + Y) * qi(h + 1)),
             "derangement_motzkin": (Y * qi(h + 1), qi(h), (ONE + Y * Q) * qi(h)),
-            "euler_dyck_0": (qi(h + 1), qi(h), zero),
-            "euler_dyck_1": (qi(h + 1), qi(h + 1), zero),
-            "touchard_dyck": (ONE, qi(h), zero),
-            "secant_core": (core_up, ONE - Q**h, zero),
-            "tangent_core": (core_up, ONE - Q ** (h + 1), zero),
+            "euler_dyck_0": (qi(h + 1), qi(h), ZERO),
+            "euler_dyck_1": (qi(h + 1), qi(h + 1), ZERO),
+            "touchard_dyck": (ONE, qi(h), ZERO),
+            "secant_core": (core_up, ONE - Q**h, ZERO),
+            "tangent_core": (core_up, ONE - Q ** (h + 1), ZERO),
             "schroder_secant": (core_up, ONE - Q**h, -ONE),
             "schroder_tangent": (core_up, ONE - Q ** (h + 1), -ONE),
-            "left_factor": (ONE, ONE, zero),
+            "left_factor": (ONE, ONE, ZERO),
         }
         assert set(expected) == set(FAMILIES)
         for family, sums in expected.items():
@@ -433,7 +428,7 @@ def test_penaud_bijection_small():
                 seen.add(key)
                 count += 1
             expected = sum(
-                left_factor_count(2 * n, 2 * k)
+                ballot(2 * n, k)
                 * sum(1 for _ in enumerate_family(family, 2 * k, restricted=True))
                 for k in range(n + 1)
             )
@@ -446,7 +441,7 @@ def test_penaud_aggregate_identity():
         for n in range(4):
             total = family_sum_by_enumeration(family, 2 * n)
             expected = poly_sum(
-                Poly.const(left_factor_count(2 * n, 2 * k)) * core(k) for k in range(n + 1)
+                ballot(2 * n, k) * core(k) for k in range(n + 1)
             )
             assert total == expected
 

@@ -28,7 +28,7 @@ from qeuler.permutations import (
     weak_exceedances,
     wex_cr_multiset,
 )
-from qeuler.poly import Poly, Q, Y
+from qeuler.poly import ONE, Poly, Q, Y
 from qeuler.verify import _binomial_transform
 
 FIG = (4, 3, 7, 1, 2, 6, 5)
@@ -119,22 +119,22 @@ def test_distribution_polys():
     assert q_derangement_poly(2) == Y
     assert q_derangement_poly(3) == Y + Y**2 * Q
     assert q_derangement_poly(4) == Y + Y**2 * (2 + 4 * Q + Q**2) + Y**3 * Q**2
-    assert q_eulerian_poly(0) == Poly.const(1)
+    assert q_eulerian_poly(0) == ONE
     for n in range(7):
         assert q_eulerian_poly(n).evaluate(1, 1) == math.factorial(n)
     assert [q_derangement_poly(n).evaluate(1, 1) for n in range(8)] == [1, 0, 1, 2, 9, 44, 265, 1854]
 
 
 def test_alternating_poly():
-    assert alternating_31_2_poly(0) == Poly.const(1)
+    assert alternating_31_2_poly(0) == ONE
     assert alternating_31_2_poly(4) == Poly({(0, 0): 2, (0, 1): 2, (0, 2): 1})
     assert alternating_31_2_poly(5) == Poly({(0, 0): 2, (0, 1): 5, (0, 2): 5, (0, 3): 3, (0, 4): 1})
     assert [alternating_31_2_poly(n).evaluate(1, 1) for n in range(8)] == [1, 1, 1, 2, 5, 16, 61, 272]
 
 
 def test_involution_poly():
-    assert involution_crossing_poly(0) == Poly.const(1)
-    assert involution_crossing_poly(2) == Poly.const(1)
+    assert involution_crossing_poly(0) == ONE
+    assert involution_crossing_poly(2) == ONE
     assert involution_crossing_poly(4) == Poly({(0, 0): 2, (0, 1): 1})
     assert involution_crossing_poly(8).evaluate(1, 1) == 105
 

@@ -17,16 +17,23 @@ from qeuler.poly import (
     Y,
     ZERO,
     Poly,
+    _add_products,
     _dense_box,
-    _dict_product,
+    _nonzero,
     _packed_product,
     binom_safe,
     exact_div_one_minus_q_pow,
-    one_minus_q,
     poly_dot,
     poly_sum,
     q_integer,
 )
+
+
+def term_pair_product(a, b):
+    """The terms of a * b by the term-pair loop alone: the packed product's oracle."""
+    data = {}
+    _add_products(data, a, b)
+    return _nonzero(data)
 
 
 def rand_poly(rng, terms=6, span=5):
@@ -132,7 +139,7 @@ def division_outcome(divide, p, m):
 
 
 def test_exact_division_examples():
-    assert exact_div_one_minus_q_pow(one_minus_q(), 1) == ONE
+    assert exact_div_one_minus_q_pow((ONE - Q), 1) == ONE
     assert exact_div_one_minus_q_pow(Poly({(0, 0): 2, (0, 1): -3, (0, 3): 1}), 2) == Poly(
         {(0, 0): 2, (0, 1): 1}
     )
@@ -194,8 +201,8 @@ def test_ring_laws(a, b, c):
 
 
 @given(product_operands, product_operands)
-def test_packed_product_matches_dict_product(a, b):
-    expected = _dict_product(a._terms, b._terms)
+def test_packed_product_matches_the_term_pair_loop(a, b):
+    expected = term_pair_product(a._terms, b._terms)
     assert (a * b)._terms == expected
     if a and b:  # the packed kernel on any shape, bypassing the density gate
         assert _packed_product(a._terms, full_box(a._terms), b._terms, full_box(b._terms)) == expected
@@ -213,7 +220,7 @@ def test_packed_product_digit_width_holds_at_the_extremes():
                 for ca, cb in ((2**ka - 1, 2**kb - 1), (1 - 2**ka, 2**kb - 1), (-(2**ka), -(2**kb))):
                     a = Poly({(0, i): ca for i in range(m)})
                     b = Poly({(1, i - 3): cb for i in range(m)})
-                    assert (a * b)._terms == _dict_product(a._terms, b._terms), (m, ka, kb)
+                    assert (a * b)._terms == term_pair_product(a._terms, b._terms), (m, ka, kb)
 
 
 def test_packed_product_drops_digits_that_cancel():
@@ -222,13 +229,13 @@ def test_packed_product_drops_digits_that_cancel():
         a = q_integer(2 * k)
         b = Poly({(0, i): (-1) ** i for i in range(2 * k)})
         packed = _packed_product(a._terms, _dense_box(a._terms), b._terms, _dense_box(b._terms))
-        assert packed == _dict_product(a._terms, b._terms)
+        assert packed == term_pair_product(a._terms, b._terms)
         assert all(qe % 2 == 0 for _, qe in packed) and 0 not in packed.values()
 
 
 def _count_kernel_calls(monkeypatch):
     calls = Counter()
-    for name in ("_packed_product", "_dict_product"):
+    for name in ("_packed_product", "_add_products"):
         def spy(*args, _name=name, _kernel=getattr(poly, name)):
             calls[_name] += 1
             return _kernel(*args)
@@ -242,24 +249,47 @@ def test_product_gate_takes_the_packed_path_only_on_dense_operands(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     square = dense * dense
     assert calls == {"_packed_product": 1}
-    assert square._terms == _dict_product(dense._terms, dense._terms)
+    assert square._terms == term_pair_product(dense._terms, dense._terms)
     calls.clear()
     mixed = sparse * dense
-    assert calls == {"_dict_product": 1}
+    assert calls == {"_add_products": 1}
     assert mixed == dense * sparse
     calls.clear()
     assert q_integer(7) * dense == dense * q_integer(7)  # 7 terms: below the gate
-    assert calls == {"_dict_product": 2}
+    assert calls == {"_add_products": 2}
 
 
 @given(product_operands)
 def test_monomial_factor_shifts_and_scales(p):
     for mono in (ONE, Y, Poly.monomial(1, 0, -3), Poly.monomial(-7, 2, -1), Poly.monomial(2**70, -4, 5)):
-        expected = _dict_product(p._terms, mono._terms)
+        expected = term_pair_product(p._terms, mono._terms)
         assert (p * mono)._terms == expected and (mono * p)._terms == expected
-    assert p * ONE is p  # a unit factor returns the other operand
-    assert ONE * p is p or len(p) == 1  # a one-term p is taken as the factor
-    assert (p * -3)._terms == _dict_product(p._terms, {(0, 0): -3})
+    assert (p * -3)._terms == term_pair_product(p._terms, {(0, 0): -3})
+
+
+@given(laurent_polys)
+def test_an_int_operand_is_the_constant(p):
+    assert (p * 0).is_zero and (0 * p).is_zero
+    assert -3 * p == p * -3 == Poly.monomial(-3) * p == -(p + p + p)
+    assert p + 2 == 2 + p == p + Poly.monomial(2) and 2 - p == -(p - 2)
+    assert (p == 1) == (p == ONE) and ONE == 1 and ONE == True and Y != 1 and ZERO == 0
+
+
+term_lists = st.lists(
+    st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-3, 3)), max_size=12
+)
+
+
+@given(term_lists, st.booleans())
+def test_construction_is_the_sum_of_its_monomials(terms, cancel):
+    # Few keys, so that they repeat; a cancelled copy of every other term.
+    if cancel:
+        terms = terms + [(k, -c) for k, c in terms[::2]]
+    for given_terms in (terms, dict(terms)):
+        items = given_terms.items() if isinstance(given_terms, dict) else given_terms
+        p = Poly(given_terms)
+        assert p == poly_sum(Poly.monomial(c, *k) for k, c in items)
+        assert 0 not in p._terms.values()
 
 
 # Operands for poly_dot: the unit, monomials, sparse operands and dense ones past
@@ -289,8 +319,8 @@ def test_poly_dot_cancels_to_zero_and_takes_each_kernel(monkeypatch):
     sparse = _wex_factor(12)
     calls = _count_kernel_calls(monkeypatch)
     pairs = [(dense, dense), (sparse, dense), (ONE, dense), (-dense, dense), (dense, -sparse)]
-    assert poly_dot(pairs) == ONE * dense
-    assert calls == {"_packed_product": 2}  # the other pairs run the term-pair loop in place
+    assert poly_dot(pairs) == dense
+    assert calls == {"_packed_product": 2, "_add_products": 2}  # the unit pair takes neither
     assert poly_dot([]) == ZERO and poly_dot([(Y, Q), (-Q, Y)]) == ZERO
 
 
@@ -299,7 +329,7 @@ def test_poly_dot_cancels_to_zero_and_takes_each_kernel(monkeypatch):
     lambda: Poly([((1, 2), 3), ((1, 2), 0.5)]),
     lambda: Poly.monomial(2.5),
     lambda: Poly.monomial(True, 1, 2),
-    lambda: Poly.const(1.0),
+    lambda: ONE * True,  # an int operand is taken as a constant
 ], ids=["dict", "pairs", "monomial", "bool", "const"])
 def test_a_coefficient_that_is_not_an_int_is_refused(build):
     with pytest.raises(ValueError, match=r"coefficient .* of term y\^-?\d+ q\^-?\d+ is not an int"):
@@ -308,12 +338,12 @@ def test_a_coefficient_that_is_not_an_int_is_refused(build):
 
 @given(laurent_polys, st.integers(0, 8))
 def test_exact_division_roundtrip_property(p, m):
-    assert exact_div_one_minus_q_pow(p * one_minus_q() ** m, m) == p
+    assert exact_div_one_minus_q_pow(p * (ONE - Q) ** m, m) == p
 
 
 @given(laurent_polys, st.integers(0, 8), st.just(ZERO) | laurent_polys)
 def test_dense_division_matches_dict_oracle(p, m, r):
-    n = p * one_minus_q() ** m + r
+    n = p * (ONE - Q) ** m + r
     assert division_outcome(exact_div_one_minus_q_pow, n, m) == division_outcome(
         dict_div_one_minus_q_pow, n, m
     )
@@ -323,17 +353,17 @@ def test_division_error_names_the_first_failing_stage_then_slice():
     # Slices are taken in first-seen order (the dict order of the terms).
     # y^1 comes first and fails at stage 3 (remainder 5); y^2 fails at stage 2
     # (remainder 3), so from m = 2 on the error names y^2.
-    first = Y * one_minus_q() ** 2 * (ONE + 4 * Q)
-    second = Y**2 * one_minus_q() * (2 * ONE + Q)
+    first = Y * (ONE - Q) ** 2 * (ONE + 4 * Q)
+    second = Y**2 * (ONE - Q) * (2 * ONE + Q)
     p = Poly(first._terms | second._terms)
     for divide in (exact_div_one_minus_q_pow, dict_div_one_minus_q_pow):
-        assert divide(p, 1) == Y * one_minus_q() * (ONE + 4 * Q) + Y**2 * (2 * ONE + Q)
+        assert divide(p, 1) == Y * (ONE - Q) * (ONE + 4 * Q) + Y**2 * (2 * ONE + Q)
         for m in (2, 3, 5):
             with pytest.raises(NotDivisibleError) as exc:
                 divide(p, m)
             assert str(exc.value) == "remainder 3 in y^2 slice when dividing by (1 - q)"
     # Both slices fail at stage 2: the first-seen one, y^2, is named.
-    both = Poly(second._terms | (Y * one_minus_q() * (ONE + 4 * Q))._terms)
+    both = Poly(second._terms | (Y * (ONE - Q) * (ONE + 4 * Q))._terms)
     for divide in (exact_div_one_minus_q_pow, dict_div_one_minus_q_pow):
         with pytest.raises(NotDivisibleError) as exc:
             divide(both, 2)
@@ -354,7 +384,7 @@ def test_exact_division_roundtrip():
     for _ in range(80):
         p = rand_poly(rng)
         m = rng.randint(0, 8)
-        assert exact_div_one_minus_q_pow(p * one_minus_q() ** m, m) == p
+        assert exact_div_one_minus_q_pow(p * (ONE - Q) ** m, m) == p
 
 
 def test_substitution_is_a_homomorphism():
@@ -368,7 +398,7 @@ def test_substitution_is_a_homomorphism():
 
 def test_coefficient_extraction():
     p = Y + 3 * Y**2 + Y**2 * Q + Y**3
-    assert p.coefficient_of_y(2) == Poly.const(3) + Q
+    assert p.coefficient_of_y(2) == Poly.monomial(3) + Q
     assert p.coefficient_of_y(0).is_zero
 
 
