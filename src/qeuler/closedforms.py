@@ -149,11 +149,10 @@ def q_eulerian_number_closed(k: int, n: int) -> Poly:
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    acc = ZERO
-    for i in range(k):
-        factor = Poly.monomial(binom_safe(n, i), 0, k - i) + Poly.monomial(binom_safe(n, i - 1))
-        term = _q_integer_power(k - i, n) * factor
-        acc = acc + (-1) ** i * term.shift_q(k * i - k * k)
+    # term i: [k-i]_q^n times (-1)^i (C(n,i) q^(k-i) + C(n,i-1)) q^(k(i-k))
+    acc = poly_dot((_q_integer_power(k - i, n), Poly([
+        ((0, k * (i - k) + k - i), (-1) ** i * binom_safe(n, i)),
+        ((0, k * (i - k)), (-1) ** i * binom_safe(n, i - 1))])) for i in range(k))
     if not acc.is_polynomial():
         raise NotPolynomialError(f"negative q-powers survive in q-Eulerian number ({k},{n})")
     return acc

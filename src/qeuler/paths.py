@@ -185,6 +185,16 @@ class WeightedPath(NamedTuple):
         return " ".join(f"{_DIRECTION[d]}[{s:+d},{y},{q}]" for d, s, y, q in self.records)
 
 
+def _family(family: str, length: int) -> Family:
+    """The family's table entry; an unknown name or a negative length is a ValueError."""
+    fam = FAMILIES.get(family)
+    if fam is None:
+        raise ValueError(f"unknown path family {family!r}")
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    return fam
+
+
 def path_from_steps(family: str, records: Iterable[Record]) -> WeightedPath:
     """Build a path of the family from (delta, sign, ypow, qpow) records.
 
@@ -192,10 +202,8 @@ def path_from_steps(family: str, records: Iterable[Record]) -> WeightedPath:
     height, that the path never dips below 0 and that a closed family's path
     returns to 0; any violation raises ValueError.
     """
-    fam = FAMILIES.get(family)
-    if fam is None:
-        raise ValueError(f"unknown path family {family!r}")
     records = tuple(records)
+    fam = _family(family, len(records))
     allowed = _allowed(family, len(records))
     h = 0
     for r in records:
@@ -241,9 +249,7 @@ def family_sums(family: str, length: int, restricted: bool) -> list[Poly]:
     restricted=True a unit down step never follows a unit up step (the
     core-family condition).
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    flat_length = FAMILIES[family].flat_length
+    flat_length = _family(family, length).flat_length
     pending: list[defaultdict[tuple[int, bool], list[tuple[Poly, Poly]]]] = [
         defaultdict(list) for _ in range(length + 1)
     ]
@@ -451,6 +457,7 @@ def enumerate_family(family: str, length: int, restricted: bool = False) -> Iter
     steps both weighted 1 are skipped (the core-family condition).  The walk
     is depth first with one iterator of moves per step of the prefix.
     """
+    _family(family, length)
     if length == 0:
         yield path_from_steps(family, ())
         return

@@ -140,10 +140,6 @@ class Poly:
             for (ye, qe), c in self._terms.items()
         )
 
-    def shift_q(self, qexp: int) -> Poly:
-        """Multiply by q**qexp (qexp may be negative)."""
-        return _from_terms({(ye, qe + qexp): c for (ye, qe), c in self._terms.items()})
-
     def evaluate(self, yval: int, qval: int) -> int:
         """Evaluate at integer points; negative exponents require |base| = 1."""
         total = 0

@@ -7,13 +7,16 @@ in worker processes.  One table, PLAN in qeuler.plan,
 declares every suite's default bound and its index loops, with the caps and
 floors that override the bound; the report states those that bind.  Another,
 AGREEMENTS, names the routes of each check that only compares routes at one
-index; a check that loops or branches is a _chk_ function.  Report ordering
-follows declaration order (suite, then row, then index), never completion
-order.
+index, the signed identities against their closed value among them; a route
+with an inner index k returns one tuple entry per k, and a detail may be a
+function of the index and the route values.  A check that branches, counts or
+asserts on each object is a _chk_ function.  Report ordering follows
+declaration order (suite, then row, then index), never completion order.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
@@ -78,58 +81,6 @@ def _chk_non_equidistribution_derangements(n_max: int) -> tuple[bool, str]:
     return False, f"no splitting found for n <= {n_max}"
 
 
-def _zero_or_euler(value: Poly, zero: bool, factor: Poly, n: int, what: str) -> tuple[bool, str]:
-    """A signed sum that vanishes for one parity of n and is factor * E_n(q) for the other."""
-    if zero:
-        ok = value.is_zero
-        return ok, "vanishes" if ok else f"got {value}"
-    expect = factor * cf.q_euler_closed(n)
-    ok = value == expect
-    return ok, f"matches {what} value" if ok else f"got {value}, want {expect}"
-
-
-def _chk_signed_wex_sum(n: int) -> tuple[bool, str]:
-    """Signed (wex, cr) sum: 0 for even n, (-1)^((n+1)/2) E_n(q) for odd n."""
-    value = pm.q_eulerian_poly(n).substitute_y(-1)
-    sign = Poly.monomial((-1) ** ((n + 1) // 2))
-    return _zero_or_euler(value, n % 2 == 0, sign, n, "q-tangent")
-
-
-def _chk_closed_form_even_vanishing(n: int) -> tuple[bool, str]:
-    """The closed form of the full distribution vanishes at y = -1, even n."""
-    value = cf.q_eulerian_closed(n).substitute_y(-1)
-    return value.is_zero, "vanishes" if value.is_zero else f"got {value}"
-
-
-def _chk_reduced_path_sum(n: int) -> tuple[bool, str]:
-    """Trimmed lifted-path weights at y = -1 give (-1)^((n-1)/2) E_n(q)."""
-    total = poly_sum(reduced.weight() for _, _, _, reduced in bj.lifted_histories(n))
-    sign = Poly.monomial((-1) ** ((n - 1) // 2))
-    return _zero_or_euler(total.substitute_y(-1), n % 2 == 0, sign, n, "q-tangent")
-
-
-def _chk_signed_derangement_sum(n: int) -> tuple[bool, str]:
-    """Signed derangement sum: (-1/q)^(n/2) E_n(q) for even n, 0 for odd n."""
-    value = pm.q_derangement_poly(n).substitute_y(-1, -1)
-    half = n // 2
-    return _zero_or_euler(value, n % 2 == 1, Poly.monomial((-1) ** half, 0, -half), n, "q-secant")
-
-
-def _chk_g_identity(n: int) -> tuple[bool, str]:
-    for k in range(0, 2 * n + 2):
-        if cf.alternating_binom_convolution(n, k) != cf.alternating_binom_convolution_closed(n, k):
-            return False, f"mismatch at k={k}"
-    return True, f"all k <= {2 * n + 1}"
-
-
-def _chk_williams_numbers(n: int) -> tuple[bool, str]:
-    poly = tb.tableau_poly(n)
-    for k in range(n + 1):
-        if cf.q_eulerian_number_closed(k, n) != poly.coefficient_of_y(k):
-            return False, f"coefficient mismatch at k={k}"
-    return True, f"all k <= {n}"
-
-
 def _chk_transpose(n: int) -> tuple[bool, str]:
     for t in tb.enumerate_derangement_tableaux(n):
         tt = t.transpose()
@@ -138,14 +89,6 @@ def _chk_transpose(n: int) -> tuple[bool, str]:
     if n % 2 and not tb.signed_derangement_tableau_sum(n).is_zero:
         return False, "odd-size signed sum did not vanish"
     return True, "closure, involution, and parity pairing hold"
-
-
-def _chk_large_history_count(n: int) -> tuple[bool, str]:
-    import math
-
-    got = pa.large_laguerre_sum(n).evaluate(1, 1)
-    ok = got == math.factorial(n)
-    return ok, f"count {got}" if ok else f"count {got} != {n}!"
 
 
 def _chk_cf_coefficients(n_max: int) -> tuple[bool, str]:
@@ -223,8 +166,6 @@ def _chk_word_oracle() -> tuple[bool, str]:
 
 
 def _chk_bijection_size(n: int) -> tuple[bool, str]:
-    import math
-
     seen = set()
     for p in pm.all_permutations(n):
         image = bj.francon_viennot(p)  # validates weight property internally
@@ -276,14 +217,6 @@ def _chk_penaud(n: int) -> tuple[bool, str]:
     return True, "injective onto the full product set, weights preserved"
 
 
-def _chk_left_factors(n: int) -> tuple[bool, str]:
-    for k in range(n + 2):
-        counted = sum(1 for _ in pa.enumerate_dyck_shapes(2 * n, 2 * k))
-        if counted != cf.ballot(2 * n, k):
-            return False, f"ballot mismatch at height {2 * k}"
-    return True, "ballot numbers count left factors"
-
-
 def _chk_parity_free(n: int) -> tuple[bool, str]:
     value = cf.parity_free_euler_closed(n)  # raises if odd s-powers survive
     if value != cf.q_euler_closed(n):
@@ -305,15 +238,35 @@ def _binomial_transform(n: int, f: Callable[[int], Poly], sign: int) -> Poly:
 
 # -- agreements: checks that compare independent routes at one index -----------
 # A route calls the library through its module when it runs (pa.f(n), never a
-# stored pa.f), so that a name rebound after import is the one it calls.
+# stored pa.f), so that a name rebound after import is the one it calls.  A
+# route with an inner index k returns one tuple entry per k.
 
 
 class Agreement(NamedTuple):
-    """Named routes to one quantity, evaluated in order; all must equal the first."""
+    """Named routes to one quantity, evaluated in order; all must equal the first.
+
+    A detail is a string, or a function of the index and the route values.
+    """
 
     routes: tuple[tuple[str, Callable[[int], object]], ...]
-    agree: str  # the detail of a pass
-    disagree: str  # the detail of a failure
+    agree: str | Callable[..., str]  # the detail of a pass
+    disagree: str | Callable[..., str]  # the detail of a failure
+
+
+def _signed_row(route: tuple[str, Callable[[int], Poly]], vanishing: int,
+                factor: Callable[[int], Poly], what: str) -> Agreement:
+    """A signed sum against its closed value: zero when n % 2 == vanishing, else
+    factor(n) * E_n(q), where what names E_n as the q-tangent or q-secant value."""
+    closed = ("closed", lambda n: ZERO if n % 2 == vanishing else factor(n) * cf.q_euler_closed(n))
+    return Agreement((route, closed),
+                     lambda n, *_: "vanishes" if n % 2 == vanishing else f"matches {what} value",
+                     lambda n, value, expect: (
+                         f"got {value}" if n % 2 == vanishing else f"got {value}, want {expect}"))
+
+
+def _first_difference(a: tuple, b: tuple) -> int:
+    """The first k at which the tuples differ, or the shorter length."""
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
 AGREEMENTS: dict[str, Agreement] = {
@@ -321,12 +274,37 @@ AGREEMENTS: dict[str, Agreement] = {
         ("wex_cr", lambda n: pm.wex_cr_multiset(n)),
         ("asc_312", lambda n: pm.asc_312_multiset(n)),
     ), "multisets equal", "multisets differ"),
+    # Euler's refinement A_n(-1, q): 0 for even n, (-1)^((n+1)/2) E_n(q) for odd n
+    "signed_wex_sum": _signed_row(
+        ("census", lambda n: pm.q_eulerian_poly(n).substitute_y(-1)),
+        0, lambda n: Poly.monomial((-1) ** ((n + 1) // 2)), "q-tangent"),
+    # the trimmed lifted-path weights at y = -1 give (-1)^((n-1)/2) E_n(q) for odd n
+    "reduced_path_sum": _signed_row(
+        ("lifted_paths", lambda n: poly_sum(
+            reduced.weight() for _, _, _, reduced in bj.lifted_histories(n)).substitute_y(-1)),
+        0, lambda n: Poly.monomial((-1) ** ((n - 1) // 2)), "q-tangent"),
+    "closed_form_even_vanishing": Agreement((
+        ("closed", lambda n: cf.q_eulerian_closed(n).substitute_y(-1)),
+        ("zero", lambda n: ZERO),
+    ), "vanishes", lambda n, value, zero: f"got {value}"),
+    # Roselle's refinement B_n(-1/q, q): (-1/q)^(n/2) E_n(q) for even n, 0 for odd n
+    "signed_derangement_sum": _signed_row(
+        ("census", lambda n: pm.q_derangement_poly(n).substitute_y(-1, -1)),
+        1, lambda n: Poly.monomial((-1) ** (n // 2), 0, -(n // 2)), "q-secant"),
     # A_n = sum_k C(n,k) y^(n-k) B_k and B_n = sum_k C(n,k) (-y)^(n-k) A_k
     "inversion": Agreement((
         ("census", lambda n: (pm.q_eulerian_poly(n), pm.q_derangement_poly(n))),
         ("inversion", lambda n: (_binomial_transform(n, pm.q_derangement_poly, 1),
                                  _binomial_transform(n, pm.q_eulerian_poly, -1))),
     ), "both inversion formulas hold", "inversion failed"),
+    # sum_j (-1)^j C(2n+1, j) C(2n+1, j+k) for each k <= 2n+1
+    "g_identity": Agreement((
+        ("direct", lambda n: tuple(cf.alternating_binom_convolution(n, k)
+                                   for k in range(2 * n + 2))),
+        ("closed", lambda n: tuple(cf.alternating_binom_convolution_closed(n, k)
+                                   for k in range(2 * n + 2))),
+    ), lambda n, *_: f"all k <= {2 * n + 1}",
+        lambda n, *values: f"mismatch at k={_first_difference(*values)}"),
     "tangent_routes": Agreement((
         ("closed", lambda n: cf.q_tangent_closed(n)),
         ("dyck", lambda n: pa.euler_dyck_sum(n, 1)),
@@ -358,6 +336,12 @@ AGREEMENTS: dict[str, Agreement] = {
         ("tableaux", lambda n: tb.derangement_tableau_poly(n).substitute_y(-1, -1)),
         ("census", lambda n: pm.q_derangement_poly(n).substitute_y(-1, -1)),
     ), "signed sum consistent", "signed sum mismatch"),
+    # the q-Eulerian numbers: the coefficient of y^k in A_n, for each k <= n
+    "williams_numbers": Agreement((
+        ("closed", lambda n: tuple(cf.q_eulerian_number_closed(k, n) for k in range(n + 1))),
+        ("tableaux", lambda n: tuple(map(tb.tableau_poly(n).coefficient_of_y, range(n + 1)))),
+    ), lambda n, *_: f"all k <= {n}",
+        lambda n, *values: f"coefficient mismatch at k={_first_difference(*values)}"),
     "laguerre_transfer": Agreement((
         ("transfer", lambda n: pa.laguerre_sum(n)),
         ("census", lambda n: pm.q_eulerian_poly(n)),
@@ -368,6 +352,11 @@ AGREEMENTS: dict[str, Agreement] = {
         ("census", lambda n: pm.q_derangement_poly(n)),
         ("closed", lambda n: cf.q_derangement_closed(n)),
     ), "matches brute force", "mismatch"),
+    # large Laguerre histories of size n at y = q = 1 count S_n
+    "large_history_count": Agreement((
+        ("transfer", lambda n: pa.large_laguerre_sum(n).evaluate(1, 1)),
+        ("factorial", lambda n: math.factorial(n)),
+    ), lambda n, count, _: f"count {count}", lambda n, count, _: f"count {count} != {n}!"),
     "ansatz_hat": Agreement((
         ("ansatz", lambda n: az.weighted_involution_ansatz(n)),
         ("double_sum", lambda n: cf.weighted_involution_sum(n)),
@@ -388,6 +377,13 @@ AGREEMENTS: dict[str, Agreement] = {
         ("t_fraction", lambda k: (pa.cf_series(pa.secant_core_cf_spec(), k)[k],
                                   pa.cf_series(pa.tangent_core_cf_spec(), k)[k])),
     ), "closed = paths = Schroeder = T-fraction", "routes disagree"),
+    # Dyck left factors of 2n steps ending at height 2k, for each k <= n+1
+    "left_factors": Agreement((
+        ("shapes", lambda n: tuple(sum(1 for _ in pa.enumerate_dyck_shapes(2 * n, 2 * k))
+                                   for k in range(n + 2))),
+        ("ballot", lambda n: tuple(cf.ballot(2 * n, k) for k in range(n + 2))),
+    ), "ballot numbers count left factors",
+        lambda n, *values: f"ballot mismatch at height {2 * _first_difference(*values)}"),
     "rearrangement": Agreement((
         ("rearranged", lambda n: cf.tangent_via_core_rearrangement(n)),
         ("closed", lambda n: cf.q_tangent_closed(n)),
@@ -396,9 +392,10 @@ AGREEMENTS: dict[str, Agreement] = {
 
 
 def _agree(agreement: Agreement, index: int) -> tuple[bool, str]:
-    first, *rest = [route(index) for _, route in agreement.routes]
-    ok = all(value == first for value in rest)
-    return ok, agreement.agree if ok else agreement.disagree
+    values = [route(index) for _, route in agreement.routes]
+    ok = all(value == values[0] for value in values[1:])
+    detail = agreement.agree if ok else agreement.disagree
+    return ok, detail if isinstance(detail, str) else detail(index, *values)
 
 
 # -- the plan (qeuler.plan) made into checks, budgets and limit notes -----------

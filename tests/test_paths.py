@@ -377,6 +377,21 @@ def test_path_from_steps_rejects(family, records, message):
         path_from_steps(family, records)
 
 
+@pytest.mark.parametrize("engine", [
+    pytest.param(lambda family, length: list(enumerate_family(family, length)),
+                 id="enumerate_family"),
+    pytest.param(family_sum_by_enumeration, id="family_sum_by_enumeration"),
+    pytest.param(lambda family, length: family_sums(family, length, False), id="family_sums"),
+])
+@pytest.mark.parametrize("family, length, message", [
+    ("laguerre", -1, "length must be nonnegative"),
+    ("motzkin", 2, "unknown path family 'motzkin'"),
+])
+def test_enumeration_and_transfer_share_one_error_contract(engine, family, length, message):
+    with pytest.raises(ValueError, match=message):
+        engine(family, length)
+
+
 def test_open_family_may_end_above_zero():
     left = path_from_steps("left_factor", [UNIT_UP_R, UNIT_UP_R, UNIT_DOWN_R])
     assert left.shape() == "UUD" and left.heights() == [0, 1, 2]

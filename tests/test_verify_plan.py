@@ -1,11 +1,15 @@
 """The declarative suite plan: the checks it builds and the limits it states."""
 
 import hashlib
+import inspect
 import json
+import types
 
 import pytest
 
 import qeuler.verify as verify
+from qeuler import ansatz, bijections, closedforms, paths, permutations, tableaux
+from qeuler.poly import Poly
 from qeuler.verify import (
     AGREEMENTS,
     PLAN,
@@ -80,6 +84,39 @@ def _first_check_from_two(name):
     return next(c for c in checks if min(c.kwargs.values()) >= 2)
 
 
+def _perturbed(value):
+    """The value changed but of its kind: a tuple with entry 1 changed, a Poly or an int
+    plus one; a value of any other kind becomes a bare object."""
+    if isinstance(value, tuple):
+        return (value[0], _perturbed(value[1]), *value[2:])
+    if isinstance(value, (Poly, int)):
+        return value + 1
+    return object()
+
+
+# The fail detail of each route of the rows whose details are functions, with that
+# route perturbed at the index _first_check_from_two picks: n=2 for all of them.
+# Each is the detail that the row's former _chk_ function gave for the same values.
+FAIL_DETAILS = {
+    ("signed_wex_sum", "census"): "got 1",
+    ("signed_wex_sum", "closed"): "got 0",
+    ("reduced_path_sum", "lifted_paths"): "got 1",
+    ("reduced_path_sum", "closed"): "got 0",
+    ("closed_form_even_vanishing", "closed"): "got 1",
+    ("closed_form_even_vanishing", "zero"): "got 0",
+    ("signed_derangement_sum", "census"): "got -q^-1 + 1, want -q^-1",
+    ("signed_derangement_sum", "closed"): "got -q^-1, want -q^-1 + 1",
+    ("g_identity", "direct"): "mismatch at k=1",
+    ("g_identity", "closed"): "mismatch at k=1",
+    ("williams_numbers", "closed"): "coefficient mismatch at k=1",
+    ("williams_numbers", "tableaux"): "coefficient mismatch at k=1",
+    ("large_history_count", "transfer"): "count 3 != 2!",
+    ("large_history_count", "factorial"): "count 2 != 2!",
+    ("left_factors", "shapes"): "ballot mismatch at height 2",
+    ("left_factors", "ballot"): "ballot mismatch at height 2",
+}
+
+
 @pytest.mark.parametrize("name, position", [
     pytest.param(name, i, id=f"{name}-{route}")
     for name, agreement in AGREEMENTS.items() for i, (route, _) in enumerate(agreement.routes)
@@ -90,10 +127,90 @@ def test_every_route_can_fail_its_check(name, position, monkeypatch):
     check = _first_check_from_two(name)
     assert run_check(check).status == "PASS", check.check_id
     routes = list(agreement.routes)
-    routes[position] = (routes[position][0], lambda index: object())
+    route, fn = routes[position]
+    routes[position] = (route, lambda index: _perturbed(fn(index)))
     monkeypatch.setitem(AGREEMENTS, name, agreement._replace(routes=tuple(routes)))
     result = run_check(check)
-    assert (result.status, result.detail) == ("FAIL", agreement.disagree), check.check_id
+    want = agreement.disagree
+    if not isinstance(want, str):
+        want = FAIL_DETAILS[name, route]
+    assert (result.status, result.detail) == ("FAIL", want), check.check_id
+
+
+@pytest.mark.parametrize("name, n, detail", [
+    ("signed_wex_sum", 2, "vanishes"),
+    ("signed_wex_sum", 3, "matches q-tangent value"),
+    ("reduced_path_sum", 2, "vanishes"),
+    ("reduced_path_sum", 3, "matches q-tangent value"),
+    ("closed_form_even_vanishing", 2, "vanishes"),
+    ("signed_derangement_sum", 3, "vanishes"),
+    ("signed_derangement_sum", 2, "matches q-secant value"),
+])
+def test_signed_rows_pass_with_the_detail_of_their_parity(name, n, detail):
+    assert verify._agree(AGREEMENTS[name], n) == (True, detail)
+
+
+def _code_names(code: types.CodeType) -> set[str]:
+    """The global and attribute names that a code object and the code nested in it read."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _code_names(const)
+    return names
+
+
+def _names_the_checks_read() -> set[str]:
+    """The names read by every route, every _chk_ function and the verify helpers they call."""
+    todo = [fn for agreement in AGREEMENTS.values() for _, fn in agreement.routes]
+    todo += [fn for name, fn in vars(verify).items() if name.startswith("_chk_")]
+    seen, names = set(), set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        found = _code_names(fn.__code__)
+        names |= found
+        for name in found:
+            helper = inspect.unwrap(getattr(verify, name, None))
+            if inspect.isfunction(helper) and helper.__module__ == verify.__name__:
+                todo.append(helper)
+    return names
+
+
+# Public library functions that no route or _chk_ function names, with the reason.
+NOT_ROUTES = {
+    "qeuler.closedforms.tangent_core_piece": "a term of q_tangent_closed and tangent_core_closed",
+    "qeuler.paths.path_from_steps": "the path constructor under every enumerated or lifted path",
+    "qeuler.paths.family_sum": "the last entry of family_sums; every named transfer sum is one",
+    "qeuler.permutations.parse_permutation": "reads the argument of qeuler bijection",
+    "qeuler.permutations.crossings": "one permutation's statistic; the census's test oracle",
+    "qeuler.permutations.weak_exceedances": "one permutation's statistic; the census's test oracle",
+    "qeuler.permutations.ascents": "asserted on every image by francon_viennot",
+    "qeuler.permutations.pattern_31_2": "asserted on every image by francon_viennot",
+    "qeuler.permutations.fixed_points": "a per-permutation statistic of stat_vector",
+    "qeuler.permutations.stat_vector": "the statistics line of qeuler bijection",
+    "qeuler.permutations.fpf_involutions": "the involutions that involution_crossing_poly sums",
+    "qeuler.tableaux.shapes_of_half_perimeter": "the shapes that enumerate_tableaux fills",
+    "qeuler.tableaux.fillings": "the fillings that enumerate_tableaux yields",
+    "qeuler.tableaux.enumerate_tableaux": "the enumeration under tableau_poly",
+    "qeuler.ansatz.left_mul_e": "a rewrite step of normal_power",
+    "qeuler.ansatz.left_mul_d": "a rewrite step of normal_power and nf_mul",
+    "qeuler.bijections.lift_append_one": "the lift that qeuler bijection prints",
+}
+
+
+def test_every_public_library_function_is_a_route_or_listed():
+    names = _names_the_checks_read()
+    unrouted = {
+        f"{module.__name__}.{name}"
+        for module in (closedforms, paths, permutations, tableaux, ansatz, bijections)
+        for name, obj in vars(module).items()
+        if not name.startswith("_") and name not in names
+        and inspect.isfunction(fn := inspect.unwrap(obj)) and fn.__module__ == module.__name__
+    }
+    assert sorted(unrouted - set(NOT_ROUTES)) == [], "public functions no check reaches"
+    assert sorted(set(NOT_ROUTES) - unrouted) == [], "listed, but a check reaches them"
 
 
 @pytest.mark.parametrize(
