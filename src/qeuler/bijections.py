@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+from .errors import check_size
 from .paths import UNIT_DOWN, WeightedPath, path_from_steps
-from .permutations import ascents, pattern_31_2
+from .permutations import DEFAULT_BOUND, ascents, pattern_31_2
 
 # The lifted image opens with an up step of weight y.
 _Y_UP = (1, 1, 1, 0)
@@ -79,7 +80,8 @@ def lifted_histories(
     up step of weight y and closes with a down step of weight 1; removing both
     and shifting the origin down by one leaves a large Laguerre history of size
     n.  Both images are validated, and the full weight is asserted to be
-    y^asc q^(31-2).  Iterating raises ValueError when n < 1.
+    y^asc q^(31-2).  Iterating raises ValueError when n < 1 and
+    BudgetExceededError when n > DEFAULT_BOUND, the census's bound.
 
     One depth-first walk places the lift's values 2..n+1 position by position,
     then the 1.  A value's record is fixed once its successor is placed, from
@@ -93,6 +95,7 @@ def lifted_histories(
     """
     if n < 1:
         raise ValueError("the encoding needs a nonempty permutation")
+    check_size(n, DEFAULT_BOUND)
     top = n + 1  # the lift's largest value
     width = top.bit_length()  # a cover counts at most n descents, so never carries
     field = (1 << width) - 1

@@ -418,51 +418,38 @@ def tangent_core_cf_spec() -> CFSpec:
 # -- explicit enumeration (independent oracle, exponential) ---------------------
 
 
-def enumerate_dyck_shapes(length: int, final_height: int = 0) -> Iterator[str]:
-    """All U/D strings of the given length staying >= 0, ending at final_height."""
-    def rec(prefix: list[str], h: int, rem: int) -> Iterator[str]:
-        if abs(h - final_height) > rem:
-            return
-        if rem == 0:
-            yield "".join(prefix)
-            return
-        prefix.append("U")
-        yield from rec(prefix, h + 1, rem - 1)
-        prefix.pop()
-        if h >= 1:
-            prefix.append("D")
-            yield from rec(prefix, h - 1, rem - 1)
-            prefix.pop()
-    yield from rec([], 0, length)
-
-
 @cache
-def _moves(family: str, h: int, rem: int) -> tuple[tuple[Record, int, int], ...]:
+def _moves(family: str, h: int, rem: int, end: int = 0) -> tuple[tuple[Record, int, int], ...]:
     """(record, next height, units left) for every step of the family from
-    height h after which a closed path can still end within rem units."""
+    height h after which a path can still end at height end within rem units."""
     flat_len = FAMILIES[family].flat_length
     out = []
     for delta in (1, -1, 0):
         ln = flat_len if delta == 0 else 1
         nh = h + delta
-        if ln <= rem and 0 <= nh <= rem - ln:
+        if ln <= rem and nh >= 0 and abs(nh - end) <= rem - ln:
             out += [(r, nh, rem - ln) for r in _records(family, delta, h)]
     return tuple(out)
 
 
-def enumerate_family(family: str, length: int, restricted: bool = False) -> Iterator[WeightedPath]:
-    """Materialize every weighted path of a closed family, length in units.
+def enumerate_family(family: str, length: int, end: int = 0, *,
+                     restricted: bool = False) -> Iterator[WeightedPath]:
+    """Materialize every weighted path of a family that ends at height end,
+    length in units; a closed family's paths end at 0.
 
     With restricted=True, paths containing an up-down pair of consecutive
     steps both weighted 1 are skipped (the core-family condition).  The walk
     is depth first with one iterator of moves per step of the prefix.
+    restricted is keyword-only and callers pass end by position: the benchmark
+    tracer's hook on this function takes only (family, length, restricted).
     """
-    _family(family, length)
-    if length == 0:
+    if _family(family, length).closed and end != 0:
+        raise ValueError(f"no path of {family} ends at height {end}")
+    if length == 0 and end == 0:
         yield path_from_steps(family, ())
         return
     prefix: list[Record] = []
-    stack = [iter(_moves(family, 0, length))]
+    stack = [iter(_moves(family, 0, length, end))]
     while stack:
         for r, nh, rem in stack[-1]:
             if restricted and r == UNIT_DOWN and prefix and prefix[-1] == UNIT_UP:
@@ -471,7 +458,7 @@ def enumerate_family(family: str, length: int, restricted: bool = False) -> Iter
                 yield path_from_steps(family, (*prefix, r))
                 continue
             prefix.append(r)
-            stack.append(iter(_moves(family, nh, rem)))
+            stack.append(iter(_moves(family, nh, rem, end)))
             break
         else:
             stack.pop()
@@ -480,7 +467,7 @@ def enumerate_family(family: str, length: int, restricted: bool = False) -> Iter
 
 
 def family_sum_by_enumeration(family: str, length: int, restricted: bool = False) -> Poly:
-    return poly_sum(p.weight() for p in enumerate_family(family, length, restricted))
+    return poly_sum(p.weight() for p in enumerate_family(family, length, restricted=restricted))
 
 
 # -- the secant/tangent path decomposition --------------------------------------

@@ -122,6 +122,7 @@ def is_alternating(p: Sequence[int]) -> bool:
 
 
 def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
+    check_size(n, DEFAULT_BOUND)
     return _itperms(range(1, n + 1))
 
 
@@ -166,6 +167,7 @@ def _census(n: int, alternating: bool = False) -> Counter:
     * 31-2: field v of `fields` counts the earlier descents (hi, lo) with
       lo < v < hi; a descent adds a run of ones to the fields lo+1..hi-1.
     """
+    check_size(n, DEFAULT_BOUND)
     counts: Counter = Counter()
     if n < 2:
         counts[n, 0, n, 0, n == 0] += 1  # the empty permutation, or 1 (a fixed point)
@@ -252,29 +254,24 @@ def _alt_312_counts(n: int) -> Counter:
 
 def q_eulerian_poly(n: int) -> Poly:
     """Distribution of (wex, cr) over all permutations of size n."""
-    check_size(n, DEFAULT_BOUND)
     return Poly(_wex_cr_counts(n)[0])
 
 
 def q_derangement_poly(n: int) -> Poly:
     """Distribution of (wex, cr) over derangements of size n."""
-    check_size(n, DEFAULT_BOUND)
     return Poly(_wex_cr_counts(n)[1])
 
 
 def wex_cr_multiset(n: int, derangements_only: bool = False) -> Counter:
-    check_size(n, DEFAULT_BOUND)
     return _wex_cr_counts(n)[1 if derangements_only else 0]
 
 
 def asc_312_multiset(n: int, derangements_only: bool = False) -> Counter:
-    check_size(n, DEFAULT_BOUND)
     return _asc_312_counts(n)[1 if derangements_only else 0]
 
 
 def alternating_31_2_poly(n: int) -> Poly:
     """Distribution of 31-2 over alternating permutations (a q-polynomial)."""
-    check_size(n, DEFAULT_BOUND)
     return Poly({(0, e): mult for e, mult in _alt_312_counts(n).items()})
 
 

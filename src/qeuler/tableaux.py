@@ -196,30 +196,26 @@ def _tableau_polys(n: int) -> tuple[Poly, Poly, Poly]:
     pt: list[tuple[tuple[int, int], int]] = []
     dt: list[tuple[tuple[int, int], int]] = []
     signed: list[tuple[tuple[int, int], int]] = []
-    for shape in shapes_of_half_perimeter(n):
-        for t in fillings(shape):
-            pt.append(((t.r, t.so), 1))
-            if t.is_derangement_tableau():
-                dt.append(((t.r, t.so), 1))
-                signed.append(((0, t.o - n), (-1) ** t.r))
+    for t in enumerate_tableaux(n):
+        pt.append(((t.r, t.so), 1))
+        if t.is_derangement_tableau():
+            dt.append(((t.r, t.so), 1))
+            signed.append(((0, t.o - n), (-1) ** t.r))
     return Poly(pt), Poly(dt), Poly(signed)
 
 
 def tableau_poly(n: int) -> Poly:
     """sum of y^rows q^superfluous over all tableaux of half-perimeter n."""
-    check_size(n, TABLEAU_BOUND)
     return _tableau_polys(n)[0]
 
 
 def derangement_tableau_poly(n: int) -> Poly:
     """The same sum restricted to derangement tableaux."""
-    check_size(n, TABLEAU_BOUND)
     return _tableau_polys(n)[1]
 
 
 def signed_derangement_tableau_sum(n: int) -> Poly:
     """sum of (-1)^rows q^(ones - n) over derangement tableaux (Laurent)."""
-    check_size(n, TABLEAU_BOUND)
     return _tableau_polys(n)[2]
 
 

@@ -6,12 +6,12 @@ are plain named tuples of picklable fields, so the runner may execute them
 in worker processes.  One table, PLAN in qeuler.plan,
 declares every suite's default bound and its index loops, with the caps and
 floors that override the bound; the report states those that bind.  Another,
-AGREEMENTS, names the routes of each check that only compares routes at one
-index, the signed identities against their closed value among them; a route
-with an inner index k returns one tuple entry per k, and a detail may be a
-function of the index and the route values.  A check that branches, counts or
-asserts on each object is a _chk_ function.  Report ordering follows
-declaration order (suite, then row, then index), never completion order.
+AGREEMENTS, names the routes of every check that only compares routes at one
+index; a route returns a tuple with one entry per inner index k, order or path
+family when it has them, and a detail may be a function of the index and the
+route values.  Only a check that branches, counts or asserts on each object is
+a _chk_ function.  Report ordering follows declaration order (suite, then row,
+then index), never completion order.
 """
 
 from __future__ import annotations
@@ -89,48 +89,6 @@ def _chk_transpose(n: int) -> tuple[bool, str]:
     if n % 2 and not tb.signed_derangement_tableau_sum(n).is_zero:
         return False, "odd-size signed sum did not vanish"
     return True, "closure, involution, and parity pairing hold"
-
-
-def _chk_cf_coefficients(n_max: int) -> tuple[bool, str]:
-    tangent = pa.cf_series(pa.tangent_cf_spec(), n_max)
-    secant = pa.cf_series(pa.secant_cf_spec(), n_max)
-    deeper_t = pa.cf_series(pa.tangent_cf_spec(), n_max, depth=n_max + 2)
-    deeper_s = pa.cf_series(pa.secant_cf_spec(), n_max, depth=n_max + 2)
-    if tangent != deeper_t or secant != deeper_s:
-        return False, "truncation depth is not stable"
-    # One transfer per parity holds every shorter closed sum: E_{2n+1} and E_{2n}
-    # are the Dyck sums of length 2n.
-    tangent_paths = pa.family_sums("euler_dyck_1", 2 * n_max, False)
-    secant_paths = pa.family_sums("euler_dyck_0", 2 * n_max, False)
-    for n in range(n_max + 1):
-        if tangent[n] != tangent_paths[2 * n] or secant[n] != secant_paths[2 * n]:
-            return False, f"coefficient mismatch at n={n}"
-    return True, f"all coefficients to order {n_max}, depth-stable"
-
-
-def _chk_path_enumeration_oracle(n: int) -> tuple[bool, str]:
-    pairs = [
-        ("euler_dyck_1", 2 * n, pa.euler_dyck_sum(n, 1)),
-        ("euler_dyck_0", 2 * n, pa.euler_dyck_sum(n, 0)),
-        ("laguerre", n, pa.laguerre_sum(n)),
-        ("derangement_motzkin", n, pa.derangement_motzkin_sum(n)),
-        ("touchard_dyck", 2 * n, pa.touchard_dyck_sum(n)),
-    ]
-    for family, length, expect in pairs:
-        if pa.family_sum_by_enumeration(family, length) != expect:
-            return False, f"{family} enumeration disagrees with transfer"
-    return True, "explicit enumeration matches transfer sums"
-
-
-def _chk_ansatz_distribution(n: int) -> tuple[bool, str]:
-    if n <= pm.DEFAULT_BOUND - 1:
-        ref_a, ref_b = pm.q_eulerian_poly(n), pm.q_derangement_poly(n)
-        source = "brute force"
-    else:
-        ref_a, ref_b = cf.q_eulerian_closed(n), cf.q_derangement_closed(n)
-        source = "closed forms"
-    ok = az.q_eulerian_ansatz(n) == ref_a and az.q_derangement_ansatz(n) == ref_b
-    return ok, f"matches {source}" if ok else f"disagrees with {source}"
 
 
 # Random words per relation in the confluence check, and their greatest length.
@@ -217,18 +175,6 @@ def _chk_penaud(n: int) -> tuple[bool, str]:
     return True, "injective onto the full product set, weights preserved"
 
 
-def _chk_parity_free(n: int) -> tuple[bool, str]:
-    value = cf.parity_free_euler_closed(n)  # raises if odd s-powers survive
-    if value != cf.q_euler_closed(n):
-        return False, "formula value differs from E_n"
-    if n >= 1:
-        if n % 2 == 0 and not cf.parity_free_wex_sum(n).is_zero:
-            return False, "even-size intermediate sum did not vanish"
-        if n % 2 == 1 and not cf.parity_free_derangement_sum(n).is_zero:
-            return False, "odd-size intermediate sum did not vanish"
-    return True, "equals E_n; intermediate sum vanishes; s-powers cancel"
-
-
 def _binomial_transform(n: int, f: Callable[[int], Poly], sign: int) -> Poly:
     """sum_k C(n,k) (sign y)^(n-k) f(k) over k <= n; sign -1 inverts the transform with sign 1."""
     return poly_sum(
@@ -267,6 +213,16 @@ def _signed_row(route: tuple[str, Callable[[int], Poly]], vanishing: int,
 def _first_difference(a: tuple, b: tuple) -> int:
     """The first k at which the tuples differ, or the shorter length."""
     return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+# The families that path_enumeration_oracle enumerates, each with its length in units at n.
+_ORACLE_FAMILIES = (("euler_dyck_1", 2), ("euler_dyck_0", 2), ("laguerre", 1),
+                    ("derangement_motzkin", 1), ("touchard_dyck", 2))
+
+
+def _reference_source(n: int) -> str:
+    """Where ansatz_distribution reads A_n and B_n: the census within its budget."""
+    return "brute force" if n <= pm.DEFAULT_BOUND - 1 else "closed forms"
 
 
 AGREEMENTS: dict[str, Agreement] = {
@@ -352,11 +308,38 @@ AGREEMENTS: dict[str, Agreement] = {
         ("census", lambda n: pm.q_derangement_poly(n)),
         ("closed", lambda n: cf.q_derangement_closed(n)),
     ), "matches brute force", "mismatch"),
+    # (tangent, secant) to order n; E_{2k+1} and E_{2k} are the Dyck sums of length 2k
+    "cf_coefficients": Agreement((
+        ("fraction", lambda n: tuple(zip(pa.cf_series(pa.tangent_cf_spec(), n),
+                                         pa.cf_series(pa.secant_cf_spec(), n)))),
+        ("deeper", lambda n: tuple(zip(pa.cf_series(pa.tangent_cf_spec(), n, depth=n + 2),
+                                       pa.cf_series(pa.secant_cf_spec(), n, depth=n + 2)))),
+        ("paths", lambda n: tuple(zip(pa.family_sums("euler_dyck_1", 2 * n, False)[::2],
+                                      pa.family_sums("euler_dyck_0", 2 * n, False)[::2]))),
+    ), lambda n, *_: f"all coefficients to order {n}, depth-stable",
+        lambda n, fraction, deeper, paths: "truncation depth is not stable" if fraction != deeper
+        else f"coefficient mismatch at n={_first_difference(fraction, paths)}"),
+    "path_enumeration_oracle": Agreement((
+        ("transfer", lambda n: (pa.euler_dyck_sum(n, 1), pa.euler_dyck_sum(n, 0),
+                                pa.laguerre_sum(n), pa.derangement_motzkin_sum(n),
+                                pa.touchard_dyck_sum(n))),
+        ("enumeration", lambda n: tuple(pa.family_sum_by_enumeration(family, scale * n)
+                                        for family, scale in _ORACLE_FAMILIES)),
+    ), "explicit enumeration matches transfer sums",
+        lambda n, *values: (f"{_ORACLE_FAMILIES[_first_difference(*values)][0]} "
+                            "enumeration disagrees with transfer")),
     # large Laguerre histories of size n at y = q = 1 count S_n
     "large_history_count": Agreement((
         ("transfer", lambda n: pa.large_laguerre_sum(n).evaluate(1, 1)),
         ("factorial", lambda n: math.factorial(n)),
     ), lambda n, count, _: f"count {count}", lambda n, count, _: f"count {count} != {n}!"),
+    "ansatz_distribution": Agreement((
+        ("reference", lambda n: (pm.q_eulerian_poly(n), pm.q_derangement_poly(n))
+            if _reference_source(n) == "brute force"
+            else (cf.q_eulerian_closed(n), cf.q_derangement_closed(n))),
+        ("ansatz", lambda n: (az.q_eulerian_ansatz(n), az.q_derangement_ansatz(n))),
+    ), lambda n, *_: f"matches {_reference_source(n)}",
+        lambda n, *_: f"disagrees with {_reference_source(n)}"),
     "ansatz_hat": Agreement((
         ("ansatz", lambda n: az.weighted_involution_ansatz(n)),
         ("double_sum", lambda n: cf.weighted_involution_sum(n)),
@@ -379,7 +362,7 @@ AGREEMENTS: dict[str, Agreement] = {
     ), "closed = paths = Schroeder = T-fraction", "routes disagree"),
     # Dyck left factors of 2n steps ending at height 2k, for each k <= n+1
     "left_factors": Agreement((
-        ("shapes", lambda n: tuple(sum(1 for _ in pa.enumerate_dyck_shapes(2 * n, 2 * k))
+        ("shapes", lambda n: tuple(sum(1 for _ in pa.enumerate_family("left_factor", 2 * n, 2 * k))
                                    for k in range(n + 2))),
         ("ballot", lambda n: tuple(cf.ballot(2 * n, k) for k in range(n + 2))),
     ), "ballot numbers count left factors",
@@ -388,6 +371,16 @@ AGREEMENTS: dict[str, Agreement] = {
         ("rearranged", lambda n: cf.tangent_via_core_rearrangement(n)),
         ("closed", lambda n: cf.q_tangent_closed(n)),
     ), "binomial rearrangement holds", "mismatch"),
+    # (E_n, the intermediate sum that vanishes); the formula raises if odd s-powers survive
+    "parity_free": Agreement((
+        ("parity_free", lambda n: (
+            cf.parity_free_euler_closed(n),
+            ZERO if n == 0 else cf.parity_free_derangement_sum(n) if n % 2
+            else cf.parity_free_wex_sum(n))),
+        ("closed", lambda n: (cf.q_euler_closed(n), ZERO)),
+    ), "equals E_n; intermediate sum vanishes; s-powers cancel",
+        lambda n, value, closed: "formula value differs from E_n" if value[0] != closed[0]
+        else f"{'odd' if n % 2 else 'even'}-size intermediate sum did not vanish"),
 }
 
 

@@ -15,6 +15,7 @@ from qeuler.bijections import (
     path_saturated_step_free,
     returns_to_zero_early,
 )
+from qeuler.errors import BudgetExceededError
 from qeuler.paths import WeightedPath, euler_dyck_sum, laguerre_sum
 from qeuler.permutations import all_permutations, ascents, is_alternating, pattern_31_2
 from qeuler.poly import Poly, poly_sum
@@ -205,6 +206,19 @@ def test_walk_matches_the_per_permutation_encoding():
 def test_walk_rejects_an_empty_size(n):
     with pytest.raises(ValueError, match="nonempty permutation"):
         next(lifted_histories(n))
+
+
+def test_walk_refuses_above_the_census_bound():
+    with pytest.raises(BudgetExceededError, match="n=11 exceeds bound 10"):
+        next(lifted_histories(11))
+
+
+@pytest.mark.parametrize("suite, func", [("th1", "reduced_path_sum"),
+                                         ("bijection", "bijection_size")])
+def test_checks_that_walk_s_n_are_refused_above_the_census_bound(suite, func):
+    result = run_check(Check(suite, f"{func}/n=11", func, {"n": 11}))
+    assert result.status == "REFUSED"
+    assert result.detail == "BudgetExceededError: n=11 exceeds bound 10"
 
 
 @pytest.mark.parametrize("kind", list(bijections._KINDS))

@@ -16,7 +16,6 @@ from qeuler.paths import (
     WeightedPath,
     cf_series,
     derangement_motzkin_sum,
-    enumerate_dyck_shapes,
     enumerate_family,
     euler_dyck_sum,
     family_sum,
@@ -194,7 +193,10 @@ def test_ballot_numbers_count_left_factors():
     assert ballot(2, 0) == 1 and ballot(4, 1) == 3 and ballot(4, 3) == 0 and ballot(3, 1) == 1
     for m in range(13):
         for k in range(m // 2 + 2):
-            assert ballot(m, k) == sum(1 for _ in enumerate_dyck_shapes(m, m % 2 + 2 * k)), (m, k)
+            end = m % 2 + 2 * k
+            left = list(enumerate_family("left_factor", m, end))
+            assert ballot(m, k) == len(left), (m, k)
+            assert all(sum(r[0] for r in path.records) == end for path in left), (m, k)
     for m, k in ((-1, 0), (-2, 0), (4, -1), (3, -2)):
         with pytest.raises(ValueError):
             ballot(m, k)
@@ -236,7 +238,8 @@ def test_one_pass_holds_every_shorter_closed_sum(family, restricted):
 @pytest.mark.parametrize("family", ["euler_dyck_0", "euler_dyck_1"])
 def test_cf_coefficients_compares_every_order_of_the_one_pass(family, monkeypatch):
     n_max = 6
-    assert verify._chk_cf_coefficients(n_max)[0]
+    row = verify.AGREEMENTS["cf_coefficients"]
+    assert verify._agree(row, n_max)[0]
     one_pass = pa.family_sums
     for n in range(n_max + 1):
         def perturbed(fam, length, restricted, n=n):
@@ -246,7 +249,7 @@ def test_cf_coefficients_compares_every_order_of_the_one_pass(family, monkeypatc
             return sums
 
         monkeypatch.setattr(pa, "family_sums", perturbed)
-        assert verify._chk_cf_coefficients(n_max) == (False, f"coefficient mismatch at n={n}")
+        assert verify._agree(row, n_max) == (False, f"coefficient mismatch at n={n}")
 
 
 @pytest.mark.parametrize("build", [
@@ -297,7 +300,7 @@ def test_path_weight_is_product_of_step_monomials():
             continue
         for length in range(7):  # length 0 yields the empty path
             for restricted in (False, True) if family.endswith("_core") else (False,):
-                for path in enumerate_family(family, length, restricted):
+                for path in enumerate_family(family, length, restricted=restricted):
                     product = ONE
                     for _, *w in path.records:
                         product = product * Poly.monomial(*w)
@@ -390,6 +393,14 @@ def test_path_from_steps_rejects(family, records, message):
 def test_enumeration_and_transfer_share_one_error_contract(engine, family, length, message):
     with pytest.raises(ValueError, match=message):
         engine(family, length)
+
+
+def test_enumeration_ends_only_where_the_family_can():
+    assert [p.records for p in enumerate_family("left_factor", 0)] == [()]
+    assert list(enumerate_family("left_factor", 0, 2)) == []
+    for family, end in (("euler_dyck_0", 2), ("laguerre", -1)):
+        with pytest.raises(ValueError, match=f"no path of {family} ends at height {end}"):
+            list(enumerate_family(family, 4, end))
 
 
 def test_open_family_may_end_above_zero():

@@ -168,6 +168,8 @@ def test_budget_refusal():
         q_eulerian_poly(11)
     with pytest.raises(BudgetExceededError):
         alternating_31_2_poly(DEFAULT_BOUND + 1)
+    with pytest.raises(BudgetExceededError):
+        all_permutations(DEFAULT_BOUND + 1)
 
 
 @pytest.mark.parametrize("n", [-1, -2])
@@ -180,6 +182,7 @@ def test_budget_refusal():
         asc_312_multiset,
         alternating_31_2_poly,
         involution_crossing_poly,
+        all_permutations,
     ],
 )
 def test_negative_size_is_rejected(fn, n):
