@@ -16,14 +16,28 @@ walk does the work of a prefix once for all the permutations that extend it.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator, Sequence
 
 from .errors import check_size
-from .paths import UNIT_DOWN, WeightedPath, path_from_steps
+from .paths import UNIT_DOWN, Record, WeightedPath, path_from_steps
 from .permutations import DEFAULT_BOUND, ascents, pattern_31_2
 
 # The lifted image opens with an up step of weight y.
 _Y_UP = (1, 1, 1, 0)
+
+
+@cache
+def _encoder_records(n: int) -> tuple[tuple[Record, ...], ...]:
+    """The records of the encoding at size n, indexed by 2 * (successor larger)
+    + (predecessor larger), then by the cover: a peak falls, a double descent
+    and a double ascent stay flat, a valley rises; y marks an ascent position.
+
+    Every image of size n takes its records from here, so equal records are
+    one object and a set of images keeps each record once.
+    """
+    return tuple(tuple((delta, 1, ypow, c) for c in range(n + 1))
+                 for delta, ypow in ((-1, 0), (0, 0), (0, 1), (1, 1)))
 
 
 def francon_viennot(p: Sequence[int]) -> WeightedPath:
@@ -35,15 +49,13 @@ def francon_viennot(p: Sequence[int]) -> WeightedPath:
     n = len(t)
     if n < 1:
         raise ValueError("the encoding needs a nonempty permutation")
+    table = _encoder_records(n)
     # cover[v]: descents (hi, lo) at earlier adjacent positions with hi > v > lo
     cover = [0] * (n + 2)
     records = [None] * n
     before = 0
     for k, after in zip(t, (*t[1:], n + 1)):
-        if k < after:  # an ascent position: a valley rises, a double ascent stays flat
-            records[k - 1] = (1 if before > k else 0, 1, 1, cover[k])
-        else:  # a double descent stays flat, a peak falls
-            records[k - 1] = (0 if before > k else -1, 1, 0, cover[k])
+        records[k - 1] = table[2 * (k < after) + (before > k)][cover[k]]
         for v in range(k + 1, before):  # the descent (before, k) counts from the next position on
             cover[v] += 1
         before = k

@@ -13,6 +13,7 @@ Enumerations refuse a negative size (ValueError) and one above TABLEAU_BOUND
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, NamedTuple
@@ -193,14 +194,16 @@ def enumerate_derangement_tableaux(n: int) -> Iterator[Tableau]:
 
 @lru_cache(maxsize=None)
 def _tableau_polys(n: int) -> tuple[Poly, Poly, Poly]:
-    pt: list[tuple[tuple[int, int], int]] = []
-    dt: list[tuple[tuple[int, int], int]] = []
-    signed: list[tuple[tuple[int, int], int]] = []
+    """The three sums, counted by exponent pair as the tableaux are enumerated."""
+    pt: Counter[tuple[int, int]] = Counter()
+    dt: Counter[tuple[int, int]] = Counter()
+    signed: Counter[tuple[int, int]] = Counter()
     for t in enumerate_tableaux(n):
-        pt.append(((t.r, t.so), 1))
+        key = (t.r, t.so)
+        pt[key] += 1
         if t.is_derangement_tableau():
-            dt.append(((t.r, t.so), 1))
-            signed.append(((0, t.o - n), (-1) ** t.r))
+            dt[key] += 1
+            signed[0, t.o - n] += (-1) ** t.r
     return Poly(pt), Poly(dt), Poly(signed)
 
 

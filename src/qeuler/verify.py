@@ -156,12 +156,14 @@ def _restricted_core_count(family: str, length: int) -> int:
 def _chk_penaud(n: int) -> tuple[bool, str]:
     for family in ("secant_core", "tangent_core"):
         pairs = set()
+        parts = {}  # each distinct left factor and core, kept once for every key
         count = 0
         for path in pa.enumerate_family(family, 2 * n):
             h1, h2 = pa.penaud_decompose(path)
             if path.exponents() != h2.exponents():
                 return False, f"weight not preserved for {path.dump()!r}"
-            key = (h1.records, h2.records)
+            key = (parts.setdefault(h1.records, h1.records),
+                   parts.setdefault(h2.records, h2.records))
             if key in pairs:
                 return False, f"decomposition collision in {family}"
             pairs.add(key)

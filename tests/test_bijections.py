@@ -60,6 +60,15 @@ def test_injectivity_and_cardinality():
         assert len(images) == math.factorial(n) == laguerre_sum(n).evaluate(1, 1)
 
 
+def test_images_share_their_equal_records():
+    """Equal step records of two images are one object, so a set of images keeps each once."""
+    first = {}
+    for p in all_permutations(6):
+        for r in francon_viennot(p).records:
+            assert first.setdefault(r, r) is r, p
+    assert francon_viennot(FIG).records[0] is francon_viennot((2, 1, 3, 4, 5, 6, 7)).records[0]
+
+
 def test_lift():
     assert lift_append_one((2, 1)) == (3, 2, 1)
     assert lift_append_one((1, 2)) == (2, 3, 1)
@@ -219,6 +228,23 @@ def test_checks_that_walk_s_n_are_refused_above_the_census_bound(suite, func):
     result = run_check(Check(suite, f"{func}/n=11", func, {"n": 11}))
     assert result.status == "REFUSED"
     assert result.detail == "BudgetExceededError: n=11 exceeds bound 10"
+
+
+def test_encoder_does_not_read_the_walk_s_kinds(monkeypatch):
+    """The encoder's cached records are its own: flipping every y mark of _KINDS
+    changes no image, before, during or after the patch."""
+    perms = list(all_permutations(5))
+
+    def images():
+        return [francon_viennot(p).dump() for p in perms]
+
+    before = images()
+    kinds = {kind: (delta, 1 - ypow) for kind, (delta, ypow) in bijections._KINDS.items()}
+    monkeypatch.setattr(bijections, "_KINDS", kinds)
+    bijections._encoder_records.cache_clear()  # a table built under the patch would show
+    during = images()
+    monkeypatch.undo()
+    assert before == during == images()
 
 
 @pytest.mark.parametrize("kind", list(bijections._KINDS))

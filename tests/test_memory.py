@@ -1,0 +1,41 @@
+"""Peak memory of the exhaustive checks that keep one key per object.
+
+bijection_size keeps the record tuple of every image of S_n, penaud keeps the
+(left factor, core) pair of every signed Dyck path, and the tableau sums read
+every tableau once.  Their keys share their parts, so the peaks stay well below
+a fresh copy per object.  Each check runs under tracemalloc with every cache of
+the library cleared first, so the peak counts what the check itself builds.
+"""
+
+import tracemalloc
+
+import pytest
+
+from qeuler import ansatz, bijections, closedforms, paths, permutations, tableaux, verify
+from qeuler.verify import Check, run_check
+
+_MODULES = (ansatz, bijections, closedforms, paths, permutations, tableaux, verify)
+
+
+def _clear_caches():
+    for module in _MODULES:
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+@pytest.mark.parametrize("suite, check_id, func, kwargs, ceiling_mb", [
+    ("bijection", "bijection_size/n=7", "bijection_size", {"n": 7}, 2.0),
+    ("tableaux", "tableau_distributions/n=7", "tableau_distributions", {"n": 7}, 1.0),
+    ("section5", "penaud/2n=8", "penaud", {"n": 4}, 0.8),
+])
+def test_exhaustive_check_peak_memory(suite, check_id, func, kwargs, ceiling_mb):
+    _clear_caches()
+    tracemalloc.start()
+    try:
+        result = run_check(Check(suite, check_id, func, kwargs))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status == "PASS", result.detail
+    assert peak / 2**20 < ceiling_mb, f"{check_id} peaked at {peak / 2**20:.2f} MB"

@@ -8,7 +8,7 @@ import pytest
 
 from qeuler.errors import BudgetExceededError, InvalidTransposeError
 from qeuler.permutations import q_derangement_poly, q_eulerian_poly
-from qeuler.poly import ONE, Poly, Q, Y
+from qeuler.poly import ONE, ZERO, Poly, Q, Y
 from qeuler.tableaux import (
     Shape,
     Tableau,
@@ -89,6 +89,18 @@ def test_signed_sums():
     assert signed_derangement_tableau_sum(2) == Poly.monomial(-1, 0, -1)
     for n in range(7):
         assert signed_derangement_tableau_sum(n) == derangement_tableau_poly(n).substitute_y(-1, -1)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_counted_sums_equal_the_per_tableau_sums(n):
+    """The sums counted by exponent pair equal one monomial per tableau, added one by one."""
+    everything = list(enumerate_tableaux(n))
+    deranged = [t for t in everything if t.is_derangement_tableau()]
+    assert tableau_poly(n) == sum((Poly.monomial(1, t.r, t.so) for t in everything), ZERO)
+    assert derangement_tableau_poly(n) == sum(
+        (Poly.monomial(1, t.r, t.so) for t in deranged), ZERO)
+    assert signed_derangement_tableau_sum(n) == sum(
+        (Poly.monomial((-1) ** t.r, 0, t.o - n) for t in deranged), ZERO)
 
 
 def test_enumerator_against_direct_validity_oracle():
