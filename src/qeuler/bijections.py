@@ -96,19 +96,23 @@ def lifted_histories(
     BudgetExceededError when n > DEFAULT_BOUND, the census's bound.
 
     One depth-first walk places the lift's values 2..n+1 position by position,
-    then the 1.  A value's record is fixed once its successor is placed, from
-    a per-kind table indexed by its cover: the earlier descents (hi, lo) with
+    then the 1.  It runs in this one generator frame with an explicit stack,
+    an iterator of the values still to try at each depth; the last value of t
+    and the 1 after it are forced, so the last depth places both without one.
+    A value's record is fixed once its successor is placed, from a per-kind
+    table indexed by its cover: the earlier descents (hi, lo) with
     hi > value > lo, one field of `fields` per value, a descent adding a run
     of ones.  The statistics come from their own rules: an ascent is a value
     placed above its predecessor, and a descent (hi, lo) adds the values
     between lo and hi not placed yet, since they all follow it.  Those of t
-    are read at depth n and asserted equal to the lift's, counted after the 1
-    is placed by the same rule.
+    are read once t is placed and asserted equal to the lift's, counted after
+    the 1 is placed by the same rule.
     """
     if n < 1:
         raise ValueError("the encoding needs a nonempty permutation")
     check_size(n, DEFAULT_BOUND)
     top = n + 1  # the lift's largest value
+    last = n - 1  # t's last value is forced there, and so is the lift's 1 after it
     width = top.bit_length()  # a cover counts at most n descents, so never carries
     field = (1 << width) - 1
     # bit[k]: value k >= 2 in a mask of placed values; the 1, placed last, needs none
@@ -122,45 +126,60 @@ def lifted_histories(
     # indexed by whether the predecessor is larger, then by the cover
     falls = (table[False, False], table[True, False])
     rises = (table[False, True], table[True, True])
-    rec = [None] * top  # rec[k - 1]: the record of the lift's value k
-    t = [0] * top  # t[j]: the value of t at position j; t[n] = 0 stands for the 1
-
-    def place(j, m, prev, prev_fell, prev_cover, fields, asc, p312, stats):
-        if j > n:  # the boundary n + 2 follows the 1
-            rec[0] = rises[prev_fell][prev_cover]
-            p = tuple(t[:n])
-            if (asc + 1, p312) != stats:
-                raise AssertionError(f"lift changed the statistics of {p}")
-            records = tuple(rec)
-            full = path_from_steps("laguerre", records)
-            if full.exponents() != (1, *stats):
-                raise AssertionError(f"weight property failed for the lift of {p}")
-            if records[0] != _Y_UP:
-                raise AssertionError("lifted image must open with an up step of weight y")
-            if records[-1] != UNIT_DOWN:
-                raise AssertionError("lifted image must close with a down step of weight 1")
-            yield p, stats, full, path_from_steps("large_laguerre", records[1:-1])
-            return
-        if j == n:  # t is placed; its position n is an ascent, the lift's is not
-            stats = (asc + 1, p312)
-            values = (1,)
+    # rec[k - 1]: the record of the lift's value k; rec[-1] takes the boundary 0's, never read
+    rec = [None] * (top + 1)
+    t = [0] * n  # t[j]: the value of t at position j
+    # frames[j]: (placed mask, predecessor, whether it fell, its cover, fields, ascents, 31-2)
+    # before depth j places a value.  The boundary 0 is the predecessor at depth 0: it
+    # rises to every value, which is no ascent, so the count starts at -1.
+    frames = [(0, 0, False, 0, 0, -1, 0)] + [None] * last
+    its = [iter(free_of[0])] + [None] * last  # its[j]: the values depth j < last has left
+    j = 0
+    while j >= 0:
+        m, prev, prev_fell, prev_cover, fields, asc, p312 = frames[j]
+        if j < last:
+            k = next(its[j], 0)
+            if not k:  # depth j has placed all its values
+                j -= 1
+                continue
         else:
-            values = free_of[m]
-        for k in values:
-            t[j] = k - 1
-            mk = m | bit[k]
-            cover = fields >> (k * width) & field
-            if prev < k:
-                rec[prev - 1] = rises[prev_fell][prev_cover]
-                yield from place(j + 1, mk, k, False, cover, fields, asc + 1, p312, stats)
-            else:
-                rec[prev - 1] = falls[prev_fell][prev_cover]
-                yield from place(j + 1, mk, k, True, cover, fields + runs[prev][k], asc,
-                                 p312 + (spans[prev][k] & ~mk).bit_count(), stats)
-
-    for k in range(2, top + 1):  # the boundary 0 before position 0 is no ascent
-        t[0] = k - 1
-        yield from place(1, bit[k], k, False, 0, 0, 0, 0, None)
+            k = free_of[m][0]
+        t[j] = k - 1
+        m |= bit[k]
+        cover = fields >> (k * width) & field
+        if prev < k:
+            rec[prev - 1] = rises[prev_fell][prev_cover]
+            asc += 1
+            prev_fell = False
+        else:
+            rec[prev - 1] = falls[prev_fell][prev_cover]
+            fields += runs[prev][k]
+            p312 += (spans[prev][k] & ~m).bit_count()
+            prev_fell = True
+        if j < last:
+            j += 1
+            frames[j] = (m, k, prev_fell, cover, fields, asc, p312)
+            if j < last:
+                its[j] = iter(free_of[m])
+            continue
+        # t is placed; its position n is an ascent, the lift's is not
+        stats = (asc + 1, p312)
+        # the 1 falls from k; the boundary n + 2 follows it
+        rec[k - 1] = falls[prev_fell][cover]
+        rec[0] = rises[True][fields >> width & field]
+        p = tuple(t)
+        if (asc + 1, p312 + (spans[k][1] & ~m).bit_count()) != stats:
+            raise AssertionError(f"lift changed the statistics of {p}")
+        records = tuple(rec[:top])
+        full = path_from_steps("laguerre", records)
+        if full.exponents() != (1, *stats):
+            raise AssertionError(f"weight property failed for the lift of {p}")
+        if records[0] != _Y_UP:
+            raise AssertionError("lifted image must open with an up step of weight y")
+        if records[-1] != UNIT_DOWN:
+            raise AssertionError("lifted image must close with a down step of weight 1")
+        yield p, stats, full, path_from_steps("large_laguerre", records[1:-1])
+        j -= 1
 
 
 def path_saturated_step_free(path: WeightedPath) -> bool:

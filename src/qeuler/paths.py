@@ -132,16 +132,6 @@ def _records(family: str, delta: int, h: int) -> tuple[Record, ...]:
     return tuple((delta, *w) for w in {1: fam.up, -1: fam.down, 0: fam.flat}[delta](h))
 
 
-@cache
-def _allowed(family: str, steps: int) -> tuple[frozenset[Record], ...]:
-    """Indexed by h: every record a step of the family may be from height h,
-    for the heights h < steps that a path of that many steps can start a step at."""
-    return tuple(
-        frozenset(r for delta in (1, -1, 0) for r in _records(family, delta, h))
-        for h in range(steps)
-    )
-
-
 class WeightedPath(NamedTuple):
     """A path as one tuple of step records; start heights are derived.
 
@@ -195,6 +185,22 @@ def _family(family: str, length: int) -> Family:
     return fam
 
 
+@cache
+def _rules(family: str, length: int) -> tuple[bool, tuple[frozenset[Record], ...]]:
+    """(closed, allowed) for the paths of the family with length steps: whether
+    they must return to 0, and, indexed by h, every record a step may be from
+    height h, for the heights h < length that such a path can start a step at.
+
+    An unknown name or a negative length raises ValueError, which the cache
+    does not keep.
+    """
+    closed = _family(family, length).closed
+    return closed, tuple(
+        frozenset(r for delta in (1, -1, 0) for r in _records(family, delta, h))
+        for h in range(length)
+    )
+
+
 def path_from_steps(family: str, records: Iterable[Record]) -> WeightedPath:
     """Build a path of the family from (delta, sign, ypow, qpow) records.
 
@@ -203,8 +209,7 @@ def path_from_steps(family: str, records: Iterable[Record]) -> WeightedPath:
     returns to 0; any violation raises ValueError.
     """
     records = tuple(records)
-    fam = _family(family, len(records))
-    allowed = _allowed(family, len(records))
+    closed, allowed = _rules(family, len(records))
     h = 0
     for r in records:
         if r not in allowed[h]:
@@ -212,9 +217,9 @@ def path_from_steps(family: str, records: Iterable[Record]) -> WeightedPath:
         h += r[0]
         if h < 0:
             raise ValueError("path dips below height 0")
-    if h != 0 and fam.closed:
+    if h != 0 and closed:
         raise ValueError(f"closed family path ends at height {h}")
-    return WeightedPath(records, family)
+    return tuple.__new__(WeightedPath, (records, family))  # checked: skip the named tuple's __new__
 
 
 # -- the transfer sum -----------------------------------------------------------

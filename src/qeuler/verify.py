@@ -125,11 +125,15 @@ def _chk_word_oracle() -> tuple[bool, str]:
 
 def _chk_bijection_size(n: int) -> tuple[bool, str]:
     seen = set()
+    base = n + 1
     for p in pm.all_permutations(n):
         image = bj.francon_viennot(p)  # validates weight property internally
-        if image.records in seen:
+        # One byte per record: a validated Laguerre record has sign 1, ypow <= 1 and
+        # qpow <= n, so (delta, ypow, qpow) as digits is injective and below 6 * base.
+        key = bytes(((delta + 1) * 2 + ypow) * base + qpow for delta, _, ypow, qpow in image.records)
+        if key in seen:
             return False, f"image collision at {p}"
-        seen.add(image.records)
+        seen.add(key)
         if bj.path_saturated_step_free(image) != (p[-1] == 1):
             return False, f"path criterion mismatch at {p}"
         if p[-1] == 1 and n > 1 and bj.returns_to_zero_early(image):

@@ -211,6 +211,20 @@ def test_walk_matches_the_per_permutation_encoding():
             assert stats == (ascents(t), pattern_31_2(t)), t
 
 
+def test_interleaved_walks_share_no_state():
+    """Two walks advanced alternately, one 37 leaves ahead, yield what two walks in turn yield."""
+    first, second = lifted_histories(6), lifted_histories(6)
+    got_first = [next(first) for _ in range(37)]
+    got_second = []
+    for a, b in zip(first, second):
+        got_first.append(a)
+        got_second.append(b)
+    got_second += second
+    want = list(lifted_histories(6))
+    assert len(want) == math.factorial(6)
+    assert got_first == want and got_second == want
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_walk_rejects_an_empty_size(n):
     with pytest.raises(ValueError, match="nonempty permutation"):

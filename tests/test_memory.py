@@ -1,9 +1,9 @@
 """Peak memory of the exhaustive checks that keep one key per object.
 
-bijection_size keeps the record tuple of every image of S_n, penaud keeps the
-(left factor, core) pair of every signed Dyck path, and the tableau sums read
-every tableau once.  Their keys share their parts, so the peaks stay well below
-a fresh copy per object.  Each check runs under tracemalloc with every cache of
+bijection_size keeps one byte per record of every image of S_n, penaud keeps
+the (left factor, core) pair of every signed Dyck path, and the tableau sums
+read every tableau once.  The keys are compact or share their parts, so the
+peaks stay well below a fresh copy per object.  Each check runs under tracemalloc with every cache of
 the library cleared first, so the peak counts what the check itself builds.
 """
 

@@ -380,6 +380,25 @@ def test_path_from_steps_rejects(family, records, message):
         path_from_steps(family, records)
 
 
+def test_path_from_steps_builds_exactly_a_weighted_path():
+    """The checked constructor skips the named tuple's __new__ but returns the same value."""
+    for family, fam in FAMILIES.items():
+        for length in range(7):
+            for end in range(length + 1) if not fam.closed else (0,):
+                for path in enumerate_family(family, length, end):
+                    built = path_from_steps(family, path.records)
+                    plain = WeightedPath(path.records, family)
+                    assert type(built) is WeightedPath, family
+                    assert built == plain and hash(built) == hash(plain), built.dump()
+
+
+def test_unknown_family_raises_on_every_call():
+    """The rule cache keeps no failed lookup."""
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown path family 'motzkin'"):
+            path_from_steps("motzkin", [UNIT_UP_R, UNIT_DOWN_R])
+
+
 @pytest.mark.parametrize("engine", [
     pytest.param(lambda family, length: list(enumerate_family(family, length)),
                  id="enumerate_family"),
