@@ -7,10 +7,10 @@ each command reads, so that a tracer can rebind them.
 
 Exit codes: 0 on success, 1 when a verification suite reports an identity
 failure, 2 on usage errors or budget violations, including a check that a
-budget refused (reported as REFUSED), 70 on an internal error (an unexpected
-exception, whose traceback goes to stderr), and 141 when the reader closes
-stdout before the output ends (the status a shell gives a tool ended by
-SIGPIPE).
+budget refused (reported as REFUSED), even beside a failure, 70 on an
+internal error (an unexpected exception, whose traceback goes to stderr), and
+141 when the reader closes stdout before the output ends (the status a shell
+gives a tool ended by SIGPIPE).
 Data output is byte deterministic; timing lines are segregated behind a
 comment marker.
 """
@@ -97,7 +97,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_reports(reports))
-    statuses = {r.status for r in reports}
+    statuses = {c.status for r in reports for c in r.checks}
     if "REFUSED" in statuses:
         return 2
     return 1 if "FAIL" in statuses else 0

@@ -8,10 +8,10 @@ declares every suite's default bound and its index loops, with the caps and
 floors that override the bound; the report states those that bind.  Another,
 AGREEMENTS, names the routes of every check that only compares routes at one
 index; a route returns a tuple with one entry per inner index k, order or path
-family when it has them, and a detail may be a function of the index and the
-route values.  Only a check that branches, counts or asserts on each object is
-a _chk_ function.  Report ordering follows declaration order (suite, then row,
-then index), never completion order.
+family when it has them.  A failure names the routes that differ (_agree).
+Only a check that branches, counts or asserts on each object is a _chk_
+function.  Report ordering follows declaration order (suite, then row, then
+index), never completion order.
 """
 
 from __future__ import annotations
@@ -197,12 +197,12 @@ def _binomial_transform(n: int, f: Callable[[int], Poly], sign: int) -> Poly:
 class Agreement(NamedTuple):
     """Named routes to one quantity, evaluated in order; all must equal the first.
 
-    A detail is a string, or a function of the index and the route values.
+    The detail of a pass is a string, or a function of the index and the route
+    values; the detail of a failure names the routes that differ (_agree).
     """
 
     routes: tuple[tuple[str, Callable[[int], object]], ...]
-    agree: str | Callable[..., str]  # the detail of a pass
-    disagree: str | Callable[..., str]  # the detail of a failure
+    agree: str | Callable[..., str]
 
 
 def _signed_row(route: tuple[str, Callable[[int], Poly]], vanishing: int,
@@ -211,14 +211,7 @@ def _signed_row(route: tuple[str, Callable[[int], Poly]], vanishing: int,
     factor(n) * E_n(q), where what names E_n as the q-tangent or q-secant value."""
     closed = ("closed", lambda n: ZERO if n % 2 == vanishing else factor(n) * cf.q_euler_closed(n))
     return Agreement((route, closed),
-                     lambda n, *_: "vanishes" if n % 2 == vanishing else f"matches {what} value",
-                     lambda n, value, expect: (
-                         f"got {value}" if n % 2 == vanishing else f"got {value}, want {expect}"))
-
-
-def _first_difference(a: tuple, b: tuple) -> int:
-    """The first k at which the tuples differ, or the shorter length."""
-    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+                     lambda n, *_: "vanishes" if n % 2 == vanishing else f"matches {what} value")
 
 
 # The families that path_enumeration_oracle enumerates, each with its length in units at n.
@@ -235,7 +228,7 @@ AGREEMENTS: dict[str, Agreement] = {
     "equidistribution": Agreement((
         ("wex_cr", lambda n: pm.wex_cr_multiset(n)),
         ("asc_312", lambda n: pm.asc_312_multiset(n)),
-    ), "multisets equal", "multisets differ"),
+    ), "multisets equal"),
     # Euler's refinement A_n(-1, q): 0 for even n, (-1)^((n+1)/2) E_n(q) for odd n
     "signed_wex_sum": _signed_row(
         ("census", lambda n: pm.q_eulerian_poly(n).substitute_y(-1)),
@@ -248,7 +241,7 @@ AGREEMENTS: dict[str, Agreement] = {
     "closed_form_even_vanishing": Agreement((
         ("closed", lambda n: cf.q_eulerian_closed(n).substitute_y(-1)),
         ("zero", lambda n: ZERO),
-    ), "vanishes", lambda n, value, zero: f"got {value}"),
+    ), "vanishes"),
     # Roselle's refinement B_n(-1/q, q): (-1/q)^(n/2) E_n(q) for even n, 0 for odd n
     "signed_derangement_sum": _signed_row(
         ("census", lambda n: pm.q_derangement_poly(n).substitute_y(-1, -1)),
@@ -258,62 +251,60 @@ AGREEMENTS: dict[str, Agreement] = {
         ("census", lambda n: (pm.q_eulerian_poly(n), pm.q_derangement_poly(n))),
         ("inversion", lambda n: (_binomial_transform(n, pm.q_derangement_poly, 1),
                                  _binomial_transform(n, pm.q_eulerian_poly, -1))),
-    ), "both inversion formulas hold", "inversion failed"),
+    ), "both inversion formulas hold"),
     # sum_j (-1)^j C(2n+1, j) C(2n+1, j+k) for each k <= 2n+1
     "g_identity": Agreement((
         ("direct", lambda n: tuple(cf.alternating_binom_convolution(n, k)
                                    for k in range(2 * n + 2))),
         ("closed", lambda n: tuple(cf.alternating_binom_convolution_closed(n, k)
                                    for k in range(2 * n + 2))),
-    ), lambda n, *_: f"all k <= {2 * n + 1}",
-        lambda n, *values: f"mismatch at k={_first_difference(*values)}"),
+    ), lambda n, *_: f"all k <= {2 * n + 1}"),
     "tangent_routes": Agreement((
         ("closed", lambda n: cf.q_tangent_closed(n)),
         ("dyck", lambda n: pa.euler_dyck_sum(n, 1)),
         ("alternating", lambda n: pm.alternating_31_2_poly(2 * n + 1)),
-    ), "closed = dyck = alternating", "routes disagree"),
+    ), "closed = dyck = alternating"),
     "secant_routes": Agreement((
         ("closed", lambda n: cf.q_secant_closed(n)),
         ("dyck", lambda n: pa.euler_dyck_sum(n, 0)),
         ("alternating", lambda n: pm.alternating_31_2_poly(2 * n)),
-    ), "closed = dyck = alternating", "routes disagree"),
+    ), "closed = dyck = alternating"),
     "touchard": Agreement((
         ("closed", lambda n: cf.touchard_riordan(n)),
         ("involutions", lambda n: pm.involution_crossing_poly(2 * n)),
         ("paths", lambda n: pa.touchard_dyck_sum(n)),
-    ), "closed = involutions = path family", "routes disagree"),
+    ), "closed = involutions = path family"),
     # E_2n (1-q)^2n = (-q)^n <W|(-Dh+Eh)^2n|V>, by the double sum and by the operators
     "involution_relation": Agreement((
         ("closed", lambda n: cf.q_secant_closed(n) * (ONE - Q) ** (2 * n)
                              * Poly.monomial((-1) ** n, 0, -n)),
         ("double_sum", lambda n: cf.weighted_involution_sum(2 * n)),
         ("ansatz", lambda n: az.weighted_involution_ansatz(2 * n)),
-    ), "relation holds", "relation failed"),
+    ), "relation holds"),
     "tableau_distributions": Agreement((
         ("tableaux", lambda n: (tb.tableau_poly(n), tb.derangement_tableau_poly(n))),
         ("census", lambda n: (pm.q_eulerian_poly(n), pm.q_derangement_poly(n))),
-    ), "tableau sums match permutation sums", "distribution mismatch"),
+    ), "tableau sums match permutation sums"),
     "signed_tableau_sum": Agreement((
         ("signed", lambda n: tb.signed_derangement_tableau_sum(n)),
         ("tableaux", lambda n: tb.derangement_tableau_poly(n).substitute_y(-1, -1)),
         ("census", lambda n: pm.q_derangement_poly(n).substitute_y(-1, -1)),
-    ), "signed sum consistent", "signed sum mismatch"),
+    ), "signed sum consistent"),
     # the q-Eulerian numbers: the coefficient of y^k in A_n, for each k <= n
     "williams_numbers": Agreement((
         ("closed", lambda n: tuple(cf.q_eulerian_number_closed(k, n) for k in range(n + 1))),
         ("tableaux", lambda n: tuple(map(tb.tableau_poly(n).coefficient_of_y, range(n + 1)))),
-    ), lambda n, *_: f"all k <= {n}",
-        lambda n, *values: f"coefficient mismatch at k={_first_difference(*values)}"),
+    ), lambda n, *_: f"all k <= {n}"),
     "laguerre_transfer": Agreement((
         ("transfer", lambda n: pa.laguerre_sum(n)),
         ("census", lambda n: pm.q_eulerian_poly(n)),
         ("closed", lambda n: cf.q_eulerian_closed(n)),
-    ), "matches brute force", "mismatch"),
+    ), "matches brute force"),
     "motzkin_transfer": Agreement((
         ("transfer", lambda n: pa.derangement_motzkin_sum(n)),
         ("census", lambda n: pm.q_derangement_poly(n)),
         ("closed", lambda n: cf.q_derangement_closed(n)),
-    ), "matches brute force", "mismatch"),
+    ), "matches brute force"),
     # (tangent, secant) to order n; E_{2k+1} and E_{2k} are the Dyck sums of length 2k
     "cf_coefficients": Agreement((
         ("fraction", lambda n: tuple(zip(pa.cf_series(pa.tangent_cf_spec(), n),
@@ -322,41 +313,36 @@ AGREEMENTS: dict[str, Agreement] = {
                                        pa.cf_series(pa.secant_cf_spec(), n, depth=n + 2)))),
         ("paths", lambda n: tuple(zip(pa.family_sums("euler_dyck_1", 2 * n, False)[::2],
                                       pa.family_sums("euler_dyck_0", 2 * n, False)[::2]))),
-    ), lambda n, *_: f"all coefficients to order {n}, depth-stable",
-        lambda n, fraction, deeper, paths: "truncation depth is not stable" if fraction != deeper
-        else f"coefficient mismatch at n={_first_difference(fraction, paths)}"),
+    ), lambda n, *_: f"all coefficients to order {n}, depth-stable"),
     "path_enumeration_oracle": Agreement((
         ("transfer", lambda n: (pa.euler_dyck_sum(n, 1), pa.euler_dyck_sum(n, 0),
                                 pa.laguerre_sum(n), pa.derangement_motzkin_sum(n),
                                 pa.touchard_dyck_sum(n))),
         ("enumeration", lambda n: tuple(pa.family_sum_by_enumeration(family, scale * n)
                                         for family, scale in _ORACLE_FAMILIES)),
-    ), "explicit enumeration matches transfer sums",
-        lambda n, *values: (f"{_ORACLE_FAMILIES[_first_difference(*values)][0]} "
-                            "enumeration disagrees with transfer")),
+    ), "explicit enumeration matches transfer sums"),
     # large Laguerre histories of size n at y = q = 1 count S_n
     "large_history_count": Agreement((
         ("transfer", lambda n: pa.large_laguerre_sum(n).evaluate(1, 1)),
         ("factorial", lambda n: math.factorial(n)),
-    ), lambda n, count, _: f"count {count}", lambda n, count, _: f"count {count} != {n}!"),
+    ), lambda n, count, _: f"count {count}"),
     "ansatz_distribution": Agreement((
         ("reference", lambda n: (pm.q_eulerian_poly(n), pm.q_derangement_poly(n))
             if _reference_source(n) == "brute force"
             else (cf.q_eulerian_closed(n), cf.q_derangement_closed(n))),
         ("ansatz", lambda n: (az.q_eulerian_ansatz(n), az.q_derangement_ansatz(n))),
-    ), lambda n, *_: f"matches {_reference_source(n)}",
-        lambda n, *_: f"disagrees with {_reference_source(n)}"),
+    ), lambda n, *_: f"matches {_reference_source(n)}"),
     "ansatz_hat": Agreement((
         ("ansatz", lambda n: az.weighted_involution_ansatz(n)),
         ("double_sum", lambda n: cf.weighted_involution_sum(n)),
-    ), "matches double sum", "mismatch"),
+    ), "matches double sum"),
     # the derangement ansatz by (y(D'-I) + E')^n under the primed relation, by inversion
     "ansatz_shift": Agreement((
         ("shift", lambda n: az.boundary_eval(
             az.PRIMED, az.normal_power(az.PRIMED, n, Y, ONE, -Y))),
         ("inversion", lambda n: _binomial_transform(n, az.q_eulerian_ansatz, -1)),
         ("ansatz", lambda n: az.q_derangement_ansatz(n)),
-    ), "operator shift and inversion agree", "mismatch"),
+    ), "operator shift and inversion agree"),
     # (secant core, tangent core)
     "core_sums": Agreement((
         ("closed", lambda k: (cf.secant_core_closed(k), cf.tangent_core_closed(k))),
@@ -365,18 +351,17 @@ AGREEMENTS: dict[str, Agreement] = {
                                 pa.schroder_signed_sum(k, "tangent"))),
         ("t_fraction", lambda k: (pa.cf_series(pa.secant_core_cf_spec(), k)[k],
                                   pa.cf_series(pa.tangent_core_cf_spec(), k)[k])),
-    ), "closed = paths = Schroeder = T-fraction", "routes disagree"),
+    ), "closed = paths = Schroeder = T-fraction"),
     # Dyck left factors of 2n steps ending at height 2k, for each k <= n+1
     "left_factors": Agreement((
         ("shapes", lambda n: tuple(sum(1 for _ in pa.enumerate_family("left_factor", 2 * n, 2 * k))
                                    for k in range(n + 2))),
         ("ballot", lambda n: tuple(cf.ballot(2 * n, k) for k in range(n + 2))),
-    ), "ballot numbers count left factors",
-        lambda n, *values: f"ballot mismatch at height {2 * _first_difference(*values)}"),
+    ), "ballot numbers count left factors"),
     "rearrangement": Agreement((
         ("rearranged", lambda n: cf.tangent_via_core_rearrangement(n)),
         ("closed", lambda n: cf.q_tangent_closed(n)),
-    ), "binomial rearrangement holds", "mismatch"),
+    ), "binomial rearrangement holds"),
     # (E_n, the intermediate sum that vanishes); the formula raises if odd s-powers survive
     "parity_free": Agreement((
         ("parity_free", lambda n: (
@@ -384,17 +369,29 @@ AGREEMENTS: dict[str, Agreement] = {
             ZERO if n == 0 else cf.parity_free_derangement_sum(n) if n % 2
             else cf.parity_free_wex_sum(n))),
         ("closed", lambda n: (cf.q_euler_closed(n), ZERO)),
-    ), "equals E_n; intermediate sum vanishes; s-powers cancel",
-        lambda n, value, closed: "formula value differs from E_n" if value[0] != closed[0]
-        else f"{'odd' if n % 2 else 'even'}-size intermediate sum did not vanish"),
+    ), "equals E_n; intermediate sum vanishes; s-powers cancel"),
 }
 
 
+def _first_difference(a: tuple, b: tuple) -> int:
+    """The first k at which the tuples differ, or the shorter length."""
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
 def _agree(agreement: Agreement, index: int) -> tuple[bool, str]:
+    """Run the routes in order; a failure names the routes whose value differs from
+    the first route's, then the first, and for tuple values the least entry that differs."""
+    names = [name for name, _ in agreement.routes]
     values = [route(index) for _, route in agreement.routes]
-    ok = all(value == values[0] for value in values[1:])
-    detail = agreement.agree if ok else agreement.disagree
-    return ok, detail if isinstance(detail, str) else detail(index, *values)
+    differ = [i for i in range(1, len(values)) if values[i] != values[0]]
+    if not differ:
+        detail = agreement.agree
+        return True, detail if isinstance(detail, str) else detail(index, *values)
+    verb = "differs" if len(differ) == 1 else "differ"
+    detail = f"{', '.join(names[i] for i in differ)} {verb} from {names[0]}"
+    if all(isinstance(value, tuple) for value in values):
+        detail += f" at entry {min(_first_difference(values[0], values[i]) for i in differ)}"
+    return False, detail
 
 
 # -- the plan (qeuler.plan) made into checks, budgets and limit notes -----------

@@ -458,7 +458,18 @@ def test_verify_exit_code_on_identity_failure(capsys, monkeypatch):
     monkeypatch.setattr(cf, "parity_free_euler_closed", lambda n: ZERO)
     code, out, _ = run_cli(capsys, "verify", "section6", "--n-max", "2")
     assert code == 1
-    assert "FAIL  formula value differs from E_n" in out
+    assert "FAIL  closed differs from parity_free at entry 0" in out
+
+
+def test_verify_refusal_exits_2_beside_a_failure_in_its_suite(capsys, monkeypatch):
+    import qeuler.closedforms as cf
+
+    closed = cf.q_euler_closed
+    monkeypatch.setattr(cf, "q_euler_closed", lambda n: closed(n) + 1)
+    code, out, _ = run_cli(capsys, "verify", "th1", "--n-max", "2")
+    text = " ".join(out.split())
+    assert "derangements/n<=2 REFUSED" in text and "th1 suite result FAIL" in text
+    assert code == 2
 
 
 def test_verify_budget_refusal_exits_2(capsys):

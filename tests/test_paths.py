@@ -249,7 +249,7 @@ def test_cf_coefficients_compares_every_order_of_the_one_pass(family, monkeypatc
             return sums
 
         monkeypatch.setattr(pa, "family_sums", perturbed)
-        assert verify._agree(row, n_max) == (False, f"coefficient mismatch at n={n}")
+        assert verify._agree(row, n_max) == (False, f"paths differs from fraction at entry {n}")
 
 
 @pytest.mark.parametrize("build", [

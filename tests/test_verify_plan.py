@@ -111,38 +111,12 @@ def _perturbed(value):
     return object()
 
 
-# The fail detail of each route of the rows whose details are functions, with that
-# route perturbed at the index _first_check_from_two picks: n=2 for all of them but
-# cf_coefficients, whose one check is n<=12.  Each is the detail that the row's
-# former _chk_ function gave for the same values; parity_free's closed value had no
-# second entry there, and a change to it reads as a nonvanishing intermediate sum.
-FAIL_DETAILS = {
-    ("signed_wex_sum", "census"): "got 1",
-    ("signed_wex_sum", "closed"): "got 0",
-    ("reduced_path_sum", "lifted_paths"): "got 1",
-    ("reduced_path_sum", "closed"): "got 0",
-    ("closed_form_even_vanishing", "closed"): "got 1",
-    ("closed_form_even_vanishing", "zero"): "got 0",
-    ("signed_derangement_sum", "census"): "got -q^-1 + 1, want -q^-1",
-    ("signed_derangement_sum", "closed"): "got -q^-1, want -q^-1 + 1",
-    ("g_identity", "direct"): "mismatch at k=1",
-    ("g_identity", "closed"): "mismatch at k=1",
-    ("williams_numbers", "closed"): "coefficient mismatch at k=1",
-    ("williams_numbers", "tableaux"): "coefficient mismatch at k=1",
-    ("large_history_count", "transfer"): "count 3 != 2!",
-    ("large_history_count", "factorial"): "count 2 != 2!",
-    ("left_factors", "shapes"): "ballot mismatch at height 2",
-    ("left_factors", "ballot"): "ballot mismatch at height 2",
-    ("cf_coefficients", "fraction"): "truncation depth is not stable",
-    ("cf_coefficients", "deeper"): "truncation depth is not stable",
-    ("cf_coefficients", "paths"): "coefficient mismatch at n=1",
-    ("path_enumeration_oracle", "transfer"): "euler_dyck_0 enumeration disagrees with transfer",
-    ("path_enumeration_oracle", "enumeration"): "euler_dyck_0 enumeration disagrees with transfer",
-    ("ansatz_distribution", "reference"): "disagrees with brute force",
-    ("ansatz_distribution", "ansatz"): "disagrees with brute force",
-    ("parity_free", "parity_free"): "even-size intermediate sum did not vanish",
-    ("parity_free", "closed"): "even-size intermediate sum did not vanish",
-}
+def _perturbing(agreement, position):
+    """The row with the route at position perturbed."""
+    routes = list(agreement.routes)
+    route, fn = routes[position]
+    routes[position] = (route, lambda index: _perturbed(fn(index)))
+    return agreement._replace(routes=tuple(routes))
 
 
 @pytest.mark.parametrize("name, position", [
@@ -154,15 +128,32 @@ def test_every_route_can_fail_its_check(name, position, monkeypatch):
     agreement = AGREEMENTS[name]
     check = _first_check_from_two(name)
     assert run_check(check).status == "PASS", check.check_id
-    routes = list(agreement.routes)
-    route, fn = routes[position]
-    routes[position] = (route, lambda index: _perturbed(fn(index)))
-    monkeypatch.setitem(AGREEMENTS, name, agreement._replace(routes=tuple(routes)))
+    monkeypatch.setitem(AGREEMENTS, name, _perturbing(agreement, position))
     result = run_check(check)
-    want = agreement.disagree
-    if not isinstance(want, str):
-        want = FAIL_DETAILS[name, route]
-    assert (result.status, result.detail) == ("FAIL", want), check.check_id
+    # The rule of _agree: a perturbed first route differs from every other route,
+    # any other route differs alone, and a tuple value differs at entry 1.
+    names = [route for route, _ in agreement.routes]
+    differ = names[1:] if position == 0 else [names[position]]
+    tuples = isinstance(agreement.routes[position][1](*check.kwargs.values()), tuple)
+    want = f"{', '.join(differ)} {'differs' if len(differ) == 1 else 'differ'} from {names[0]}"
+    assert (result.status, result.detail) == ("FAIL", want + " at entry 1" * tuples), check.check_id
+
+
+# Exact strings, so that the rule is not checked only against its restatement above.
+@pytest.mark.parametrize("name, position, detail", [
+    ("signed_wex_sum", 1, "closed differs from census"),
+    ("parity_free", 1, "closed differs from parity_free at entry 1"),
+    ("tangent_routes", 0, "dyck, alternating differ from closed"),
+    ("core_sums", 0, "paths, schroder, t_fraction differ from closed at entry 1"),
+])
+def test_fail_detail_names_the_routes_that_differ(name, position, detail):
+    assert verify._agree(_perturbing(AGREEMENTS[name], position), 2) == (False, detail)
+
+
+def test_every_row_names_its_routes_apart():
+    for name, agreement in AGREEMENTS.items():
+        names = [route for route, _ in agreement.routes]
+        assert all(names) and len(set(names)) == len(names), name
 
 
 @pytest.mark.parametrize("name, n, detail", [
