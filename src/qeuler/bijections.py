@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator, Sequence
 
-from .errors import check_size
+from .errors import check_permutation, check_size
 from .paths import UNIT_DOWN, Record, WeightedPath, path_from_steps
 from .permutations import DEFAULT_BOUND, ascents, pattern_31_2
 
@@ -43,12 +43,14 @@ def _encoder_records(n: int) -> tuple[tuple[Record, ...], ...]:
 def francon_viennot(p: Sequence[int]) -> WeightedPath:
     """Encode a permutation of size n >= 1 as a Laguerre history of n steps.
 
-    The path weight is asserted to be y^asc q^(31-2).
+    Any other sequence is refused with ValueError before it is encoded.  The
+    path weight is asserted to be y^asc q^(31-2).
     """
     t = tuple(p)
     n = len(t)
     if n < 1:
         raise ValueError("the encoding needs a nonempty permutation")
+    check_permutation(t)
     table = _encoder_records(n)
     # cover[v]: descents (hi, lo) at earlier adjacent positions with hi > v > lo
     cover = [0] * (n + 2)

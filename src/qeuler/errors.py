@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the size and budget checks."""
+"""Exception types shared across the package, the size and budget checks, and
+the check that a tuple is a permutation."""
+
+from functools import cache
 
 
 class QEulerError(Exception):
@@ -40,3 +43,14 @@ def check_size(n: int, bound: int | None = None, what: str = "n") -> None:
         raise ValueError(f"{what}={n} must be nonnegative")
     if bound is not None and n > bound:
         raise BudgetExceededError(f"{what}={n} exceeds bound {bound}")
+
+
+@cache
+def _one_to(n: int) -> frozenset[int]:
+    return frozenset(range(1, n + 1))
+
+
+def check_permutation(t: tuple[int, ...]) -> None:
+    """Reject a tuple that does not hold each of 1..len(t) exactly once."""
+    if set(t) != _one_to(len(t)):
+        raise ValueError(f"not a permutation of 1..{len(t)}: {t}")

@@ -132,6 +132,10 @@ def _records(family: str, delta: int, h: int) -> tuple[Record, ...]:
     return tuple((delta, *w) for w in {1: fam.up, -1: fam.down, 0: fam.flat}[delta](h))
 
 
+# The one Poly of each exponent triple that path weights return.
+_monomial = cache(Poly.monomial)
+
+
 class WeightedPath(NamedTuple):
     """A path as one tuple of step records; start heights are derived.
 
@@ -161,8 +165,11 @@ class WeightedPath(NamedTuple):
         return sign, ypow, qpow
 
     def weight(self) -> Poly:
-        """The product of the step monomials, one monomial of the summed exponents."""
-        return Poly.monomial(*self.exponents())
+        """The product of the step monomials, one monomial of the summed exponents.
+
+        Paths of equal exponents share one Poly, which no ring operation changes.
+        """
+        return _monomial(*self.exponents())
 
     def shape(self) -> str:
         return "".join(_DIRECTION[r[0]] for r in self.records)
@@ -185,20 +192,27 @@ def _family(family: str, length: int) -> Family:
     return fam
 
 
+_Rules = tuple[bool, tuple[frozenset[Record], ...], tuple[dict[Record, int], ...]]
+
+
 @cache
-def _rules(family: str, length: int) -> tuple[bool, tuple[frozenset[Record], ...]]:
-    """(closed, allowed) for the paths of the family with length steps: whether
-    they must return to 0, and, indexed by h, every record a step may be from
-    height h, for the heights h < length that such a path can start a step at.
+def _rules(family: str, length: int) -> _Rules:
+    """(closed, allowed, steps) for the paths of the family with length steps:
+    whether they must return to 0, and, indexed by h, every record a step may
+    be from height h, for the heights h < length that such a path can start a
+    step at; steps[h] maps each of those records that does not dip below 0 to
+    the height after it.
 
     An unknown name or a negative length raises ValueError, which the cache
     does not keep.
     """
     closed = _family(family, length).closed
-    return closed, tuple(
+    allowed = tuple(
         frozenset(r for delta in (1, -1, 0) for r in _records(family, delta, h))
         for h in range(length)
     )
+    return closed, allowed, tuple({r: h + r[0] for r in rs if h + r[0] >= 0}
+                                  for h, rs in enumerate(allowed))
 
 
 def path_from_steps(family: str, records: Iterable[Record]) -> WeightedPath:
@@ -206,17 +220,19 @@ def path_from_steps(family: str, records: Iterable[Record]) -> WeightedPath:
 
     One pass checks each record against the records allowed from its start
     height, that the path never dips below 0 and that a closed family's path
-    returns to 0; any violation raises ValueError.
+    returns to 0; any violation raises ValueError.  Each record is one lookup
+    in the steps from its height; only a miss asks which rule it breaks.
     """
     records = tuple(records)
-    closed, allowed = _rules(family, len(records))
+    closed, allowed, steps = _rules(family, len(records))
     h = 0
     for r in records:
-        if r not in allowed[h]:
+        after = steps[h].get(r)
+        if after is None:
+            if r in allowed[h]:
+                raise ValueError("path dips below height 0")
             raise ValueError(f"step {r} from height {h} violates {family} weight rule")
-        h += r[0]
-        if h < 0:
-            raise ValueError("path dips below height 0")
+        h = after
     if h != 0 and closed:
         raise ValueError(f"closed family path ends at height {h}")
     return tuple.__new__(WeightedPath, (records, family))  # checked: skip the named tuple's __new__
@@ -478,24 +494,31 @@ def family_sum_by_enumeration(family: str, length: int, restricted: bool = False
 # -- the secant/tangent path decomposition --------------------------------------
 
 
-def _maximal_unit_factors(path: WeightedPath) -> list[tuple[int, int]]:
-    """Maximal contiguous balanced all-unit-weight Dyck factors of the path.
+# The delta of each unit-weight record.
+_UNIT_DELTA = {(delta, *_UNIT): delta for delta in (1, -1, 0)}
+
+
+def _maximal_unit_factors(records: tuple[Record, ...]) -> list[tuple[int, int]]:
+    """Maximal contiguous balanced all-unit-weight Dyck factors of the records.
 
     A factor [a, b) is balanced, never dips below its starting height, and
     every step in it has weight exactly 1.  Maximal factors are pairwise
     disjoint, so a greedy left-to-right scan that always takes the longest
     factor starting at the current position finds exactly all of them.
     """
-    records = path.records
     n = len(records)
+    unit_delta = _UNIT_DELTA.get
     factors: list[tuple[int, int]] = []
     pos = 0
     while pos < n:
         h = 0
         best = -1
         j = pos
-        while j < n and records[j][1:] == _UNIT:
-            h += records[j][0]
+        while j < n:
+            delta = unit_delta(records[j])
+            if delta is None:
+                break
+            h += delta
             j += 1
             if h < 0:
                 break
@@ -516,15 +539,20 @@ def penaud_decompose(path: WeightedPath) -> tuple[WeightedPath, WeightedPath]:
     left factor; every other step becomes an up step there.  The core is
     the path of surviving (non-factor) steps with their original weights;
     removed factors are balanced, so surviving steps keep their heights and
-    remain admissible in the same family.
+    remain admissible in the same family.  Both parts are built from the
+    slices between the factors.
     """
     if path.family not in ("secant_core", "tangent_core"):
         raise ValueError("decomposition applies to the signed Dyck families")
     records = path.records
-    in_factor = [False] * len(records)
-    for a, b in _maximal_unit_factors(path):
-        in_factor[a:b] = [True] * (b - a)
+    left: tuple[Record, ...] = ()
+    core: tuple[Record, ...] = ()
+    pos = 0
     # a factor step is a unit step, so its record is already a left-factor record
-    left = [r if flag else UNIT_UP for flag, r in zip(in_factor, records)]
-    core = [r for flag, r in zip(in_factor, records) if not flag]
+    for a, b in _maximal_unit_factors(records):
+        core += records[pos:a]
+        left += (UNIT_UP,) * (a - pos) + records[a:b]
+        pos = b
+    core += records[pos:]
+    left += (UNIT_UP,) * (len(records) - pos)
     return path_from_steps("left_factor", left), path_from_steps(path.family, core)

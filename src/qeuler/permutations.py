@@ -15,7 +15,7 @@ from itertools import permutations as _itperms
 from operator import lt
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import OddCrossingError, check_size
+from .errors import OddCrossingError, check_permutation, check_size
 from .poly import Poly
 
 DEFAULT_BOUND = 10
@@ -35,8 +35,7 @@ def parse_permutation(text: str) -> tuple[int, ...]:
         t = tuple(int(part) for part in parts)
     except ValueError:  # an empty part, or a digit that int() rejects ("²")
         raise malformed from None
-    if sorted(t) != list(range(1, len(t) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(t)}: {t}")
+    check_permutation(t)
     return t
 
 

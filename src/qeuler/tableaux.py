@@ -14,7 +14,7 @@ Enumerations refuse a negative size (ValueError) and one above TABLEAU_BOUND
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from typing import Iterator, NamedTuple
 
@@ -143,41 +143,92 @@ class Tableau(NamedTuple):
         return header + ("\n" + body if body else "")
 
 
-def fillings(shape: Shape) -> Iterator[Tableau]:
-    """All valid fillings of the shape, built column by column.
+@cache
+def _column_choices(h: int, left_zero: int) -> tuple[tuple[int, int], ...]:
+    """Every admissible filling of a column of height h, in scan order, as
+    (column, left_zero after it): bit i of a column is its entry in row i, and
+    bit i of left_zero is set while row i < h holds only 0s so far.
 
     Within a column, a 0 above the first 1 is always admissible (everything
     above it is 0); below the first 1 a 0 is admissible only while the whole
-    row to its left is 0.  The first-1 position therefore drives the scan.
+    row to its left is 0.  The scan takes the first 1 at rows 0, 1, ..., h - 1,
+    and for each the free rows below it count in binary, the topmost slowest.
     """
-    m = len(shape.rows)
+    out = []
+    for t in range(h):  # row index of the topmost 1 in this column
+        free = [i for i in range(t + 1, h) if left_zero >> i & 1]
+        forced = 1 << t | sum(1 << i for i in range(t + 1, h) if not left_zero >> i & 1)
+        for bits in product((0, 1), repeat=len(free)):
+            column = forced | sum(1 << i for i, b in zip(free, bits) if b)
+            out.append((column, left_zero & ~column))
+    return tuple(out)
+
+
+@cache
+def _spread(stride: int, h: int) -> tuple[int, ...]:
+    """Each column of height h, indexed by its bits, with bit i moved to bit i * stride.
+
+    Its 2**h entries are one more than the fillings of a first column of h rows.
+    """
+    return tuple(sum(1 << (i * stride) for i in range(h) if v >> i & 1) for v in range(1 << h))
+
+
+class _Rows(dict):
+    """Row tuples, filled on first use: key (1 << length) | bits gives the
+    row of that length whose entry j is bit j of bits."""
+
+    def __missing__(self, key: int) -> tuple[int, ...]:
+        row = self[key] = tuple(key >> j & 1 for j in range(key.bit_length() - 1))
+        return row
+
+
+_ROWS = _Rows()
+
+
+def fillings(shape: Shape) -> Iterator[Tableau]:
+    """All valid fillings of the shape, built column by column (_column_choices).
+
+    The walk runs in this one generator frame with an explicit stack, one
+    iterator of column choices per column placed; the last column yields
+    its tableaux inline.  The columns placed so far are one integer, row i
+    at bits i * stride with its length marked by one bit above its entries,
+    so each row of a filling is one lookup in _ROWS.  Only rows below a
+    column's height can change, and later columns are no taller, so each
+    choice is looked up by the column's height and the rows below it.
+    """
+    rows = shape.rows
     heights = shape.column_heights()
-
-    def rec(col: int, left_zero: tuple[bool, ...], cols_acc: list[tuple[int, ...]]) -> Iterator[Tableau]:
-        if col == len(heights):
-            filling = tuple(
-                tuple(cols_acc[j][i] for j in range(shape.rows[i])) for i in range(m)
-            )
-            yield Tableau(shape, filling)
-            return
-        h = heights[col]
-        for t in range(h):  # row index of the topmost 1 in this column
-            free = [i for i in range(t + 1, h) if left_zero[i]]
-            for bits in product((0, 1), repeat=len(free)):
-                vec = [0] * h
-                vec[t] = 1
-                for i in range(t + 1, h):
-                    vec[i] = 1
-                for i, b in zip(free, bits):
-                    vec[i] = b
-                nlz = tuple(
-                    left_zero[i] and (i >= h or vec[i] == 0) for i in range(m)
-                )
-                cols_acc.append(tuple(vec))
-                yield from rec(col + 1, nlz, cols_acc)
-                cols_acc.pop()
-
-    yield from rec(0, (True,) * m, [])
+    width = len(heights)
+    if not width:
+        yield tuple.__new__(Tableau, (shape, ((),) * len(rows)))
+        return
+    stride = width + 1
+    spread = _spread(stride, heights[0])
+    field = (1 << stride) - 1
+    shifts = [i * stride for i in range(len(rows))]
+    lows = [(1 << h) - 1 for h in heights]
+    last = width - 1
+    # grids[j]: the columns < j and the row-length marks; its[j]: the choices column j has left
+    grids = [sum(1 << (i * stride + r) for i, r in enumerate(rows))] + [0] * last
+    its = [iter(_column_choices(heights[0], lows[0]))] + [None] * last
+    j = 0
+    while j >= 0:
+        if j < last:
+            choice = next(its[j], None)
+            if choice is None:  # column j has placed all its choices
+                j -= 1
+                continue
+            column, left_zero = choice
+            grids[j + 1] = grids[j] | spread[column] << j
+            j += 1
+            its[j] = iter(_column_choices(heights[j], left_zero & lows[j]))
+            continue
+        placed = grids[last]
+        for column, _ in its[last]:
+            grid = placed | spread[column] << last
+            filling = tuple([_ROWS[grid >> s & field] for s in shifts])
+            yield tuple.__new__(Tableau, (shape, filling))  # Tableau(shape, filling), built in C
+        j -= 1
 
 
 def enumerate_tableaux(n: int) -> Iterator[Tableau]:

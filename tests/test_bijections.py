@@ -1,7 +1,8 @@
 """The path encoding of permutations and its structural consequences."""
 
 import math
-from itertools import permutations as itperms
+import re
+from itertools import permutations as itperms, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,13 @@ from qeuler.bijections import (
 )
 from qeuler.errors import BudgetExceededError
 from qeuler.paths import WeightedPath, euler_dyck_sum, laguerre_sum
-from qeuler.permutations import all_permutations, ascents, is_alternating, pattern_31_2
+from qeuler.permutations import (
+    all_permutations,
+    ascents,
+    is_alternating,
+    parse_permutation,
+    pattern_31_2,
+)
 from qeuler.poly import Poly, poly_sum
 from qeuler.verify import Check, run_check
 
@@ -45,6 +52,22 @@ def test_small_images():
     assert ident.heights() == [0] * 4 and all(ypow == 1 for _, _, ypow, _ in ident.records)
     with pytest.raises(ValueError):
         francon_viennot(())
+
+
+def test_encoding_refuses_every_small_non_permutation():
+    """Every sequence of size <= 4 with entries in -1..n+1 that is not a
+    permutation, such as (0,), (0, 1), (2, -1), (1, 1) or (2, 3), is refused
+    with parse_permutation's error, never encoded."""
+    for n in range(1, 5):
+        for t in product(range(-1, n + 2), repeat=n):
+            if sorted(t) == list(range(1, n + 1)):
+                continue
+            message = re.escape(f"not a permutation of 1..{n}: {t}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                francon_viennot(t)
+            if n > 1:  # one value with a sign is malformed text before it is a value
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    parse_permutation(",".join(map(str, t)))
 
 
 def test_weight_property_exhaustive():

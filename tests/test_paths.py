@@ -40,7 +40,7 @@ from qeuler.permutations import (
     q_derangement_poly,
     q_eulerian_poly,
 )
-from qeuler.poly import ONE, Q, Y, ZERO, Poly, poly_sum, q_integer
+from qeuler.poly import ONE, Q, Y, ZERO, Poly, poly_dot, poly_sum, q_integer
 
 
 def test_euler_dyck_values():
@@ -392,6 +392,55 @@ def test_path_from_steps_builds_exactly_a_weighted_path():
                     assert built == plain and hash(built) == hash(plain), built.dump()
 
 
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_path_from_steps_keeps_its_three_messages(family):
+    """A step the table refuses, a step the table allows that dips below 0, and
+    an open end each keep their message, in every family."""
+    closed = FAMILIES[family].closed
+    with pytest.raises(ValueError, match=re.escape(
+            f"step (1, 1, 0, 99) from height 0 violates {family} weight rule")):
+        path_from_steps(family, [(1, 1, 0, 99)])
+    down = [(-1, *w) for w in FAMILIES[family].down(0)]
+    for r in down:
+        with pytest.raises(ValueError, match="^path dips below height 0$"):
+            path_from_steps(family, [r])
+    assert bool(down) == (family in {"large_laguerre", "euler_dyck_1", "secant_core", "tangent_core",
+                                     "schroder_secant", "schroder_tangent", "left_factor"})
+    up = (1, *FAMILIES[family].up(0)[0])
+    if closed:
+        with pytest.raises(ValueError, match="^closed family path ends at height 1$"):
+            path_from_steps(family, [up])
+    else:
+        assert path_from_steps(family, [up]).records == (up,)
+    # a refused step is named before the dip it would make
+    with pytest.raises(ValueError, match="violates"):
+        path_from_steps(family, [(-1, 1, 0, 99)])
+
+
+def test_path_weights_are_interned():
+    """Every path of every family up to length 6 weighs Poly.monomial of its
+    exponents, paths of equal exponents share one Poly, and no ring operation
+    on the shared values changes them."""
+    shared = {}
+    for family, fam in FAMILIES.items():
+        for length in range(7):
+            for end in range(length + 1) if not fam.closed else (0,):
+                for path in enumerate_family(family, length, end):
+                    w = path.weight()
+                    assert w == Poly.monomial(*path.exponents()), path.dump()
+                    assert shared.setdefault(path.exponents(), w) is w, path.dump()
+    values = list(shared.values())
+    before = {e: (w.terms(), dict(w._terms)) for e, w in shared.items()}
+    poly_sum(values)
+    for a, b in zip(values, values[1:] + values[:1]):
+        a + b, a - b, a * b, b * a, -a, a + 1, 1 - a, 2 * a
+    poly_dot((a, b) for a in values[:40] for b in values[:40])
+    poly_dot((ONE, a) for a in values)
+    assert {e: (w.terms(), dict(w._terms)) for e, w in shared.items()} == before
+    assert all(path.weight() is shared[path.exponents()]
+               for path in enumerate_family("laguerre", 4))
+
+
 def test_unknown_family_raises_on_every_call():
     """The rule cache keeps no failed lookup."""
     for _ in range(2):
@@ -446,9 +495,10 @@ def test_penaud_examples():
 
 
 def test_penaud_matches_object_oracle():
-    """Every signed Dyck path of length <= 8 splits as the object-based code split it."""
+    """Every signed Dyck path of length <= 10 splits as the object-based code,
+    one in-factor flag per step, split it."""
     for family in ("secant_core", "tangent_core"):
-        for length in range(0, 9, 2):
+        for length in range(0, 11, 2):
             for path in enumerate_family(family, length):
                 want_left, want_core = oracle.penaud_decompose(family, oracle.as_items(path))
                 h1, h2 = penaud_decompose(path)
@@ -457,6 +507,14 @@ def test_penaud_matches_object_oracle():
                     oracle.as_records(want_core),
                 ), path.dump()
                 assert (h1.family, h2.family) == ("left_factor", family)
+
+
+def test_penaud_parts_are_validated(monkeypatch):
+    built = []
+    real = pa.path_from_steps
+    monkeypatch.setattr(pa, "path_from_steps", lambda f, r: built.append(f) or real(f, r))
+    penaud_decompose(real("tangent_core", [UNIT_UP_R, UNIT_DOWN_R, (1, -1, 0, 1), UNIT_DOWN_R]))
+    assert built == ["left_factor", "tangent_core"]
 
 
 def test_penaud_bijection_small():

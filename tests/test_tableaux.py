@@ -1,5 +1,6 @@
 """Tableau enumeration, statistics, signed sums, and the transpose pairing."""
 
+import hashlib
 import math
 import re
 from itertools import product
@@ -104,17 +105,43 @@ def test_counted_sums_equal_the_per_tableau_sums(n):
 
 
 def test_enumerator_against_direct_validity_oracle():
-    for n in range(6):
-        for shape in shapes_of_half_perimeter(n):
-            fast = {t.filling for t in fillings(shape)}
-            cells = sum(shape.rows)
-            slow = set()
-            for bits in product((0, 1), repeat=cells):
-                it = iter(bits)
-                filling = tuple(tuple(next(it) for _ in range(r)) for r in shape.rows)
-                if Tableau(shape, filling).is_valid():
-                    slow.add(filling)
-            assert fast == slow
+    """Every shape of half-perimeter < 6, and wide rows, a tall column and
+    length-0 rows beyond them, each filling once."""
+    shapes = [s for n in range(6) for s in shapes_of_half_perimeter(n)]
+    shapes += [Shape(rows) for rows in ((9, 2), (1,) * 9, (4, 4, 0, 0), (0, 0))]
+    for shape in shapes:
+        fast = [t.filling for t in fillings(shape)]
+        cells = sum(shape.rows)
+        slow = set()
+        for bits in product((0, 1), repeat=cells):
+            it = iter(bits)
+            filling = tuple(tuple(next(it) for _ in range(r)) for r in shape.rows)
+            if Tableau(shape, filling).is_valid():
+                slow.add(filling)
+        assert len(fast) == len(slow) and set(fast) == slow, shape
+
+
+# sha256 of the (rows, filling) reprs of enumerate_tableaux(n), one per line,
+# recorded when fillings was a recursive walk.  A check that stops at the
+# first failing tableau (transpose names it) reads this order.
+FILLING_ORDER = {
+    0: "56546d2909af60407f1b144ea7574bf0cb4c48af72e18baac6c9da2036df2a88",
+    1: "1c9574031d8d8bfb946ab1d3742ef114b9a83c4ce128f3f9615f037d037de63d",
+    2: "250af2103589ec9f740e6ec1a645e356bf792a19d4dcaf07081dce6e195b907c",
+    3: "bae993fa92f19d19b7af4e0a84170ece8be3416bbe58dc81ff64f9bc60108b25",
+    4: "65feb7b75d164a538b49a7698a487558c3d0fc3941d04d82feb7b4e8b6f3d188",
+    5: "d5031aa9fa2743dc0e1199a4e1614176acf44cdcc7e7b2fac0debd20ae218c0b",
+    6: "ee90a635c88eb359eae42487c41801e75c424ee5f44ac3882d20f7977ba68d04",
+    7: "9671a5a65b6f73a52255789f7bcfcc51faaf0989f07226524c97ebe727cf2861",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FILLING_ORDER))
+def test_fillings_keep_their_recorded_order(n):
+    tableaux = list(enumerate_tableaux(n))
+    assert all(type(t) is Tableau and type(t.filling) is tuple for t in tableaux)
+    text = "\n".join(repr((t.shape.rows, t.filling)) for t in tableaux)
+    assert hashlib.sha256(text.encode()).hexdigest() == FILLING_ORDER[n]
 
 
 def test_transpose():
