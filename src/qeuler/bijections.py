@@ -9,9 +9,15 @@ where delta marks an ascent position and i counts the 31-2 patterns whose
 There are two encoders.  francon_viennot encodes one permutation; it serves
 `qeuler bijection` and the first loop of verify's bijection_size check, which
 checks that this encoder is a bijection.  lifted_histories walks all of S_n
-once and yields the full and trimmed images of every lift; verify's
-reduced_path_sum and the odd-size pass of bijection_size read it, because a
-walk does the work of a prefix once for all the permutations that extend it.
+once and yields the trimmed image of every lift; verify's reduced_path_sum and
+the odd-size pass of bijection_size read it, because a walk does the work of a
+prefix once for all the permutations that extend it.
+
+The lift of t appends 1 to t shifted up by one, and its image needs no lift
+to compute: it is the up step of weight y (the 1, a valley of cover 0)
+followed by the encoding of t under the boundary sigma(n+1) = 0, whose last
+step, the maximum's peak of cover 0, is a down step of weight 1.  The
+trimmed image is what lies between those two steps.
 """
 
 from __future__ import annotations
@@ -70,11 +76,14 @@ def francon_viennot(p: Sequence[int]) -> WeightedPath:
 def lift_append_one(p: Sequence[int]) -> tuple[int, ...]:
     """Shift all values up by one and append the value 1 at the end.
 
-    The lift preserves both the ascent count and the 31-2 count (asserted).
+    A sequence that is not a permutation is refused with ValueError.  The
+    lift preserves both the ascent count and the 31-2 count (asserted).
     """
-    lifted = (*[v + 1 for v in p], 1)
-    if (ascents(lifted), pattern_31_2(lifted)) != (ascents(p), pattern_31_2(p)):
-        raise AssertionError(f"lift changed the statistics of {p}")
+    t = tuple(p)
+    check_permutation(t)
+    lifted = (*[v + 1 for v in t], 1)
+    if (ascents(lifted), pattern_31_2(lifted)) != (ascents(t), pattern_31_2(t)):
+        raise AssertionError(f"lift changed the statistics of {t}")
     return lifted
 
 
@@ -84,57 +93,54 @@ def lift_append_one(p: Sequence[int]) -> tuple[int, ...]:
 _KINDS = {(False, False): (-1, 0), (True, False): (0, 0), (False, True): (0, 1), (True, True): (1, 1)}
 
 
-def lifted_histories(
-    n: int,
-) -> Iterator[tuple[tuple[int, ...], tuple[int, int], WeightedPath, WeightedPath]]:
-    """(t, (ascents, 31-2) of t, full image of its lift, trimmed image) for every
-    permutation t of size n >= 1, in all_permutations order.
+def lifted_histories(n: int) -> Iterator[tuple[tuple[int, ...], WeightedPath]]:
+    """(t, trimmed image of its lift) for every permutation t of size n >= 1,
+    in all_permutations order.
 
-    The lift appends 1 to t shifted up by one.  Its full image opens with an
-    up step of weight y and closes with a down step of weight 1; removing both
-    and shifting the origin down by one leaves a large Laguerre history of size
-    n.  Both images are validated, and the full weight is asserted to be
-    y^asc q^(31-2).  Iterating raises ValueError when n < 1 and
-    BudgetExceededError when n > DEFAULT_BOUND, the census's bound.
+    The full image of the lift is _Y_UP followed by the encoding of t under
+    the boundary sigma(n+1) = 0 (see the module docstring).  It is validated
+    as a Laguerre history, its weight asserted to be y^asc q^(31-2) and its
+    last step a down step of weight 1; without both ends and with its origin
+    shifted down by one, it is validated as a large Laguerre history of size
+    n.  Iterating raises ValueError when n < 1 and BudgetExceededError when
+    n > DEFAULT_BOUND, the census's bound.
 
-    One depth-first walk places the lift's values 2..n+1 position by position,
-    then the 1.  It runs in this one generator frame with an explicit stack,
-    an iterator of the values still to try at each depth; the last value of t
-    and the 1 after it are forced, so the last depth places both without one.
-    A value's record is fixed once its successor is placed, from a per-kind
-    table indexed by its cover: the earlier descents (hi, lo) with
-    hi > value > lo, one field of `fields` per value, a descent adding a run
-    of ones.  The statistics come from their own rules: an ascent is a value
-    placed above its predecessor, and a descent (hi, lo) adds the values
-    between lo and hi not placed yet, since they all follow it.  Those of t
-    are read once t is placed and asserted equal to the lift's, counted after
-    the 1 is placed by the same rule.
+    One depth-first walk places t's values position by position, in this one
+    generator frame with an explicit stack: an iterator of the values still
+    to try at each depth.  The last value is forced, so the last depth places
+    it without one, and it falls to the boundary 0.  A value's record is fixed
+    once its successor is placed, from a per-kind table indexed by its cover:
+    the earlier descents (hi, lo) with hi > value > lo, one field of `fields`
+    per value, a descent adding a run of ones.  The statistics come from their
+    own rules: an ascent is a value placed above its predecessor, and a descent
+    (hi, lo) adds the values between lo and hi not placed yet, since they all
+    follow it.
     """
     if n < 1:
         raise ValueError("the encoding needs a nonempty permutation")
     check_size(n, DEFAULT_BOUND)
-    top = n + 1  # the lift's largest value
-    last = n - 1  # t's last value is forced there, and so is the lift's 1 after it
-    width = top.bit_length()  # a cover counts at most n descents, so never carries
+    last = n - 1  # t's last value is forced there
+    width = n.bit_length()  # a cover counts at most n - 1 descents, so never carries
     field = (1 << width) - 1
-    # bit[k]: value k >= 2 in a mask of placed values; the 1, placed last, needs none
-    bit = [0, 0, *(1 << (k - 2) for k in range(2, top + 1))]
-    free_of = [tuple(k for k in range(2, top + 1) if not m & bit[k]) for m in range(1 << n)]
+    bit = [0, *(1 << v for v in range(n))]  # bit[k]: value k in a mask of placed values
+    free_of = [tuple(k for k in range(1, n + 1) if not m & bit[k]) for m in range(1 << n)]
     runs = [[sum(1 << (width * v) for v in range(lo + 1, hi)) for lo in range(hi)]
-            for hi in range(top + 1)]
-    spans = [[sum(bit[v] for v in range(lo + 1, hi)) for lo in range(hi)] for hi in range(top + 1)]
-    table = {kind: tuple((delta, 1, ypow, c) for c in range(top))
+            for hi in range(n + 1)]
+    spans = [[sum(bit[v] for v in range(lo + 1, hi)) for lo in range(hi)] for hi in range(n + 1)]
+    table = {kind: tuple((delta, 1, ypow, c) for c in range(n))
              for kind, (delta, ypow) in _KINDS.items()}
     # indexed by whether the predecessor is larger, then by the cover
     falls = (table[False, False], table[True, False])
     rises = (table[False, True], table[True, True])
-    # rec[k - 1]: the record of the lift's value k; rec[-1] takes the boundary 0's, never read
-    rec = [None] * (top + 1)
+    # rec[k]: the record of t's value k, the lift's k + 1.  rec[0] is the lift's 1, which
+    # the boundary 0 stands for: its rise at depth 0 writes a placeholder there, and each
+    # leaf writes the lift's first step over it.
+    rec = [None] * (n + 1)
     t = [0] * n  # t[j]: the value of t at position j
     # frames[j]: (placed mask, predecessor, whether it fell, its cover, fields, ascents, 31-2)
-    # before depth j places a value.  The boundary 0 is the predecessor at depth 0: it
-    # rises to every value, which is no ascent, so the count starts at -1.
-    frames = [(0, 0, False, 0, 0, -1, 0)] + [None] * last
+    # before depth j places a value.  The boundary 0 is the predecessor at depth 0: its
+    # rise to t's first value counts as the ascent that `ascents` sees at position n.
+    frames = [(0, 0, False, 0, 0, 0, 0)] + [None] * last
     its = [iter(free_of[0])] + [None] * last  # its[j]: the values depth j < last has left
     j = 0
     while j >= 0:
@@ -146,41 +152,33 @@ def lifted_histories(
                 continue
         else:
             k = free_of[m][0]
-        t[j] = k - 1
-        m |= bit[k]
+        t[j] = k
         cover = fields >> (k * width) & field
         if prev < k:
-            rec[prev - 1] = rises[prev_fell][prev_cover]
+            rec[prev] = rises[prev_fell][prev_cover]
             asc += 1
             prev_fell = False
         else:
-            rec[prev - 1] = falls[prev_fell][prev_cover]
+            rec[prev] = falls[prev_fell][prev_cover]
             fields += runs[prev][k]
             p312 += (spans[prev][k] & ~m).bit_count()
             prev_fell = True
         if j < last:
             j += 1
+            m |= bit[k]
             frames[j] = (m, k, prev_fell, cover, fields, asc, p312)
             if j < last:
                 its[j] = iter(free_of[m])
             continue
-        # t is placed; its position n is an ascent, the lift's is not
-        stats = (asc + 1, p312)
-        # the 1 falls from k; the boundary n + 2 follows it
-        rec[k - 1] = falls[prev_fell][cover]
-        rec[0] = rises[True][fields >> width & field]
-        p = tuple(t)
-        if (asc + 1, p312 + (spans[k][1] & ~m).bit_count()) != stats:
-            raise AssertionError(f"lift changed the statistics of {p}")
-        records = tuple(rec[:top])
+        rec[k] = falls[prev_fell][cover]  # t's last value falls to the boundary 0
+        rec[0] = _Y_UP
+        records = tuple(rec)
         full = path_from_steps("laguerre", records)
-        if full.exponents() != (1, *stats):
-            raise AssertionError(f"weight property failed for the lift of {p}")
-        if records[0] != _Y_UP:
-            raise AssertionError("lifted image must open with an up step of weight y")
+        if full.exponents() != (1, asc, p312):
+            raise AssertionError(f"weight property failed for the lift of {tuple(t)}")
         if records[-1] != UNIT_DOWN:
             raise AssertionError("lifted image must close with a down step of weight 1")
-        yield p, stats, full, path_from_steps("large_laguerre", records[1:-1])
+        yield tuple(t), path_from_steps("large_laguerre", records[1:-1])
         j -= 1
 
 

@@ -171,9 +171,6 @@ class WeightedPath(NamedTuple):
         """
         return _monomial(*self.exponents())
 
-    def shape(self) -> str:
-        return "".join(_DIRECTION[r[0]] for r in self.records)
-
     def has_flat(self) -> bool:
         return any(r[0] == 0 for r in self.records)
 

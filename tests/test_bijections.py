@@ -48,7 +48,7 @@ def test_small_images():
     assert francon_viennot((1,)).dump() == "F[+1,1,0]"
     assert francon_viennot((2, 1)).dump() == "U[+1,1,0] D[+1,0,0]"
     ident = francon_viennot((1, 2, 3, 4))
-    assert ident.shape() == "FFFF"
+    assert [delta for delta, *_ in ident.records] == [0] * 4
     assert ident.heights() == [0] * 4 and all(ypow == 1 for _, _, ypow, _ in ident.records)
     with pytest.raises(ValueError):
         francon_viennot(())
@@ -98,20 +98,23 @@ def test_lift():
     assert lift_append_one((2, 3, 1)) == (3, 4, 2, 1)
 
 
-def _lifted(n):
-    """t -> (full, trimmed) image of its lift, from the walk."""
-    return {t: (full, reduced) for t, _, full, reduced in lifted_histories(n)}
+@pytest.mark.parametrize("t", [(0,), (2, 3)])
+def test_lift_refuses_a_non_permutation(t):
+    message = re.escape(f"not a permutation of 1..{len(t)}: {t}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lift_append_one(t)
 
 
 def test_lifted_images():
-    full, reduced = _lifted(1)[(1,)]
-    assert full.shape() == "UD" and reduced.records == ()
-    full, reduced = _lifted(3)[2, 3, 1]
-    assert full.shape() == "UFFD" and full.family == "laguerre"
-    assert full.weight() == Poly.monomial(1, 2, 0)
-    assert reduced.records == full.records[1:-1] and reduced.family == "large_laguerre"
-    full, reduced = _lifted(2)[2, 1]
-    assert full.weight() == Poly.monomial(1, 1, 0)
+    trimmed = dict(lifted_histories(1))
+    assert trimmed[(1,)].records == ()  # the lift (2, 1) has the image U D
+    trimmed = dict(lifted_histories(3))
+    # the lift (3, 4, 2, 1) has the image U F F D of weight y^2
+    assert [delta for delta, *_ in trimmed[2, 3, 1].records] == [0, 0]
+    assert trimmed[2, 3, 1].weight() == Poly.monomial(1, 1, 0)
+    assert trimmed[2, 3, 1].family == "large_laguerre"
+    trimmed = dict(lifted_histories(2))
+    assert trimmed[2, 1].weight() == Poly.monomial(1, 0, 0)  # the lift (3, 2, 1) weighs y
 
 
 def test_saturated_step_criterion():
@@ -123,6 +126,21 @@ def test_saturated_step_criterion():
             assert path_saturated_step_free(francon_viennot(p)) == (p[-1] == 1)
             if n > 1 and p[-1] == 1:
                 assert not returns_to_zero_early(francon_viennot(p))
+
+
+@given(st.integers(1, 200).flatmap(lambda n: st.permutations(range(1, n + 1))), st.booleans())
+def test_path_criterion_beyond_the_exhaustive_bound(p, one_last):
+    """Permutations of size up to 200, half of them moved to end in 1: the
+    saturated-step criterion holds, an image of a permutation ending in 1 does
+    not touch 0 early, and the encoder asserts the weight property."""
+    p = list(p)
+    if one_last:
+        p.remove(1)
+        p.append(1)
+    image = francon_viennot(p)
+    assert path_saturated_step_free(image) == (p[-1] == 1)
+    if p[-1] == 1:
+        assert not returns_to_zero_early(image)
 
 
 def test_encoding_multiplies_no_polynomials(monkeypatch):
@@ -147,16 +165,15 @@ def test_alternating_characterizations():
         for p in itperms(range(1, n + 1)):
             assert is_alternating(p) == (not francon_viennot(p).has_flat())
     for n in (1, 3, 5):
-        for p, _, full, reduced in lifted_histories(n):
+        for p, reduced in lifted_histories(n):
             assert is_alternating(p) == (not reduced.has_flat())
-            assert reduced.has_flat() == full.has_flat()
 
 
 def test_signed_reduced_path_sums():
     # flats cancel at y = -1; odd sizes leave (-1)^((n-1)/2) times the
     # q-tangent value, even sizes vanish outright
     for n in range(1, 7):
-        total = poly_sum(reduced.weight() for _, _, _, reduced in lifted_histories(n))
+        total = poly_sum(reduced.weight() for _, reduced in lifted_histories(n))
         value = total.substitute_y(-1)
         if n % 2 == 0:
             assert value.is_zero
@@ -171,9 +188,8 @@ def test_records_match_object_oracle_exhaustive():
     for n in range(1, 8):
         for p in itperms(range(1, n + 1)):
             assert francon_viennot(p).records == oracle.as_records(oracle.francon_viennot(p)), p
-        for p, _, full, reduced in lifted_histories(n):
-            want_full, want_reduced = oracle.lifted_francon_viennot(p)
-            assert full.records == oracle.as_records(want_full), p
+        for p, reduced in lifted_histories(n):
+            _, want_reduced = oracle.lifted_francon_viennot(p)
             assert reduced.records == oracle.as_records(want_reduced), p
 
 
@@ -225,13 +241,11 @@ def test_lift_trim_assertions_fire(monkeypatch, bad_first, bad_last, message):
 def test_walk_matches_the_per_permutation_encoding():
     for n in range(1, 8):
         walk = list(lifted_histories(n))
-        assert [t for t, _, _, _ in walk] == list(all_permutations(n))
-        for t, stats, full, reduced in walk:
-            want_full, want_reduced = oracle.lifted_paths(t)
-            assert full.records == want_full.records and full.family == "laguerre", t
+        assert [t for t, _ in walk] == list(all_permutations(n))
+        for t, reduced in walk:
+            _, want_reduced = oracle.lifted_paths(t)
             assert reduced.records == want_reduced.records, t
             assert reduced.family == "large_laguerre", t
-            assert stats == (ascents(t), pattern_31_2(t)), t
 
 
 def test_interleaved_walks_share_no_state():

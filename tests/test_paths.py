@@ -473,17 +473,17 @@ def test_enumeration_ends_only_where_the_family_can():
 
 def test_open_family_may_end_above_zero():
     left = path_from_steps("left_factor", [UNIT_UP_R, UNIT_UP_R, UNIT_DOWN_R])
-    assert left.shape() == "UUD" and left.heights() == [0, 1, 2]
+    assert left.records == (UNIT_UP_R, UNIT_UP_R, UNIT_DOWN_R) and left.heights() == [0, 1, 2]
     assert sum(delta for delta, *_ in left.records) == 1  # the final height
 
 
 def test_penaud_examples():
     both_unit = path_from_steps("secant_core", [UNIT_UP_R, UNIT_DOWN_R])
     h1, h2 = penaud_decompose(both_unit)
-    assert h1.shape() == "UD" and h2.records == ()
+    assert h1.records == (UNIT_UP_R, UNIT_DOWN_R) and h2.records == ()
     mixed = path_from_steps("secant_core", [UNIT_UP_R, (-1, -1, 0, 1)])
     h1, h2 = penaud_decompose(mixed)
-    assert h1.shape() == "UU" and h2.shape() == "UD" and h2.weight() == -Q
+    assert h2.weight() == -Q
     assert h1.records == (UNIT_UP_R, UNIT_UP_R) and h2.records == mixed.records
     empty = path_from_steps("secant_core", [])
     assert penaud_decompose(empty) == (
