@@ -30,7 +30,8 @@ class Relation(NamedTuple):
     boundary: str  # "constant", "row", or "total"
 
     # The relations are module singletons, so identity equality and hashing
-    # suffice and keep the _d_times_epow cache key from hashing four Poly fields.
+    # suffice and keep the cache keys of _d_times_epow and _newest_power from
+    # hashing four Poly fields.
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
@@ -121,6 +122,24 @@ def word_normal_form(relation: Relation, word: str) -> NormalForm:
     return nf
 
 
+def _power_step(nf: NormalForm, coeff_d: Poly, coeff_e: Poly, coeff_id: Poly) -> NormalForm:
+    """(coeff_d D + coeff_e E + coeff_id I) * nf: one factor of a power."""
+    pairs = defaultdict(list)
+    for coeff, part in ((coeff_d, left_mul_d(nf)), (coeff_e, left_mul_e(nf)), (coeff_id, nf)):
+        if coeff:
+            for k, c in part.table:
+                pairs[k].append((coeff, c))
+    return NormalForm(nf.relation, _entries(pairs))
+
+
+@lru_cache(maxsize=None)
+def _newest_power(
+    relation: Relation, coeff_d: Poly, coeff_e: Poly, coeff_id: Poly
+) -> list[tuple[int, NormalForm]]:
+    """One slot per power sequence, holding (k, its k-th power) for the newest k built."""
+    return [(0, NormalForm.identity(relation))]
+
+
 def normal_power(
     relation: Relation,
     n: int,
@@ -128,16 +147,21 @@ def normal_power(
     coeff_e: Poly,
     coeff_id: Poly = ZERO,
 ) -> NormalForm:
-    """Normal form of (coeff_d D + coeff_e E + coeff_id I)^n."""
+    """Normal form of (coeff_d D + coeff_e E + coeff_id I)^n.
+
+    Each sequence (the relation and the three coefficients) keeps only the
+    newest power it built.  A request at or above that power's exponent steps
+    on from it, one below folds from the identity, and the power returned
+    becomes the one kept.
+    """
     check_size(n)
-    nf = NormalForm.identity(relation)
-    for _ in range(n):
-        pairs = defaultdict(list)
-        for coeff, part in ((coeff_d, left_mul_d(nf)), (coeff_e, left_mul_e(nf)), (coeff_id, nf)):
-            if coeff:
-                for k, c in part.table:
-                    pairs[k].append((coeff, c))
-        nf = NormalForm(relation, _entries(pairs))
+    slot = _newest_power(relation, coeff_d, coeff_e, coeff_id)
+    k, nf = slot[0]
+    if k > n:
+        k, nf = 0, NormalForm.identity(relation)
+    for _ in range(k, n):
+        nf = _power_step(nf, coeff_d, coeff_e, coeff_id)
+    slot[0] = n, nf
     return nf
 
 
@@ -154,18 +178,21 @@ def boundary_eval(relation: Relation, nf: NormalForm) -> Poly:
     return poly_sum(c for _, c in nf.table)
 
 
+@lru_cache(maxsize=None)
 def q_derangement_ansatz(n: int) -> Poly:
     """The derangement distribution via <W|(yD + E)^n|V> under MAIN."""
     check_size(n, ANSATZ_BOUND)
     return boundary_eval(MAIN, normal_power(MAIN, n, Y, ONE))
 
 
+@lru_cache(maxsize=None)
 def q_eulerian_ansatz(n: int) -> Poly:
     """The full distribution via <W|(yD' + E')^n|V> under PRIMED."""
     check_size(n, ANSATZ_BOUND)
     return boundary_eval(PRIMED, normal_power(PRIMED, n, Y, ONE))
 
 
+@lru_cache(maxsize=None)
 def weighted_involution_ansatz(n: int) -> Poly:
     """<W|(-Dh + Eh)^n|V> under HAT; a Laurent polynomial in q."""
     check_size(n, ANSATZ_BOUND)

@@ -163,27 +163,25 @@ def _census(n: int, alternating: bool = False) -> Counter:
     * crossings: the earlier positions i with sigma(i) < v and either
       j < sigma(i) (the placed values strictly between j and v, when v > j) or
       v <= i (the values below v placed at positions v..j-1, P[j] ^ P[v]);
-    * 31-2: field v of `fields` counts the earlier descents (hi, lo) with
-      lo < v < hi; a descent adds a run of ones to the fields lo+1..hi-1.
+    * 31-2: a descent (hi, lo) adds the values strictly between lo and hi
+      that are not placed yet, since they all come after it; the last value
+      closes no such descent, as nothing comes after it.
     """
     check_size(n, DEFAULT_BOUND)
     counts: Counter = Counter()
     if n < 2:
         counts[n, 0, n, 0, n == 0] += 1  # the empty permutation, or 1 (a fixed point)
         return counts
-    width = n.bit_length()  # a field counts at most n - 1 descents, so never carries
-    field = (1 << width) - 1
     low = [(1 << k) - 1 for k in range(n + 1)]  # the values 1..k
     free_of = [tuple(v for v in range(1, n + 1) if not m >> (v - 1) & 1) for m in range(1 << n)]
-    runs = [[sum(1 << (width * x) for x in range(lo + 1, hi)) for lo in range(n + 1)]
-            for hi in range(n + 1)]
+    # spans[hi][lo]: the values strictly between lo and hi
+    spans = [[low[hi - 1] ^ low[lo] for lo in range(hi)] for hi in range(n + 1)]
     full = low[n]
     last = n - 1
     last_odd = last % 2 == 1
     P = [0] * n
 
-    def place(j: int, prev: int, wex: int, cr: int, p312: int, fields: int, desc: int,
-              der: bool) -> None:
+    def place(j: int, prev: int, wex: int, cr: int, p312: int, desc: int, der: bool) -> None:
         Pj = P[j]
         j1 = j + 1
         above = Pj >> j  # bit 0 is the value j + 1
@@ -199,16 +197,15 @@ def _census(n: int, alternating: bool = False) -> Counter:
                 c = cr + ((Pj ^ P[v]) & low[v - 1]).bit_count()
                 w = wex
                 d = der
-            p = p312 + (fields >> (v * width) & field)
             P[j1] = Pv = Pj | 1 << (v - 1)
             if prev > v:
-                f = fields + runs[prev][v]
+                p = p312 + (spans[prev][v] & ~Pv).bit_count()
                 e = desc + 1
             else:
-                f = fields
+                p = p312
                 e = desc
             if j1 < last:
-                place(j1, v, w, c, p, f, e, d)
+                place(j1, v, w, c, p, e, d)
                 continue
             # the one value u left goes at the last position, counted here
             u = (full ^ Pv).bit_length()
@@ -219,9 +216,9 @@ def _census(n: int, alternating: bool = False) -> Counter:
                 d = False
             else:
                 c += ((Pv ^ P[u]) & low[u - 1]).bit_count()
-            counts[w, c, n - e - (v > u), p + (f >> (u * width) & field), d] += 1
+            counts[w, c, n - e - (v > u), p, d] += 1
 
-    place(0, 0, 0, 0, 0, 0, 0, True)
+    place(0, 0, 0, 0, 0, 0, True)
     return counts
 
 

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from qeuler import ansatz
 from qeuler.ansatz import (
     HAT,
     MAIN,
@@ -14,6 +15,7 @@ from qeuler.ansatz import (
     Relation,
     boundary_eval,
     left_mul_d,
+    left_mul_e,
     nf_mul,
     normal_power,
     q_derangement_ansatz,
@@ -149,6 +151,55 @@ def test_nf_mul_matches_the_rebuilding_oracle():
             assert nf_mul(a, b) == _nf_mul_oracle(a, b)
             assert nf_mul(nf_mul(a, b), c) == _nf_mul_oracle(_nf_mul_oracle(a, b), c)
             assert nf_mul(a, nf_mul(b, c)) == _nf_mul_oracle(a, _nf_mul_oracle(b, c))
+
+
+def _clear_ansatz_caches():
+    for value in vars(ansatz).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+
+
+def _fresh_power(relation, n, coeff_d, coeff_e, coeff_id):
+    """The power as first written: n factors folded from the identity, nothing kept."""
+    nf = NormalForm.identity(relation)
+    for _ in range(n):
+        acc = {}
+        for coeff, part in ((coeff_d, left_mul_d(nf)), (coeff_e, left_mul_e(nf)), (coeff_id, nf)):
+            for k, c in part.table:
+                acc[k] = acc.get(k, ZERO) + coeff * c
+        nf = NormalForm.from_dict(relation, acc)
+    return nf
+
+
+def test_resumed_powers_match_a_fresh_fold():
+    sequences = (
+        (MAIN, Y, ONE, ZERO),
+        (MAIN, Y, Q + ONE, Poly.monomial(-2)),
+        (PRIMED, Y, ONE, ZERO),
+        (PRIMED, Y, ONE, -Y),
+        (HAT, -ONE, ONE, ZERO),
+    )
+    # per sequence: repeats, steps of one, jumps, and decreases to lower and to 0
+    exponents = (3, 3, 4, 6, 2, 2, 5, 0, 1, 6)
+    rng = random.Random(20261020)
+    order = [s for s in range(len(sequences)) for _ in exponents]
+    rng.shuffle(order)  # interleaves the sequences, each keeping its exponent order
+    position = [0] * len(sequences)
+    _clear_ansatz_caches()
+    for s in order:
+        relation, d, e, i = sequences[s]
+        n = exponents[position[s]]
+        position[s] += 1
+        assert normal_power(relation, n, d, e, i) == _fresh_power(relation, n, d, e, i), (s, n)
+
+
+def test_cached_values_equal_a_recomputation():
+    values = (q_derangement_ansatz, q_eulerian_ansatz, weighted_involution_ansatz)
+    cached = [[f(n) for n in range(8)] for f in values]
+    _clear_ansatz_caches()
+    assert all(f.cache_info().currsize == 0 for f in values)
+    recomputed = [[f(n) for n in reversed(range(8))][::-1] for f in values]
+    assert recomputed == cached
 
 
 def test_word_oracle_against_tableaux():

@@ -1,4 +1,5 @@
-"""Peak memory of the exhaustive checks that keep one key per object.
+"""Peak memory of the exhaustive checks that keep one key per object, and what
+the ansatz caches keep.
 
 bijection_size keeps one byte per record of every image of S_n, penaud keeps
 the (left factor, core) pair of every signed Dyck path, and the tableau sums
@@ -39,3 +40,18 @@ def test_exhaustive_check_peak_memory(suite, check_id, func, kwargs, ceiling_mb)
         tracemalloc.stop()
     assert result.status == "PASS", result.detail
     assert peak / 2**20 < ceiling_mb, f"{check_id} peaked at {peak / 2**20:.2f} MB"
+
+
+def test_ansatz_caches_keep_only_the_newest_power():
+    # the caches keep the newest power of each of the four sequences these checks
+    # build and the values: about 1.6 MB at n=10, and about 3.5 MB if every power stayed
+    _clear_caches()
+    tracemalloc.start()
+    try:
+        results = [run_check(Check("ansatz", f"{func}/n=10", func, {"n": 10}))
+                   for func in ("ansatz_distribution", "ansatz_hat", "ansatz_shift")]
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.status == "PASS" for r in results), [r.detail for r in results]
+    assert current / 2**20 < 2.5, f"the ansatz caches hold {current / 2**20:.2f} MB"
