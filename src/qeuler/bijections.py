@@ -39,8 +39,8 @@ def _encoder_records(n: int) -> tuple[tuple[Record, ...], ...]:
     + (predecessor larger), then by the cover: a peak falls, a double descent
     and a double ascent stay flat, a valley rises; y marks an ascent position.
 
-    Every image of size n takes its records from here, so equal records are
-    one object and a set of images keeps each record once.
+    The encoder looks each record up here by kind and cover instead of
+    building it per step, so the images of one size share their records.
     """
     return tuple(tuple((delta, 1, ypow, c) for c in range(n + 1))
                  for delta, ypow in ((-1, 0), (0, 0), (0, 1), (1, 1)))

@@ -491,65 +491,30 @@ def family_sum_by_enumeration(family: str, length: int, restricted: bool = False
 # -- the secant/tangent path decomposition --------------------------------------
 
 
-# The delta of each unit-weight record.
-_UNIT_DELTA = {(delta, *_UNIT): delta for delta in (1, -1, 0)}
-
-
-def _maximal_unit_factors(records: tuple[Record, ...]) -> list[tuple[int, int]]:
-    """Maximal contiguous balanced all-unit-weight Dyck factors of the records.
-
-    A factor [a, b) is balanced, never dips below its starting height, and
-    every step in it has weight exactly 1.  Maximal factors are pairwise
-    disjoint, so a greedy left-to-right scan that always takes the longest
-    factor starting at the current position finds exactly all of them.
-    """
-    n = len(records)
-    unit_delta = _UNIT_DELTA.get
-    factors: list[tuple[int, int]] = []
-    pos = 0
-    while pos < n:
-        h = 0
-        best = -1
-        j = pos
-        while j < n:
-            delta = unit_delta(records[j])
-            if delta is None:
-                break
-            h += delta
-            j += 1
-            if h < 0:
-                break
-            if h == 0:
-                best = j
-        if best > pos:
-            factors.append((pos, best))
-            pos = best
-        else:
-            pos += 1
-    return factors
-
-
 def penaud_decompose(path: WeightedPath) -> tuple[WeightedPath, WeightedPath]:
     """Split a signed Dyck path into (left factor, restricted core).
 
-    Steps inside maximal all-unit Dyck factors keep their direction in the
-    left factor; every other step becomes an up step there.  The core is
-    the path of surviving (non-factor) steps with their original weights;
-    removed factors are balanced, so surviving steps keep their heights and
-    remain admissible in the same family.  Both parts are built from the
-    slices between the factors.
+    The unit steps pair up like parentheses: a unit down step matches the
+    latest unmatched unit up step since the last step of another weight.
+    Matched steps, which make up the maximal all-unit Dyck factors, keep
+    their direction in the left factor; every other step becomes an up step
+    there.  The core is the path of unmatched steps, in order, with their
+    original weights; the matched steps are balanced, so unmatched steps keep
+    their heights and remain admissible in the same family.
     """
     if path.family not in ("secant_core", "tangent_core"):
         raise ValueError("decomposition applies to the signed Dyck families")
     records = path.records
-    left: tuple[Record, ...] = ()
-    core: tuple[Record, ...] = ()
-    pos = 0
-    # a factor step is a unit step, so its record is already a left-factor record
-    for a, b in _maximal_unit_factors(records):
-        core += records[pos:a]
-        left += (UNIT_UP,) * (a - pos) + records[a:b]
-        pos = b
-    core += records[pos:]
-    left += (UNIT_UP,) * (len(records) - pos)
-    return path_from_steps("left_factor", left), path_from_steps(path.family, core)
+    left = [UNIT_UP] * len(records)
+    core: list[Record | None] = list(records)
+    ups: list[int] = []  # the unit up steps not matched yet, since the last step of another weight
+    for i, r in enumerate(records):
+        if r == UNIT_UP:
+            ups.append(i)
+        elif r == UNIT_DOWN and ups:
+            left[i] = UNIT_DOWN
+            core[i] = core[ups.pop()] = None
+        elif r != UNIT_DOWN:
+            ups.clear()
+    return (path_from_steps("left_factor", left),
+            path_from_steps(path.family, [r for r in core if r is not None]))

@@ -129,22 +129,18 @@ def fpf_involutions(n: int) -> Iterator[tuple[int, ...]]:
     """Fixed-point-free involutions of {1..n}; empty for odd n."""
     if n % 2:
         return
-    def rec(avail: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not avail:
-            yield ()
+    img = [0] * n  # img[i] is the image of i + 1; 0 while i + 1 is unpaired
+    def rec() -> Iterator[tuple[int, ...]]:
+        if 0 not in img:
+            yield tuple(img)
             return
-        a = avail[0]
-        for idx in range(1, len(avail)):
-            b = avail[idx]
-            rest = avail[1:idx] + avail[idx + 1:]
-            for pairs in rec(rest):
-                yield ((a, b), *pairs)
-    for pairs in rec(tuple(range(1, n + 1))):
-        img = [0] * n
-        for a, b in pairs:
-            img[a - 1] = b
-            img[b - 1] = a
-        yield tuple(img)
+        a = img.index(0)  # pair the smallest unpaired value with each later one
+        for b in range(a + 1, n):
+            if not img[b]:
+                img[a], img[b] = b + 1, a + 1
+                yield from rec()
+                img[a] = img[b] = 0
+    yield from rec()
 
 
 # -- brute-force distributions ----------------------------------------------

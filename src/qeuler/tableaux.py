@@ -281,22 +281,14 @@ def shape_of_word(word: str) -> Shape | None:
     the top-right corner: each D closes a row, each E narrows by one column.
 
     Rows (top to bottom) sit at the D letters; each row's length counts the
-    E letters after it.  An E before the first D would open a height-0
+    E letters after it.  A word that starts with E would open a height-0
     column, which no tableau can fill: None marks that case.
     """
     if any(ch not in "DE" for ch in word):
         raise ValueError(f"word must use letters D and E only: {word!r}")
-    first_d = word.find("D")
-    if "E" in word[: first_d + 1 if first_d >= 0 else len(word)]:
+    if word.startswith("E"):
         return None
-    rows = []
-    e_remaining = word.count("E")
-    for ch in word:
-        if ch == "D":
-            rows.append(e_remaining)
-        else:
-            e_remaining -= 1
-    return Shape(tuple(rows))
+    return Shape(tuple(word.count("E", i) for i, ch in enumerate(word) if ch == "D"))
 
 
 def derangement_sum_for_shape(shape: Shape) -> Poly:

@@ -160,14 +160,22 @@ def _restricted_core_count(family: str, length: int) -> int:
 def _chk_penaud(n: int) -> tuple[bool, str]:
     for family in ("secant_core", "tangent_core"):
         pairs = set()
-        parts = {}  # each distinct left factor and core, kept once for every key
+        lefts = {}  # each distinct left factor, kept once for every key
+        cores = {}  # each distinct core, checked restricted when first seen
         count = 0
         for path in pa.enumerate_family(family, 2 * n):
             h1, h2 = pa.penaud_decompose(path)
             if path.exponents() != h2.exponents():
                 return False, f"weight not preserved for {path.dump()!r}"
-            key = (parts.setdefault(h1.records, h1.records),
-                   parts.setdefault(h2.records, h2.records))
+            left = lefts.setdefault(h1.records, h1.records)
+            core = cores.get(h2.records)
+            if core is None:
+                core = cores[h2.records] = h2.records
+                if (pa.UNIT_UP, pa.UNIT_DOWN) in zip(core, core[1:]):
+                    return False, f"core not restricted for {path.dump()!r}"
+            if len(left) != 2 * n or 2 * n - 2 * left.count(pa.UNIT_DOWN) != len(core):
+                return False, f"left factor does not end at the core length for {path.dump()!r}"
+            key = (left, core)
             if key in pairs:
                 return False, f"decomposition collision in {family}"
             pairs.add(key)

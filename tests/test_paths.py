@@ -517,8 +517,30 @@ def test_penaud_parts_are_validated(monkeypatch):
     assert built == ["left_factor", "tangent_core"]
 
 
+@st.composite
+def signed_core_paths(draw):
+    """A signed Dyck path: each step a direction that can still close, then one
+    of the family's records for it at that height."""
+    family = draw(st.sampled_from(("secant_core", "tangent_core")))
+    records, h = [], 0
+    for rem in range(2 * draw(st.integers(0, 20)), 0, -1):
+        delta = draw(st.sampled_from([d for d in (1, -1) if 0 <= h + d < rem]))
+        records.append(draw(st.sampled_from(pa._records(family, delta, h))))
+        h += delta
+    return path_from_steps(family, records)
+
+
+@given(signed_core_paths())
+def test_penaud_matches_object_oracle_on_long_paths(path):
+    want_left, want_core = oracle.penaud_decompose(path.family, oracle.as_items(path))
+    h1, h2 = penaud_decompose(path)
+    assert (h1.records, h2.records) == (oracle.as_records(want_left), oracle.as_records(want_core))
+
+
 def test_penaud_bijection_small():
     for family in ("secant_core", "tangent_core"):
+        cores = [{p.records for p in enumerate_family(family, 2 * k, restricted=True)}
+                 for k in range(4)]
         for n in range(4):
             seen = set()
             count = 0
@@ -526,16 +548,29 @@ def test_penaud_bijection_small():
                 h1, h2 = penaud_decompose(path)
                 assert path.weight() == h2.weight()
                 assert sum(delta for delta, *_ in h1.records) == len(h2.records)
+                assert h2.records in cores[len(h2.records) // 2], path.dump()
                 key = (h1.records, h2.records)
                 assert key not in seen
                 seen.add(key)
                 count += 1
-            expected = sum(
-                ballot(2 * n, k)
-                * sum(1 for _ in enumerate_family(family, 2 * k, restricted=True))
-                for k in range(n + 1)
-            )
-            assert count == expected
+            assert count == sum(ballot(2 * n, k) * len(cores[k]) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("decompose, detail", [
+    # (all up, the path itself): injective and counted, but the core is not restricted
+    (lambda path: (path_from_steps("left_factor", [UNIT_UP_R] * len(path.records)), path),
+     "core not restricted"),
+    # the true core under an all-up left factor, which ends above the core's length
+    (lambda path: (path_from_steps("left_factor", [UNIT_UP_R] * len(path.records)),
+                   penaud_decompose(path)[1]),
+     "left factor does not end at the core length"),
+])
+def test_penaud_check_fails_a_part_outside_the_product_set(monkeypatch, decompose, detail):
+    check = verify.Check("section5", "penaud/2n=4", "penaud", {"n": 2})
+    assert verify.run_check(check).status == "PASS"
+    monkeypatch.setattr(pa, "penaud_decompose", decompose)
+    result = verify.run_check(check)
+    assert result.status == "FAIL" and result.detail.startswith(detail), result.detail
 
 
 def test_penaud_aggregate_identity():

@@ -69,7 +69,8 @@ PER_OBJECT_CHECKS = {
     "confluence": "compares two association orders on each random word",
     "word_oracle": "compares the operator and tableau values of each word",
     "bijection_size": "asserts injectivity and the path criteria on each permutation",
-    "penaud": "asserts weight and injectivity on each decomposed path",
+    "penaud": "asserts weight, injectivity, a restricted core and the left factor's end height"
+              " on each decomposed path",
 }
 
 
