@@ -29,9 +29,6 @@ from .errors import check_permutation, check_size
 from .paths import UNIT_DOWN, Record, WeightedPath, path_from_steps
 from .permutations import DEFAULT_BOUND, ascents, pattern_31_2
 
-# The lifted image opens with an up step of weight y.
-_Y_UP = (1, 1, 1, 0)
-
 
 @cache
 def _encoder_records(n: int) -> tuple[tuple[Record, ...], ...]:
@@ -97,13 +94,17 @@ def lifted_histories(n: int) -> Iterator[tuple[tuple[int, ...], WeightedPath]]:
     """(t, trimmed image of its lift) for every permutation t of size n >= 1,
     in all_permutations order.
 
-    The full image of the lift is _Y_UP followed by the encoding of t under
-    the boundary sigma(n+1) = 0 (see the module docstring).  It is validated
-    as a Laguerre history, its weight asserted to be y^asc q^(31-2) and its
-    last step a down step of weight 1; without both ends and with its origin
-    shifted down by one, it is validated as a large Laguerre history of size
-    n.  Iterating raises ValueError when n < 1 and BudgetExceededError when
-    n > DEFAULT_BOUND, the census's bound.
+    The full image of the lift is the up step of weight y followed by the
+    encoding of t under the boundary sigma(n+1) = 0 (see the module
+    docstring).  Only the trimmed image is built and validated: without both
+    ends and with its origin shifted down by one, as a large Laguerre history
+    of size n of weight y^(asc-1) q^(31-2) for the statistics of t, and the
+    maximum's step is asserted to be a down step of weight 1.  That proves
+    the full image too: a large Laguerre step from height h is a Laguerre
+    step from h + 1, the up step of weight y is one from 0 and the down step
+    of weight 1 one from 1, so the full image is a Laguerre history of weight
+    y^asc q^(31-2).  Iterating raises ValueError when n < 1 and
+    BudgetExceededError when n > DEFAULT_BOUND, the census's bound.
 
     One depth-first walk places t's values position by position, in this one
     generator frame with an explicit stack: an iterator of the values still
@@ -132,9 +133,8 @@ def lifted_histories(n: int) -> Iterator[tuple[tuple[int, ...], WeightedPath]]:
     # indexed by whether the predecessor is larger, then by the cover
     falls = (table[False, False], table[True, False])
     rises = (table[False, True], table[True, True])
-    # rec[k]: the record of t's value k, the lift's k + 1.  rec[0] is the lift's 1, which
-    # the boundary 0 stands for: its rise at depth 0 writes a placeholder there, and each
-    # leaf writes the lift's first step over it.
+    # rec[k]: the record of t's value k, the lift's k + 1.  rec[0] is a scratch slot for the
+    # rise of the boundary 0, which stands for the lift's 1; the leaf builds only rec[1:n].
     rec = [None] * (n + 1)
     t = [0] * n  # t[j]: the value of t at position j
     # frames[j]: (placed mask, predecessor, whether it fell, its cover, fields, ascents, 31-2)
@@ -171,14 +171,12 @@ def lifted_histories(n: int) -> Iterator[tuple[tuple[int, ...], WeightedPath]]:
                 its[j] = iter(free_of[m])
             continue
         rec[k] = falls[prev_fell][cover]  # t's last value falls to the boundary 0
-        rec[0] = _Y_UP
-        records = tuple(rec)
-        full = path_from_steps("laguerre", records)
-        if full.exponents() != (1, asc, p312):
-            raise AssertionError(f"weight property failed for the lift of {tuple(t)}")
-        if records[-1] != UNIT_DOWN:
+        if rec[n] != UNIT_DOWN:
             raise AssertionError("lifted image must close with a down step of weight 1")
-        yield tuple(t), path_from_steps("large_laguerre", records[1:-1])
+        reduced = path_from_steps("large_laguerre", rec[1:n])
+        if reduced.exponents() != (1, asc - 1, p312):
+            raise AssertionError(f"weight property failed for the lift of {tuple(t)}")
+        yield tuple(t), reduced
         j -= 1
 
 

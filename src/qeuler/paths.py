@@ -189,27 +189,19 @@ def _family(family: str, length: int) -> Family:
     return fam
 
 
-_Rules = tuple[bool, tuple[frozenset[Record], ...], tuple[dict[Record, int], ...]]
-
-
 @cache
-def _rules(family: str, length: int) -> _Rules:
-    """(closed, allowed, steps) for the paths of the family with length steps:
-    whether they must return to 0, and, indexed by h, every record a step may
-    be from height h, for the heights h < length that such a path can start a
-    step at; steps[h] maps each of those records that does not dip below 0 to
-    the height after it.
+def _rules(family: str, length: int) -> tuple[bool, tuple[dict[Record, int], ...]]:
+    """(closed, steps) for the paths of the family with length steps: whether
+    they must return to 0, and, indexed by the heights h < length that such a
+    path can start a step at, a map from each record a step may be from h
+    without dipping below 0 to the height after it.
 
     An unknown name or a negative length raises ValueError, which the cache
     does not keep.
     """
     closed = _family(family, length).closed
-    allowed = tuple(
-        frozenset(r for delta in (1, -1, 0) for r in _records(family, delta, h))
-        for h in range(length)
-    )
-    return closed, allowed, tuple({r: h + r[0] for r in rs if h + r[0] >= 0}
-                                  for h, rs in enumerate(allowed))
+    return closed, tuple({r: h + delta for delta in (1, -1, 0) if h + delta >= 0
+                          for r in _records(family, delta, h)} for h in range(length))
 
 
 def path_from_steps(family: str, records: Iterable[Record]) -> WeightedPath:
@@ -221,12 +213,12 @@ def path_from_steps(family: str, records: Iterable[Record]) -> WeightedPath:
     in the steps from its height; only a miss asks which rule it breaks.
     """
     records = tuple(records)
-    closed, allowed, steps = _rules(family, len(records))
+    closed, steps = _rules(family, len(records))
     h = 0
     for r in records:
         after = steps[h].get(r)
         if after is None:
-            if r in allowed[h]:
+            if any(r in _records(family, delta, h) for delta in (1, -1, 0)):
                 raise ValueError("path dips below height 0")
             raise ValueError(f"step {r} from height {h} violates {family} weight rule")
         h = after
@@ -437,7 +429,7 @@ def tangent_core_cf_spec() -> CFSpec:
 
 
 @cache
-def _moves(family: str, h: int, rem: int, end: int = 0) -> tuple[tuple[Record, int, int], ...]:
+def _moves(family: str, h: int, rem: int, end: int) -> tuple[tuple[Record, int, int], ...]:
     """(record, next height, units left) for every step of the family from
     height h after which a path can still end at height end within rem units."""
     flat_len = FAMILIES[family].flat_length

@@ -17,6 +17,7 @@ from qeuler.poly import ONE, Poly
 
 DELTA = {"U": 1, "D": -1, "F": 0}
 UNIT = (1, 0, 0)  # the weight triple of weight 1
+Y_UP = (1, 1, 1, 0)  # the record of the up step of weight y, which opens a lifted image
 
 
 def as_records(items):
@@ -100,7 +101,7 @@ def lifted_paths(p):
     """
     full = bijections.francon_viennot(bijections.lift_append_one(p))
     records = full.records
-    if records[0] != bijections._Y_UP:
+    if records[0] != Y_UP:
         raise AssertionError("lifted image must open with an up step of weight y")
     if records[-1] != UNIT_DOWN:
         raise AssertionError("lifted image must close with a down step of weight 1")

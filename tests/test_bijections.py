@@ -17,7 +17,14 @@ from qeuler.bijections import (
     returns_to_zero_early,
 )
 from qeuler.errors import BudgetExceededError
-from qeuler.paths import WeightedPath, euler_dyck_sum, laguerre_sum
+from qeuler.paths import (
+    UNIT_DOWN,
+    WeightedPath,
+    _records,
+    euler_dyck_sum,
+    laguerre_sum,
+    path_from_steps,
+)
 from qeuler.permutations import (
     all_permutations,
     ascents,
@@ -246,6 +253,23 @@ def test_walk_matches_the_per_permutation_encoding():
             _, want_reduced = oracle.lifted_paths(t)
             assert reduced.records == want_reduced.records, t
             assert reduced.family == "large_laguerre", t
+
+
+def test_a_large_laguerre_step_is_a_laguerre_step_one_level_up():
+    """Why the walk validates only the trimmed image: each of its steps from h is a
+    Laguerre step from h + 1, and the two ends are Laguerre steps from 0 and 1."""
+    for h in range(40):
+        for delta in (1, -1, 0):
+            assert set(_records("large_laguerre", delta, h)) <= set(_records("laguerre", delta, h + 1))
+    assert oracle.Y_UP in _records("laguerre", 1, 0)
+    assert UNIT_DOWN in _records("laguerre", -1, 1)
+
+
+def test_walk_images_with_both_ends_are_laguerre_histories():
+    for n in range(1, 8):
+        for t, reduced in lifted_histories(n):
+            full = path_from_steps("laguerre", (oracle.Y_UP, *reduced.records, UNIT_DOWN))
+            assert full.exponents() == (1, ascents(t), pattern_31_2(t)), t
 
 
 def test_interleaved_walks_share_no_state():
