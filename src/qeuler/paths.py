@@ -139,7 +139,8 @@ _monomial = cache(Poly.monomial)
 class WeightedPath(NamedTuple):
     """A path as one tuple of step records; start heights are derived.
 
-    Build it with path_from_steps, which validates the records.
+    Build it with path_from_steps, which validates the records;
+    enumerate_family builds its leaves from the same table without the check.
     """
 
     records: tuple[Record, ...]
@@ -452,11 +453,16 @@ def enumerate_family(family: str, length: int, end: int = 0, *,
     is depth first with one iterator of moves per step of the prefix.
     restricted is keyword-only and callers pass end by position: the benchmark
     tracer's hook on this function takes only (family, length, restricted).
+
+    The leaves are built as path_from_steps builds its return value, without
+    its validation: every step is one of _moves, which offers only the
+    _records of the family that keep the path at or above 0 and able to end
+    at end, the table and height rule that path_from_steps checks against.
     """
     if _family(family, length).closed and end != 0:
         raise ValueError(f"no path of {family} ends at height {end}")
     if length == 0 and end == 0:
-        yield path_from_steps(family, ())
+        yield tuple.__new__(WeightedPath, ((), family))
         return
     prefix: list[Record] = []
     stack = [iter(_moves(family, 0, length, end))]
@@ -465,7 +471,7 @@ def enumerate_family(family: str, length: int, end: int = 0, *,
             if restricted and r == UNIT_DOWN and prefix and prefix[-1] == UNIT_UP:
                 continue
             if rem == 0:
-                yield path_from_steps(family, (*prefix, r))
+                yield tuple.__new__(WeightedPath, ((*prefix, r), family))
                 continue
             prefix.append(r)
             stack.append(iter(_moves(family, nh, rem, end)))

@@ -145,7 +145,7 @@ def _chk_bijection_size(n: int) -> tuple[bool, str]:
     if not (len(seen) == count == math.factorial(n)):
         return False, f"image count {len(seen)} != history count {count}"
     if n % 2:
-        for p, reduced in bj.lifted_histories(n):
+        for p, reduced, _ in bj.lifted_histories(n):
             if pm.is_alternating(p) != (not reduced.has_flat()):
                 return False, f"odd alternating characterization failed at {p}"
     return True, "injective, counted, and characterized"
@@ -244,7 +244,7 @@ AGREEMENTS: dict[str, Agreement] = {
     # the trimmed lifted-path weights at y = -1 give (-1)^((n-1)/2) E_n(q) for odd n
     "reduced_path_sum": _signed_row(
         ("lifted_paths", lambda n: poly_sum(
-            reduced.weight() for _, reduced in bj.lifted_histories(n)).substitute_y(-1)),
+            weight for _, _, weight in bj.lifted_histories(n)).substitute_y(-1)),
         0, lambda n: Poly.monomial((-1) ** ((n - 1) // 2)), "q-tangent"),
     "closed_form_even_vanishing": Agreement((
         ("closed", lambda n: cf.q_eulerian_closed(n).substitute_y(-1)),

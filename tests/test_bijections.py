@@ -113,14 +113,14 @@ def test_lift_refuses_a_non_permutation(t):
 
 
 def test_lifted_images():
-    trimmed = dict(lifted_histories(1))
+    trimmed = {t: reduced for t, reduced, _ in lifted_histories(1)}
     assert trimmed[(1,)].records == ()  # the lift (2, 1) has the image U D
-    trimmed = dict(lifted_histories(3))
+    trimmed = {t: reduced for t, reduced, _ in lifted_histories(3)}
     # the lift (3, 4, 2, 1) has the image U F F D of weight y^2
     assert [delta for delta, *_ in trimmed[2, 3, 1].records] == [0, 0]
     assert trimmed[2, 3, 1].weight() == Poly.monomial(1, 1, 0)
     assert trimmed[2, 3, 1].family == "large_laguerre"
-    trimmed = dict(lifted_histories(2))
+    trimmed = {t: reduced for t, reduced, _ in lifted_histories(2)}
     assert trimmed[2, 1].weight() == Poly.monomial(1, 0, 0)  # the lift (3, 2, 1) weighs y
 
 
@@ -172,7 +172,7 @@ def test_alternating_characterizations():
         for p in itperms(range(1, n + 1)):
             assert is_alternating(p) == (not francon_viennot(p).has_flat())
     for n in (1, 3, 5):
-        for p, reduced in lifted_histories(n):
+        for p, reduced, _ in lifted_histories(n):
             assert is_alternating(p) == (not reduced.has_flat())
 
 
@@ -180,7 +180,7 @@ def test_signed_reduced_path_sums():
     # flats cancel at y = -1; odd sizes leave (-1)^((n-1)/2) times the
     # q-tangent value, even sizes vanish outright
     for n in range(1, 7):
-        total = poly_sum(reduced.weight() for _, reduced in lifted_histories(n))
+        total = poly_sum(reduced.weight() for _, reduced, _ in lifted_histories(n))
         value = total.substitute_y(-1)
         if n % 2 == 0:
             assert value.is_zero
@@ -195,7 +195,7 @@ def test_records_match_object_oracle_exhaustive():
     for n in range(1, 8):
         for p in itperms(range(1, n + 1)):
             assert francon_viennot(p).records == oracle.as_records(oracle.francon_viennot(p)), p
-        for p, reduced in lifted_histories(n):
+        for p, reduced, _ in lifted_histories(n):
             _, want_reduced = oracle.lifted_francon_viennot(p)
             assert reduced.records == oracle.as_records(want_reduced), p
 
@@ -248,11 +248,20 @@ def test_lift_trim_assertions_fire(monkeypatch, bad_first, bad_last, message):
 def test_walk_matches_the_per_permutation_encoding():
     for n in range(1, 8):
         walk = list(lifted_histories(n))
-        assert [t for t, _ in walk] == list(all_permutations(n))
-        for t, reduced in walk:
+        assert [t for t, _, _ in walk] == list(all_permutations(n))
+        for t, reduced, _ in walk:
             _, want_reduced = oracle.lifted_paths(t)
             assert reduced.records == want_reduced.records, t
             assert reduced.family == "large_laguerre", t
+
+
+def test_walk_yields_the_interned_weight_of_each_image():
+    """The yielded weight is the image's own weight() object, the monomial
+    y^(asc-1) q^(31-2) of t's statistics."""
+    for n in range(1, 8):
+        for t, reduced, weight in lifted_histories(n):
+            assert weight is reduced.weight(), t
+            assert weight == Poly.monomial(1, ascents(t) - 1, pattern_31_2(t)), t
 
 
 def test_a_large_laguerre_step_is_a_laguerre_step_one_level_up():
@@ -267,7 +276,7 @@ def test_a_large_laguerre_step_is_a_laguerre_step_one_level_up():
 
 def test_walk_images_with_both_ends_are_laguerre_histories():
     for n in range(1, 8):
-        for t, reduced in lifted_histories(n):
+        for t, reduced, _ in lifted_histories(n):
             full = path_from_steps("laguerre", (oracle.Y_UP, *reduced.records, UNIT_DOWN))
             assert full.exponents() == (1, ascents(t), pattern_31_2(t)), t
 

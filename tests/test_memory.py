@@ -1,11 +1,13 @@
-"""Peak memory of the exhaustive checks that keep one key per object, and what
-the ansatz caches keep.
+"""Peak memory of the exhaustive checks, and what the ansatz caches keep.
 
 bijection_size keeps one byte per record of every image of S_n, penaud keeps
 the (left factor, core) pair of every signed Dyck path, and the tableau sums
 read every tableau once.  The keys are compact or share their parts, so the
-peaks stay well below a fresh copy per object.  Each check runs under tracemalloc with every cache of
-the library cleared first, so the peak counts what the check itself builds.
+peaks stay well below a fresh copy per object.  reduced_path_sum keeps no
+key: its walk yields one image at a time and the sum holds only weights, so
+its ceiling guards against a walk that keeps its leaves alive.  Each check
+runs under tracemalloc with every cache of the library cleared first, so the
+peak counts what the check itself builds.
 """
 
 import tracemalloc
@@ -29,6 +31,7 @@ def _clear_caches():
     ("bijection", "bijection_size/n=7", "bijection_size", {"n": 7}, 2.0),
     ("tableaux", "tableau_distributions/n=7", "tableau_distributions", {"n": 7}, 1.0),
     ("section5", "penaud/2n=8", "penaud", {"n": 4}, 0.8),
+    ("th1", "reduced_path_sum/n=8", "reduced_path_sum", {"n": 8}, 0.25),
 ])
 def test_exhaustive_check_peak_memory(suite, check_id, func, kwargs, ceiling_mb):
     _clear_caches()

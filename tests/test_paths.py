@@ -381,15 +381,20 @@ def test_path_from_steps_rejects(family, records, message):
 
 
 def test_path_from_steps_builds_exactly_a_weighted_path():
-    """The checked constructor skips the named tuple's __new__ but returns the same value."""
+    """The checked constructor skips the named tuple's __new__ but returns the same
+    value, and the enumeration, which builds its leaves the same way without the
+    check, yields only paths the constructor accepts, up to the length penaud
+    reaches in the signed cores."""
     for family, fam in FAMILIES.items():
-        for length in range(7):
+        longest = 10 if family in ("secant_core", "tangent_core") else 6
+        for length in range(longest + 1):
             for end in range(length + 1) if not fam.closed else (0,):
-                for path in enumerate_family(family, length, end):
-                    built = path_from_steps(family, path.records)
-                    plain = WeightedPath(path.records, family)
-                    assert type(built) is WeightedPath, family
-                    assert built == plain and hash(built) == hash(plain), built.dump()
+                for restricted in (False, True):
+                    for path in enumerate_family(family, length, end, restricted=restricted):
+                        built = path_from_steps(family, path.records)
+                        plain = WeightedPath(path.records, family)
+                        assert type(built) is type(path) is WeightedPath, family
+                        assert built == path == plain and hash(built) == hash(plain), built.dump()
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))

@@ -210,7 +210,8 @@ def _names_the_checks_read() -> set[str]:
 # Public library functions that no route or _chk_ function names, with the reason.
 NOT_ROUTES = {
     "qeuler.closedforms.tangent_core_piece": "a term of q_tangent_closed and tangent_core_closed",
-    "qeuler.paths.path_from_steps": "the path constructor under every enumerated or lifted path",
+    "qeuler.paths.path_from_steps": "the validating constructor under every encoded, lifted and "
+                                     "decomposed path; enumerated paths come from its own table",
     "qeuler.paths.family_sum": "the last entry of family_sums; every named transfer sum is one",
     "qeuler.permutations.parse_permutation": "reads the argument of qeuler bijection",
     "qeuler.permutations.crossings": "one permutation's statistic; the census's test oracle",
