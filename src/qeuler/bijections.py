@@ -8,7 +8,9 @@ where delta marks an ascent position and i counts the 31-2 patterns whose
 
 There are two encoders.  francon_viennot encodes one permutation; it serves
 `qeuler bijection` and the first loop of verify's bijection_size check, which
-checks that this encoder is a bijection.  lifted_histories walks all of S_n
+checks that this encoder is a bijection: francon_viennot_inverse, the one
+decoder, rebuilds each permutation from its image, so the encoder is
+injective, and there are n! Laguerre histories.  lifted_histories walks all of S_n
 once and yields the trimmed image of every lift with its weight; verify's
 reduced_path_sum sums the weights and the odd-size pass of bijection_size
 reads the images.  A walk does the work of a prefix once for all the
@@ -72,6 +74,37 @@ def francon_viennot(p: Sequence[int]) -> WeightedPath:
     if path.exponents() != (1, ascents(t), pattern_31_2(t)):
         raise AssertionError(f"weight property failed for {t}")
     return path
+
+
+def francon_viennot_inverse(path: WeightedPath) -> tuple[int, ...]:
+    """The permutation whose Francon-Viennot image is the Laguerre history path.
+
+    The values 1..n go in order into holes, the runs of larger values still
+    to come, where the boundary n+1 stands in the last one.  The record of
+    value k picks its hole by qpow, counted from the left: a peak fills the
+    hole, a valley splits it, a double ascent goes to its left end and a
+    double descent to its right end.  A path of another family is refused
+    with ValueError.
+    """
+    if path.family != "laguerre":
+        raise ValueError(f"not a Laguerre history: a {path.family} path")
+    n = len(path.records)
+    nxt = [n + 1] * (n + 2)  # nxt[v]: the value placed after v, n+1 at the end
+    holes = [0]  # holes[c]: the value that hole c follows, 0 for the left boundary
+    for k, (delta, _, ypow, c) in enumerate(path.records, 1):
+        a = holes[c]
+        nxt[k], nxt[a] = nxt[a], k  # every kind goes right after the value its hole follows
+        if delta == 1:
+            holes.insert(c + 1, k)
+        elif delta == -1:
+            del holes[c]
+        elif ypow:
+            holes[c] = k
+    out, v = [], nxt[0]
+    while v <= n:
+        out.append(v)
+        v = nxt[v]
+    return tuple(out)
 
 
 def lift_append_one(p: Sequence[int]) -> tuple[int, ...]:

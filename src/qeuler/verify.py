@@ -124,16 +124,10 @@ def _chk_word_oracle() -> tuple[bool, str]:
 
 
 def _chk_bijection_size(n: int) -> tuple[bool, str]:
-    seen = set()
-    base = n + 1
     for p in pm.all_permutations(n):
         image = bj.francon_viennot(p)  # validates weight property internally
-        # One byte per record: a validated Laguerre record has sign 1, ypow <= 1 and
-        # qpow <= n, so (delta, ypow, qpow) as digits is injective and below 6 * base.
-        key = bytes(((delta + 1) * 2 + ypow) * base + qpow for delta, _, ypow, qpow in image.records)
-        if key in seen:
-            return False, f"image collision at {p}"
-        seen.add(key)
+        if bj.francon_viennot_inverse(image) != p:
+            return False, f"image of {p} does not decode to it"
         if bj.path_saturated_step_free(image) != (p[-1] == 1):
             return False, f"path criterion mismatch at {p}"
         if p[-1] == 1 and n > 1 and bj.returns_to_zero_early(image):
@@ -142,8 +136,8 @@ def _chk_bijection_size(n: int) -> tuple[bool, str]:
         if n % 2 == 0 and pm.is_alternating(p) != (not flats):
             return False, f"alternating characterization failed at {p}"
     count = pa.laguerre_sum(n).evaluate(1, 1)
-    if not (len(seen) == count == math.factorial(n)):
-        return False, f"image count {len(seen)} != history count {count}"
+    if count != math.factorial(n):
+        return False, f"history count {count} != {n}!"
     if n % 2:
         for p, reduced, _ in bj.lifted_histories(n):
             if pm.is_alternating(p) != (not reduced.has_flat()):

@@ -11,6 +11,7 @@ import path_oracles as oracle
 from qeuler import bijections
 from qeuler.bijections import (
     francon_viennot,
+    francon_viennot_inverse,
     lift_append_one,
     lifted_histories,
     path_saturated_step_free,
@@ -21,6 +22,7 @@ from qeuler.paths import (
     UNIT_DOWN,
     WeightedPath,
     _records,
+    enumerate_family,
     euler_dyck_sum,
     laguerre_sum,
     path_from_steps,
@@ -90,6 +92,42 @@ def test_injectivity_and_cardinality():
         assert len(images) == math.factorial(n) == laguerre_sum(n).evaluate(1, 1)
 
 
+def test_decoding_inverts_the_encoding_exhaustive():
+    for n in range(1, 9):
+        for p in all_permutations(n):
+            assert francon_viennot_inverse(francon_viennot(p)) == p
+
+
+def test_every_laguerre_history_decodes_to_its_own_permutation():
+    """The surjective direction object by object: the histories of size n decode
+    to n! distinct permutations, each of which encodes back to its history."""
+    for n in range(1, 8):
+        decoded = set()
+        for path in enumerate_family("laguerre", n):
+            p = francon_viennot_inverse(path)
+            assert sorted(p) == list(range(1, n + 1)) and francon_viennot(p) == path, path
+            decoded.add(p)
+        assert len(decoded) == math.factorial(n)
+
+
+def test_decoding_refuses_a_path_of_another_family():
+    """(1, 1, 1, 0) (1, 1, 1, 0) (-1, 1, 0, 0) (-1, 1, 0, 0) is also a Laguerre history,
+    but as a derangement_motzkin path it is refused by its family."""
+    path = next(iter(enumerate_family("derangement_motzkin", 4)))
+    path_from_steps("laguerre", path.records)  # its records pass as a Laguerre history
+    with pytest.raises(ValueError, match="^not a Laguerre history: a derangement_motzkin path$"):
+        francon_viennot_inverse(path)
+
+
+def test_an_encoding_collision_fails_the_injectivity_check(monkeypatch):
+    encode = bijections.francon_viennot
+    monkeypatch.setattr(bijections, "francon_viennot",
+                        lambda p: encode((1, 2, 3) if tuple(p) == (2, 1, 3) else p))
+    result = run_check(Check("bijection", "bijection_size/n=3", "bijection_size", {"n": 3}))
+    assert result.status == "FAIL"
+    assert "(2, 1, 3)" in result.detail, result.detail
+
+
 def test_images_share_their_equal_records():
     """Equal step records of two images are one object, so a set of images keeps each once."""
     first = {}
@@ -139,12 +177,14 @@ def test_saturated_step_criterion():
 def test_path_criterion_beyond_the_exhaustive_bound(p, one_last):
     """Permutations of size up to 200, half of them moved to end in 1: the
     saturated-step criterion holds, an image of a permutation ending in 1 does
-    not touch 0 early, and the encoder asserts the weight property."""
+    not touch 0 early, the encoder asserts the weight property and the image
+    decodes to the permutation."""
     p = list(p)
     if one_last:
         p.remove(1)
         p.append(1)
     image = francon_viennot(p)
+    assert francon_viennot_inverse(image) == tuple(p)
     assert path_saturated_step_free(image) == (p[-1] == 1)
     if p[-1] == 1:
         assert not returns_to_zero_early(image)
