@@ -4,10 +4,16 @@ Every formula builds its numerator and finishes with an exact division by a
 power of (1 - q); a nonzero remainder raises instead of producing a silently
 wrong polynomial, so typos in coefficients become hard errors.  A negative
 size is a ValueError that names the size.
+
+A table evaluates a formula for every size up to its cap, so the blocks one
+size shares with the next are built once per process: the per-k cores
+(tangent_core_piece, secant_core_closed, _wex_factor) and the Pascal rows
+(_pascal_row) from which the bivariate inner sums read their binomials.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from typing import Callable, Iterator
 
@@ -41,6 +47,7 @@ def _in_cone(value: Poly, what: str) -> Poly:
 # -- core pieces of the second-route formulas ---------------------------------
 
 
+@cache
 def tangent_core_piece(k: int) -> Poly:
     """sum_{j=0}^{2k+1} (-1)^(j+k) q^(j(2k+2-j)); zero for k = -1."""
     if k < -1:
@@ -50,6 +57,7 @@ def tangent_core_piece(k: int) -> Poly:
     return Poly([((0, j * (2 * k + 2 - j)), (-1) ** (j + k)) for j in range(2 * k + 2)])
 
 
+@cache
 def secant_core_closed(k: int) -> Poly:
     """sum_{j=0}^{2k} (-1)^(j+k) q^(j(2k-j)+k)."""
     check_size(k, what="k")
@@ -96,6 +104,7 @@ def tangent_via_core_rearrangement(n: int) -> Poly:
 # -- the bivariate closed forms -------------------------------------------------
 
 
+@cache
 def _wex_factor(k: int) -> Poly:
     """sum_{i=0}^k y^i q^(i(k+1-i))."""
     return Poly([((i, i * (k + 1 - i)), 1) for i in range(k + 1)])
@@ -110,23 +119,36 @@ def _wex_expansion(n: int, inner: Callable[[int], Poly]) -> Poly:
 def q_eulerian_closed(n: int) -> Poly:
     """Closed form of the (wex, cr) distribution over all permutations."""
     check_size(n)
+    row = _pascal_row(n)
     return _wex_expansion(n, lambda k: Poly(
-        ((j, 0), binom_safe(n, j) * binom_safe(n, j + k)
-         - binom_safe(n, j - 1) * binom_safe(n, j + k + 1))
-        for j in range(n - k + 1)
+        ((j, 0), row[j] * row[j + k] - row[j - 1] * row[j + k + 1]) for j in range(n - k + 1)
     ))
+
+
+@cache
+def _pascal_row(n: int) -> tuple[int, ...]:
+    """C(n, 0), ..., C(n, n), then a 0 that is also read as C(n, -1) and C(n, n + 1).
+
+    The row of n = -1 is that 0 alone.
+    """
+    return (*(math.comb(n, k) for k in range(n + 1)), 0)
 
 
 def _derangement_inner(n: int, k: int) -> Poly:
     """The k-th inner sum of the derangement closed form, sum_j y^j D(n, k, j), as one Poly.
 
     D(n, k, j) = sum_i (C(n, j) C(j, i) C(n-j, i+k) - C(n, j-1) C(j-1, i-1) C(n-j+1, i+k+1)) q^(j-i).
+    Past i = min(j, n - j - k) both products vanish, as C(n-j, i+k) = C(n-j+1, i+k+1) = 0.
     """
-    return Poly({
-        (j, j - i): binom_safe(n, j) * binom_safe(j, i) * binom_safe(n - j, i + k)
-        - binom_safe(n, j - 1) * binom_safe(j - 1, i - 1) * binom_safe(n - j + 1, i + k + 1)
-        for j in range(n - k + 1) for i in range(j + 1)
-    })
+    top = _pascal_row(n)
+    terms = {}
+    for j in range(n - k + 1):
+        a, b = top[j], top[j - 1]
+        row_j, row_j1 = _pascal_row(j), _pascal_row(j - 1)
+        rest, rest1 = _pascal_row(n - j), _pascal_row(n - j + 1)
+        for i in range(min(j, n - j - k) + 1):
+            terms[j, j - i] = a * row_j[i] * rest[i + k] - b * row_j1[i - 1] * rest1[i + k + 1]
+    return Poly(terms)
 
 
 def q_derangement_closed(n: int) -> Poly:

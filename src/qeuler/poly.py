@@ -9,7 +9,8 @@ their term tuples are identical.
 
 Every sum adds coefficients into one dict and drops the zeros once at the
 end; every product, ``*`` included, is a poly_dot, the one place that picks
-a product kernel.  The ring's values have one name each: ZERO, ONE, Y, Q
+a product kernel; a one-term factor shifts and scales the other operand in
+one comprehension.  The ring's values have one name each: ZERO, ONE, Y, Q
 and Poly.monomial(c, y, q).
 """
 
@@ -20,7 +21,7 @@ import struct
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping
 
-from .errors import NotDivisibleError
+from .errors import NotDivisibleError, check_size
 
 _TermKey = tuple[int, int]  # (y exponent, q exponent)
 
@@ -55,9 +56,7 @@ class Poly:
     def terms(self) -> tuple[tuple[int, int, int], ...]:
         """Canonical term list: (yExp, qExp, coef) sorted by (yExp, qExp)."""
         if self._key is None:
-            self._key = tuple(
-                (ye, qe, self._terms[(ye, qe)]) for ye, qe in sorted(self._terms)
-            )
+            self._key = tuple((ye, qe, c) for (ye, qe), c in sorted(self._terms.items()))
         return self._key
 
     def __eq__(self, other: object) -> bool:
@@ -344,8 +343,7 @@ def _packed_product(
 
 def q_integer(n: int) -> Poly:
     """[n]_q = 1 + q + ... + q**(n-1), the empty sum for n = 0."""
-    if n < 0:
-        raise ValueError("q_integer requires n >= 0")
+    check_size(n)
     return Poly({(0, i): 1 for i in range(n)})
 
 
@@ -410,22 +408,32 @@ def poly_dot(pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
     """The sum of a * b over the pairs, built in one accumulator dict.
 
     This is the ring's one product dispatcher; ``a * b`` is poly_dot of the
-    one pair.  Of its three kernels, a pair past the packing gate is
-    multiplied by the packed product and merged, a unit factor adds the
-    other operand as it is, and every other pair runs the term-pair loop
-    straight into the accumulator, the shorter operand outside.  No product
-    Poly is built and no partial sum is copied; the zeros are dropped once.
+    one pair.  Of its three kernels, a one-term factor c y^a q^b shifts and
+    scales the other operand in one dict comprehension, which becomes the
+    accumulator while that is still empty (the unit adds the operand as it
+    is); a pair past the packing gate is multiplied by the packed product and
+    merged; and every other pair runs the term-pair loop straight into the
+    accumulator, the shorter operand outside.  A one-term factor into an
+    accumulator that already holds terms takes that loop too: it is one pass,
+    where a comprehension would need a second to merge.  No product Poly is
+    built, no partial sum is copied and no operand's dict is aliased; the
+    zeros are dropped once.
     """
     data: dict[_TermKey, int] = {}
     for a, b in pairs:
         x, y = a._terms, b._terms
         if len(x) > len(y):
             x, y = y, x
-        boxes = _packing(x, y)
-        if boxes:
+        if len(x) == 1:
+            if x == ONE._terms:
+                _add_terms(data, y)
+            elif data:
+                _add_products(data, x, y)
+            else:
+                (((dy, dq), c),) = x.items()
+                data = {(ye + dy, qe + dq): c * d for (ye, qe), d in y.items()}
+        elif boxes := _packing(x, y):
             _add_terms(data, _packed_product(x, boxes[0], y, boxes[1]))
-        elif x == ONE._terms:
-            _add_terms(data, y)
         else:
             _add_products(data, x, y)
     return _from_terms(_nonzero(data))

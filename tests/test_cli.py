@@ -1,10 +1,12 @@
 """Command-line behavior: formats, determinism, exit codes, budgets."""
 
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,18 @@ def test_table_json_shape_and_determinism(capsys):
     assert doc["kind"] == "B"
     assert doc["entries"][2]["label"] == "B_2"
     assert doc["entries"][2]["poly"] == {"vars": ["y", "q"], "terms": [[1, 1, 0]]}
+
+
+@pytest.mark.parametrize("kind", TABLES)
+def test_table_at_its_cap_reproduces_the_pinned_digest(capsys, kind):
+    # The benchmark pins the sha256 of every table at its cap; the test only reads them.
+    pinned = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+    )
+    invocation = f"table {kind} --n-max {TABLES[kind][0]} --format json"
+    code, out, err = run_cli(capsys, *invocation.split())
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned[invocation]
 
 
 def test_table_csv(capsys):

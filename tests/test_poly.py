@@ -6,7 +6,7 @@ import types
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qeuler import poly
 from qeuler.closedforms import _wex_factor
@@ -87,7 +87,7 @@ def test_q_integer_values():
     assert q_integer(0) == ZERO
     assert q_integer(1) == ONE
     assert q_integer(3) == ONE + Q + Q**2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n=-1 must be nonnegative$"):
         q_integer(-1)
 
 
@@ -257,6 +257,18 @@ def test_product_gate_takes_the_packed_path_only_on_dense_operands(monkeypatch):
     calls.clear()
     assert q_integer(7) * dense == dense * q_integer(7)  # 7 terms: below the gate
     assert calls == {"_add_products": 2}
+    calls.clear()
+    for mono in (ONE, Y, Poly.monomial(-3, 2, -5)):  # one term: shifted and scaled
+        assert (mono * dense)._terms == (dense * mono)._terms == term_pair_product(
+            mono._terms, dense._terms)
+        assert poly_dot([(sparse, mono), (ONE, dense)]) == sparse * mono + dense
+    assert calls == {}
+    # Into an accumulator that holds terms, a one-term factor other than the unit
+    # takes the term-pair loop, a single pass.
+    expected = dense * Y + sparse * dense
+    calls.clear()
+    assert poly_dot([(dense, sparse), (Y, dense)]) == expected
+    assert calls == {"_add_products": 2}
 
 
 @given(product_operands)
@@ -273,6 +285,35 @@ def test_an_int_operand_is_the_constant(p):
     assert -3 * p == p * -3 == Poly.monomial(-3) * p == -(p + p + p)
     assert p + 2 == 2 + p == p + Poly.monomial(2) and 2 - p == -(p - 2)
     assert (p == 1) == (p == ONE) and ONE == 1 and ONE == True and Y != 1 and ZERO == 0
+
+
+# One-term factors: the unit, c != 1, negative exponents and negative coefficients.
+one_term_factors = st.one_of(
+    st.sampled_from([ONE, Y, Q, Poly.monomial(1, -2, -3), Poly.monomial(-1)]), one_term_polys
+)
+
+
+@given(st.lists(st.tuples(one_term_factors, product_operands), min_size=1, max_size=4),
+       st.booleans())
+@example([(ONE, Y + Q)], False)
+@example([(ONE, Y + Q), (Poly.monomial(-2, 1, -1), Q)], True)
+def test_one_term_kernel_matches_the_term_pair_loop(pairs, cancel):
+    operands = [p for pair in pairs for p in pair]
+    kept = [dict(p._terms) for p in operands]
+    for mono, p in pairs:
+        expected = term_pair_product(mono._terms, p._terms)
+        products = poly_dot([(mono, p)]), poly_dot([(p, mono)])
+        assert all(r._terms == expected and r._terms is not p._terms for r in products)
+    if cancel:  # every pair followed by its negation: the terms cancel to zero
+        pairs = [pair for mono, p in pairs for pair in ((mono, p), (p, -mono))]
+    oracle = {}
+    for mono, p in pairs:
+        _add_products(oracle, mono._terms, p._terms)
+    total = poly_dot(pairs)
+    assert total._terms == _nonzero(oracle) and (total.is_zero or not cancel)
+    # The accumulator is never an operand's own dict, and no operand is written to.
+    assert all(total._terms is not p._terms for p in operands)
+    assert [p._terms for p in operands] == kept
 
 
 term_lists = st.lists(
