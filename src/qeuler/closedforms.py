@@ -8,7 +8,7 @@ size is a ValueError that names the size.
 A table evaluates a formula for every size up to its cap, so the blocks one
 size shares with the next are built once per process: the per-k cores
 (tangent_core_piece, secant_core_closed, _wex_factor) and the Pascal rows
-(_pascal_row) from which the bivariate inner sums read their binomials.
+(_pascal_row) from which ballot and the bivariate inner sums read their binomials.
 """
 
 from __future__ import annotations
@@ -28,7 +28,10 @@ def ballot(m: int, k: int) -> int:
     if m < 0 or k < 0:
         raise ValueError(f"ballot numbers need m >= 0 and k >= 0, got m={m}, k={k}")
     half = m // 2
-    return binom_safe(m, half - k) - binom_safe(m, half - k - 1)
+    if k > half:  # no left factor is that high, and a row index below -1 would wrap
+        return 0
+    row = _pascal_row(m)
+    return row[half - k] - row[half - k - 1]
 
 
 def _ballot_sum(m: int, core: Callable[[int], Poly], power: int) -> Poly:

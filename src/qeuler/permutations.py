@@ -5,6 +5,14 @@ text by parse_permutation; the statistics take any sequence.  The boundary
 convention sigma(0) = 0 and sigma(n+1) = n+1 is applied by every statistic
 that needs a neighbor.  Exhaustive enumerations refuse a negative size
 (ValueError) and one above DEFAULT_BOUND (BudgetExceededError).
+
+The distributions over S_n count every permutation exactly, but by prefix
+state rather than one by one: placing value v at position b changes each
+statistic by an amount that depends only on the values placed before b (and,
+for ascents and 31-2, on the last of them), so the prefixes that share that
+state share their whole future and are counted together.  (wex, cr) is one
+transfer over the 2^n placed sets; (asc, 31-2) and the alternating 31-2 are
+another over the placed sets and their last values, about n 2^(n-1) states.
 """
 
 from __future__ import annotations
@@ -12,8 +20,9 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations as _itperms
+from math import comb
 from operator import lt
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import OddCrossingError, check_permutation, check_size
 from .poly import Poly
@@ -146,102 +155,137 @@ def fpf_involutions(n: int) -> Iterator[tuple[int, ...]]:
 # -- brute-force distributions ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _census(n: int, alternating: bool = False) -> Counter:
-    """Counts of (wex, cr, asc, 31-2, is_derangement) over the permutations of size n.
+def _field_width(n: int) -> int:
+    """Bits per field of a key (first << 2 * width | second << width | fixed points).
 
-    One depth-first placement of values, position by position, one leaf per
-    permutation; alternating prunes a prefix at the first adjacent pair that
-    breaks t1 > t2 < t3 > ....  Value v is bit v - 1 of a mask, and P[i] is
-    the mask of the values at positions 0..i-1.  Placing v at position j
-    (0-based) costs O(1) big-int operations:
-
-    * crossings: the earlier positions i with sigma(i) < v and either
-      j < sigma(i) (the placed values strictly between j and v, when v > j) or
-      v <= i (the values below v placed at positions v..j-1, P[j] ^ P[v]);
-    * 31-2: a descent (hi, lo) adds the values strictly between lo and hi
-      that are not placed yet, since they all come after it; the last value
-      closes no such descent, as nothing comes after it.
+    Wide enough that no field carries into the next: 31-2 is at most C(n, 3), one
+    per triple of positions, cr at most C(n, 2), one per pair, and every other
+    field at most n.
     """
-    check_size(n, DEFAULT_BOUND)
-    counts: Counter = Counter()
-    if n < 2:
-        counts[n, 0, n, 0, n == 0] += 1  # the empty permutation, or 1 (a fixed point)
-        return counts
-    low = [(1 << k) - 1 for k in range(n + 1)]  # the values 1..k
-    free_of = [tuple(v for v in range(1, n + 1) if not m >> (v - 1) & 1) for m in range(1 << n)]
-    # spans[hi][lo]: the values strictly between lo and hi
-    spans = [[low[hi - 1] ^ low[lo] for lo in range(hi)] for hi in range(n + 1)]
-    full = low[n]
-    last = n - 1
-    last_odd = last % 2 == 1
-    P = [0] * n
-
-    def place(j: int, prev: int, wex: int, cr: int, p312: int, desc: int, der: bool) -> None:
-        Pj = P[j]
-        j1 = j + 1
-        above = Pj >> j  # bit 0 is the value j + 1
-        odd = j % 2 == 1
-        for v in free_of[Pj]:
-            if alternating and j and (prev < v) == odd:
-                continue
-            if v > j:
-                c = cr + (above & low[v - j1]).bit_count()
-                w = wex + 1
-                d = der and v != j1
-            else:
-                c = cr + ((Pj ^ P[v]) & low[v - 1]).bit_count()
-                w = wex
-                d = der
-            P[j1] = Pv = Pj | 1 << (v - 1)
-            if prev > v:
-                p = p312 + (spans[prev][v] & ~Pv).bit_count()
-                e = desc + 1
-            else:
-                p = p312
-                e = desc
-            if j1 < last:
-                place(j1, v, w, c, p, e, d)
-                continue
-            # the one value u left goes at the last position, counted here
-            u = (full ^ Pv).bit_length()
-            if alternating and (v < u) == last_odd:
-                continue
-            if u == n:
-                w += 1
-                d = False
-            else:
-                c += ((Pv ^ P[u]) & low[u - 1]).bit_count()
-            counts[w, c, n - e - (v > u), p, d] += 1
-
-    place(0, 0, 0, 0, 0, 0, True)
-    return counts
+    return max(n, comb(n, 2), comb(n, 3)).bit_length()
 
 
-def _marginal(census: Counter, slots: int | slice) -> tuple[Counter, Counter]:
-    """Counts of key[slots] over all census leaves and over the derangements."""
+def _transfer(n: int, start: Hashable, moves: Callable) -> Iterable[dict[int, int]]:
+    """The key counts of the states after n positions, from `start` with key 0.
+
+    Layer b - 1 maps each state of the prefixes of length b - 1 to the counts of
+    their keys.  moves(state, b) yields (successor, increment) for each value that
+    position b may take there, and all the state's keys move to the successor
+    shifted by the increment.  A state leaves its layer once its keys have moved,
+    so no more than one layer is whole at a time.
+    """
+    layer = {start: {0: 1}}
+    for b in range(1, n + 1):
+        nxt: dict = {}
+        while layer:
+            state, src = layer.popitem()
+            for target, inc in moves(state, b):
+                dst = nxt.get(target)
+                if dst is None:
+                    nxt[target] = {key + inc: mult for key, mult in src.items()}
+                    continue
+                get = dst.get
+                for key, mult in src.items():
+                    key += inc
+                    dst[key] = get(key, 0) + mult
+        layer = nxt
+    return layer.values()
+
+
+def _pairs(leaves: Iterable[dict[int, int]], width: int) -> tuple[Counter, Counter]:
+    """Counts of the first two fields, over all keys and over the keys with no fixed point."""
+    field = (1 << width) - 1
     full, der = Counter(), Counter()
-    for key, mult in census.items():
-        full[key[slots]] += mult
-        if key[4]:
-            der[key[slots]] += mult
+    for counts in leaves:
+        for key, mult in counts.items():
+            pair = key >> 2 * width, key >> width & field
+            full[pair] += mult
+            if not key & field:
+                der[pair] += mult
     return full, der
 
 
-# Cached by name: the benchmark tracer counts one S_n sweep per fill of these three.
+def _asc_312_transfer(n: int, alternating: bool) -> Iterable[dict[int, int]]:
+    """Keys (asc, 31-2, fixed points) over S_n, by placed set and last value.
+
+    The last value starts as the boundary 0, so the first value rises from it:
+    that rise is the ascent that `ascents` counts at position n.  A descent
+    (prev, v) adds the values strictly between v and prev not placed yet, since
+    they all come after it.  alternating keeps, at each position b, only a value
+    that falls from prev when b is even and rises when b is odd.
+    """
+    width = _field_width(n)
+    asc, pat = 1 << 2 * width, 1 << width
+    bit = [0, *(1 << v for v in range(n))]  # bit[v]: value v in a mask of placed values
+    # spans[hi][lo]: the values strictly between lo and hi
+    spans = [[sum(bit[lo + 1:hi]) for lo in range(hi)] for hi in range(n + 1)]
+
+    def moves(state: tuple[int, int], b: int) -> Iterator[tuple[tuple[int, int], int]]:
+        m, prev = state
+        must_fall = b % 2 == 0
+        for v in range(1, n + 1):
+            if m & bit[v] or alternating and (prev > v) != must_fall:
+                continue
+            placed = m | bit[v]
+            inc = v == b
+            if prev < v:
+                inc += asc
+            else:
+                inc += pat * (spans[prev][v] & ~placed).bit_count()
+            yield (placed, v), inc
+
+    return _transfer(n, (0, 0), moves)
+
+
+# Cached by name: the benchmark tracer counts n! S_n permutations per fill of these three.
 @lru_cache(maxsize=None)
 def _wex_cr_counts(n: int) -> tuple[Counter, Counter]:
-    return _marginal(_census(n), slice(0, 2))
+    """(wex, cr) over S_n and over its derangements, by placed set.
+
+    Value v at position b is a weak exceedance when v >= b, and a fixed point
+    when v = b.  Each crossing is counted where it depends only on the set m of
+    values placed before b:
+    * an upper crossing a < b <= sigma(a) < v at its right end: the values of m
+      in [b, v), whose positions a are all below b;
+    * a lower crossing v < sigma(c) < b < c at its left end: the values strictly
+      between v and b not in m, since each of them goes to a later position c.
+    """
+    check_size(n, DEFAULT_BOUND)
+    width = _field_width(n)
+    wex, cr = 1 << 2 * width, 1 << width
+    low = [(1 << k) - 1 for k in range(n + 1)]  # the k lowest bits
+
+    def moves(m: int, b: int) -> Iterator[tuple[int, int]]:
+        for v in range(1, n + 1):
+            if m >> (v - 1) & 1:
+                continue
+            if v >= b:
+                inc = wex + (v == b) + cr * (m >> (b - 1) & low[v - b]).bit_count()
+            else:
+                inc = cr * (~m >> v & low[b - v - 1]).bit_count()
+            yield m | 1 << (v - 1), inc
+
+    return _pairs(_transfer(n, 0, moves), width)
 
 
 @lru_cache(maxsize=None)
 def _asc_312_counts(n: int) -> tuple[Counter, Counter]:
-    return _marginal(_census(n), slice(2, 4))
+    """(asc, 31-2) over S_n and over its derangements."""
+    check_size(n, DEFAULT_BOUND)
+    return _pairs(_asc_312_transfer(n, False), _field_width(n))
 
 
 @lru_cache(maxsize=None)
 def _alt_312_counts(n: int) -> Counter:
-    return _marginal(_census(n, True), 3)[0]
+    """31-2 over the alternating permutations of size n."""
+    check_size(n, DEFAULT_BOUND)
+    width = _field_width(n)
+    field = (1 << width) - 1
+    counts: Counter = Counter()
+    for leaf in _asc_312_transfer(n, True):
+        for key, mult in leaf.items():
+            counts[key >> width & field] += mult
+    return counts
 
 
 def q_eulerian_poly(n: int) -> Poly:

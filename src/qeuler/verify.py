@@ -480,16 +480,23 @@ def run_check(check: Check) -> CheckResult:
     return CheckResult(check.suite, check.check_id, status, detail, time.perf_counter() - start)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_suites(
     suites: list[str], n_max: int | None = None, seed: int = 0, jobs: int = 1
 ) -> list[SuiteReport]:
-    """Run the suites' checks; jobs is clamped to the CPU and check counts."""
+    """Run the suites' checks; jobs is clamped to the usable CPU and check counts."""
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
     all_checks: list[Check] = []
     for s in suites:
         all_checks.extend(build_suite(s, n_max, seed))
-    workers = min(jobs, os.cpu_count() or 1, len(all_checks))
+    workers = min(jobs, _usable_cpus(), len(all_checks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

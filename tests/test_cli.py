@@ -520,13 +520,22 @@ def test_verify_jobs_clamped(capsys, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # the affinity mask caps the request, not the machine's CPU count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
     code, _, _ = run_cli(capsys, "verify", "section6", "--n-max", "3", "--jobs", "1000")
-    assert code == 0 and workers == [3]  # CPU count caps the request
+    assert code == 0 and workers == [3]
     code, _, _ = run_cli(capsys, "verify", "section6", "--n-max", "1", "--jobs", "1000")
     assert code == 0 and workers == [3, 2]  # so does the number of checks
     code, _, _ = run_cli(capsys, "verify", "section6", "--n-max", "0", "--jobs", "1000")
     assert code == 0 and workers == [3, 2]  # one check runs in-process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+    code, _, _ = run_cli(capsys, "verify", "section6", "--n-max", "3", "--jobs", "2")
+    assert code == 0 and workers == [3, 2]  # pinned to one CPU, the checks run in-process
+    # where the OS keeps no affinity mask, the CPU count caps the request
+    monkeypatch.delattr(os, "sched_getaffinity")
+    code, _, _ = run_cli(capsys, "verify", "section6", "--n-max", "3", "--jobs", "1000")
+    assert code == 0 and workers == [3, 2, 4]
 
 
 def test_verify_derangement_split_below_its_witness_is_refused(capsys):

@@ -215,3 +215,12 @@ def test_even_size_vanishing_at_formula_level():
 def test_negative_size_is_rejected(fn, what, n):
     with pytest.raises(ValueError, match=rf"^{what}={n} must be nonnegative$"):
         fn(n)
+
+
+def test_ballot_is_the_binomial_difference():
+    for m in range(31):
+        for k in range(m + 3):
+            assert cf.ballot(m, k) == binom_safe(m, m // 2 - k) - binom_safe(m, m // 2 - k - 1), (m, k)
+    for m, k in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="ballot numbers need m >= 0 and k >= 0"):
+            cf.ballot(m, k)

@@ -6,11 +6,15 @@ from collections import Counter
 
 import pytest
 
+from qeuler.closedforms import q_derangement_closed, q_euler_closed, q_eulerian_closed
 from qeuler.errors import BudgetExceededError
 from qeuler.permutations import (
     DEFAULT_BOUND,
+    _alt_312_counts,
     _asc_312_counts,
-    _census,
+    _asc_312_transfer,
+    _field_width,
+    _pairs,
     _wex_cr_counts,
     all_permutations,
     alternating_31_2_poly,
@@ -194,19 +198,61 @@ def _oracle_key(p):
     return (weak_exceedances(p), crossings(p), ascents(p), pattern_31_2(p), _is_derangement(p))
 
 
+def _projections(keys):
+    """(wex, cr) and (asc, 31-2) counts of oracle keys, over all of them and over derangements."""
+    keys = list(keys)
+    return tuple(
+        Counter(key[slots] for key in keys if not derangements_only or key[4])
+        for slots in (slice(0, 2), slice(2, 4))
+        for derangements_only in (False, True)
+    )
+
+
 def test_census_matches_per_permutation_statistics():
     for n in range(8):
-        assert _census(n) == Counter(map(_oracle_key, all_permutations(n))), n
+        wex_cr, wex_cr_der, asc_312, asc_312_der = _projections(map(_oracle_key, all_permutations(n)))
+        assert _wex_cr_counts(n) == (wex_cr, wex_cr_der), n
+        assert _asc_312_counts(n) == (asc_312, asc_312_der), n
 
 
 def test_pruned_census_is_the_alternating_restriction():
+    # the pruning reads the last value, so only the (placed set, last value) transfer has it
     for n in range(9):
-        alternating = Counter(_oracle_key(p) for p in all_permutations(n) if is_alternating(p))
-        assert _census(n, True) == alternating, n
+        keys = [_oracle_key(p) for p in all_permutations(n) if is_alternating(p)]
+        _, _, asc_312, asc_312_der = _projections(keys)
+        assert _pairs(_asc_312_transfer(n, True), _field_width(n)) == (asc_312, asc_312_der), n
+        assert _alt_312_counts(n) == Counter(key[3] for key in keys), n
 
 
-def test_both_pair_distributions_share_one_census_walk():
-    for cached in (_census, _wex_cr_counts, _asc_312_counts):
+def test_transfers_at_the_default_bound_stay_in_their_fields():
+    n = DEFAULT_BOUND
+    pairs, pairs_der = _wex_cr_counts(n)
+    stats, stats_der = _asc_312_counts(n)
+    alternating = _alt_312_counts(n)
+    assert sum(pairs.values()) == sum(stats.values()) == math.factorial(n)
+    assert sum(pairs_der.values()) == sum(stats_der.values()) == 1334961  # D_10
+    assert sum(alternating.values()) == 50521  # E_10
+    assert all(0 <= wex <= n and 0 <= cr <= math.comb(n, 2) for wex, cr in pairs)
+    assert all(1 <= asc <= n and 0 <= p <= math.comb(n, 3) for asc, p in stats)
+    assert all(0 <= p <= math.comb(n, 3) for p in alternating)
+    # a carry between fields moves counts from one key to another: the closed forms see it
+    assert q_eulerian_poly(n) == q_eulerian_closed(n)
+    assert q_derangement_poly(n) == q_derangement_closed(n)
+    assert alternating_31_2_poly(n) == q_euler_closed(n)
+    assert pairs == stats
+
+
+def test_each_marginal_fills_once_and_the_pair_polys_read_only_wex_cr():
+    marginals = (_wex_cr_counts, _asc_312_counts, _alt_312_counts)
+    for cached in marginals:
         cached.cache_clear()
-    assert wex_cr_multiset(7) == asc_312_multiset(7)
-    assert _census.cache_info().misses == 1
+    for n in range(7):
+        for _ in range(2):
+            assert wex_cr_multiset(n) == asc_312_multiset(n)
+            alternating_31_2_poly(n)
+    assert [cached.cache_info().misses for cached in marginals] == [7, 7, 7]
+    for cached in marginals:
+        cached.cache_clear()
+    q_eulerian_poly(7)
+    q_derangement_poly(7)
+    assert [cached.cache_info().misses for cached in marginals] == [1, 0, 0]
