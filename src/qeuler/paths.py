@@ -516,3 +516,25 @@ def penaud_decompose(path: WeightedPath) -> tuple[WeightedPath, WeightedPath]:
             ups.clear()
     return (path_from_steps("left_factor", left),
             path_from_steps(path.family, [r for r in core if r is not None]))
+
+
+def penaud_compose(left: WeightedPath, core: WeightedPath) -> WeightedPath:
+    """The signed Dyck path that penaud_decompose splits into (left, core).
+
+    With the left factor's steps paired like parentheses, its unmatched up
+    steps take the core's records in order; other families or a count mismatch
+    raise ValueError.  Built unvalidated, as enumerate_family builds its leaves:
+    an unmatched step lies inside no matched pair, so each core step starts at
+    its core height, and both families allow a unit step from any height.
+    """
+    if left.family != "left_factor" or core.family not in ("secant_core", "tangent_core"):
+        raise ValueError("composition takes a left_factor path and a signed Dyck path")
+    records, ups = list(left.records), []  # ups: the up steps not matched yet
+    for i, r in enumerate(records):
+        if r == UNIT_UP:
+            ups.append(i)
+        else:
+            ups.pop()
+    for i, r in zip(ups, core.records, strict=True):  # a count mismatch raises ValueError
+        records[i] = r
+    return tuple.__new__(WeightedPath, (tuple(records), core.family))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache, lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidTransposeError, check_size
@@ -47,25 +47,13 @@ class Shape(CheckedTuple, NamedTuple("Shape", [("rows", tuple[int, ...])])):
 
 
 def shapes_of_half_perimeter(n: int) -> Iterator[Shape]:
-    """All shapes with rows + columns = n, empty rows allowed."""
+    """All shapes with rows + columns = n, empty rows allowed, widest first, then lexicographic."""
     check_size(n)
     if n == 0:
         yield Shape(())
-        return
-    for m in range(1, n + 1):
-        c = n - m
-        if c == 0:
-            yield Shape((0,) * m)
-            continue
-        def rec(prefix: list[int], remaining: int, cap: int) -> Iterator[Shape]:
-            if remaining == 0:
-                yield Shape((c, *prefix))
-                return
-            for r in range(min(cap, c) + 1):
-                prefix.append(r)
-                yield from rec(prefix, remaining - 1, r)
-                prefix.pop()
-        yield from rec([], m - 1, c)
+    for c in range(n - 1, -1, -1):  # c cells in the first row, n - c rows
+        for rest in reversed(list(combinations_with_replacement(range(c, -1, -1), n - 1 - c))):
+            yield Shape((c, *rest))
 
 
 class Tableau(NamedTuple):

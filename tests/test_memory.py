@@ -1,12 +1,12 @@
 """Peak memory of the exhaustive checks, and what the ansatz caches keep.
 
-penaud keeps the (left factor, core) pair of every signed Dyck path, and the
-tableau sums read every tableau once.  The keys are compact or share their
-parts, so the peaks stay well below a fresh copy per object.
-bijection_size and reduced_path_sum keep no key: the first decodes each
-image back to its permutation, and the walk of the second yields one image
-at a time while the sum holds only weights, so their ceilings guard against
-a check that keeps its objects alive.  Each check
+The tableau sums read every tableau once; their keys are compact, so the
+peak stays well below a fresh copy per object.
+bijection_size, penaud and reduced_path_sum keep no key: the first decodes
+each image back to its permutation, the second recomposes each path from its
+parts, and the walk of the third yields one image at a time while the sum
+holds only weights, so their ceilings guard against a check that keeps its
+objects alive.  Each check
 runs under tracemalloc with every cache of the library cleared first, so the
 peak counts what the check itself builds.
 The census transfers hold one layer of prefix states and the part of the
@@ -37,8 +37,9 @@ def _clear_caches():
 @pytest.mark.parametrize("suite, check_id, func, kwargs, ceiling_mb", [
     ("bijection", "bijection_size/n=7", "bijection_size", {"n": 7}, 0.2),
     ("tableaux", "tableau_distributions/n=7", "tableau_distributions", {"n": 7}, 1.0),
-    ("section5", "penaud/2n=8", "penaud", {"n": 4}, 0.8),
+    ("section5", "penaud/2n=8", "penaud", {"n": 4}, 0.1),
     ("th1", "reduced_path_sum/n=8", "reduced_path_sum", {"n": 8}, 0.25),
+    ("section5", "penaud/2n=10", "penaud", {"n": 5}, 0.1),
 ])
 def test_exhaustive_check_peak_memory(suite, check_id, func, kwargs, ceiling_mb):
     _clear_caches()

@@ -24,6 +24,7 @@ from qeuler.paths import (
     laguerre_sum,
     large_laguerre_sum,
     path_from_steps,
+    penaud_compose,
     penaud_decompose,
     schroder_signed_sum,
     secant_core_cf_spec,
@@ -561,6 +562,42 @@ def test_penaud_bijection_small():
             assert count == sum(ballot(2 * n, k) * len(cores[k]) for k in range(n + 1))
 
 
+def test_penaud_compose_inverts_decompose():
+    for family in ("secant_core", "tangent_core"):
+        for length in range(0, 11, 2):
+            for path in enumerate_family(family, length):
+                assert penaud_compose(*penaud_decompose(path)) == path, path.dump()
+
+
+def test_penaud_decompose_inverts_compose():
+    """Every (left factor, restricted core) pair of the product set composes to
+    a valid path that splits back into it, one path of the family per pair."""
+    for family in ("secant_core", "tangent_core"):
+        for n in range(5):
+            pairs = 0
+            for k in range(n + 1):
+                cores = list(enumerate_family(family, 2 * k, restricted=True))
+                for left in enumerate_family("left_factor", 2 * n, 2 * k):
+                    for core in cores:
+                        path = penaud_compose(left, core)
+                        assert path_from_steps(family, path.records) == path, path.dump()
+                        assert penaud_decompose(path) == (left, core), path.dump()
+                        pairs += 1
+            assert pairs == sum(1 for _ in enumerate_family(family, 2 * n))
+
+
+def test_penaud_compose_refuses_parts_outside_the_product_set():
+    left = path_from_steps("left_factor", [UNIT_UP_R, UNIT_UP_R])
+    core = path_from_steps("secant_core", [UNIT_UP_R, (-1, -1, 0, 1)])
+    assert penaud_compose(left, core).records == core.records
+    with pytest.raises(ValueError):  # a left factor of another family
+        penaud_compose(path_from_steps("secant_core", [UNIT_UP_R, UNIT_DOWN_R]), core)
+    with pytest.raises(ValueError):  # a core of another family
+        penaud_compose(left, path_from_steps("euler_dyck_0", [UNIT_UP_R, UNIT_DOWN_R]))
+    with pytest.raises(ValueError):  # two unmatched steps for an empty core
+        penaud_compose(left, path_from_steps("secant_core", []))
+
+
 @pytest.mark.parametrize("decompose, detail", [
     # (all up, the path itself): injective and counted, but the core is not restricted
     (lambda path: (path_from_steps("left_factor", [UNIT_UP_R] * len(path.records)), path),
@@ -569,6 +606,11 @@ def test_penaud_bijection_small():
     (lambda path: (path_from_steps("left_factor", [UNIT_UP_R] * len(path.records)),
                    penaud_decompose(path)[1]),
      "left factor does not end at the core length"),
+    # U D U D split as U U D D: weights, restriction, end height and count all hold
+    (lambda path: penaud_decompose(
+        path_from_steps(path.family, [UNIT_UP_R, UNIT_UP_R, UNIT_DOWN_R, UNIT_DOWN_R])
+        if path.records == (UNIT_UP_R, UNIT_DOWN_R) * 2 else path),
+     "parts of 'U[+1,0,0] D[+1,0,0] U[+1,0,0] D[+1,0,0]' do not recompose it"),
 ])
 def test_penaud_check_fails_a_part_outside_the_product_set(monkeypatch, decompose, detail):
     check = verify.Check("section5", "penaud/2n=4", "penaud", {"n": 2})

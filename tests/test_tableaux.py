@@ -136,6 +136,16 @@ FILLING_ORDER = {
 }
 
 
+# sha256 of the rows of shapes_of_half_perimeter(n) for n <= 12, one shape per
+# line, recorded when the shapes came from a recursive walk.
+SHAPE_ORDER = "8a3f67ea852fb01a9d35cd491d9c4386a88abbec6606c150437c9d1b308c3222"
+
+
+def test_shapes_keep_their_recorded_order():
+    text = "\n".join(repr(s.rows) for n in range(13) for s in shapes_of_half_perimeter(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == SHAPE_ORDER
+
+
 @pytest.mark.parametrize("n", sorted(FILLING_ORDER))
 def test_fillings_keep_their_recorded_order(n):
     tableaux = list(enumerate_tableaux(n))
